@@ -1,11 +1,11 @@
 """Minimal Bachmann-Howard fixed points of coded prae-dilators.
 
 The construction iterates a collapsing term order from the empty carrier,
-takes the direct limit with a canonical birth-stage representation, glues
-the stage collapses into an almost order preserving collapse over the
-limit, and embeds the limit into any order carrying such a collapse.  All
-of the construction's laws are rechecked by finite brute force in
-:mod:`bhfix.verify`.
+takes the direct limit (itself a system of collapse terms over its own
+elements), glues the stage collapses into an almost order preserving
+collapse over the limit, and embeds the limit into any order carrying such
+a collapse.  All of the construction's laws are rechecked by finite brute
+force in :mod:`bhfix.verify`.
 """
 
 from .dilator import (
@@ -34,9 +34,6 @@ from .finite_orders import (
     compose,
     finset_map,
     identity_embedding,
-    inclusion_of,
-    leq_fin,
-    lt_fin,
 )
 from .interpret import (
     Interpretation,
@@ -48,7 +45,7 @@ from .interpret import (
     interpret_term,
     interpretation_at,
 )
-from .limits import BHElement, Tower
+from .limits import Tower
 from .standard_dilators import (
     TOP,
     ConstantDilator,
@@ -59,7 +56,7 @@ from .standard_dilators import (
     SumDilator,
 )
 from .syntax import format_bh, format_term, parse_bh, parse_term
-from .systems import System, ThetaTerm, embed_next, empty_system
+from .systems import System, ThetaTerm, empty_system
 from .verify import (
     Budgets,
     CheckReport,
@@ -68,6 +65,7 @@ from .verify import (
     check_dilator_laws,
     check_fixed_point,
     check_goodness,
+    check_limit_order,
     check_minimality,
     check_theta_linear,
     check_witness,
@@ -78,7 +76,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BHElement",
     "Budgets",
     "CheckReport",
     "CodedElement",
@@ -113,13 +110,13 @@ __all__ = [
     "check_dilator_laws",
     "check_fixed_point",
     "check_goodness",
+    "check_limit_order",
     "check_minimality",
     "check_theta_linear",
     "check_witness",
     "compare_coded",
     "compose",
     "embed_bh",
-    "embed_next",
     "empty_system",
     "enumerate_coded",
     "erase_supports",
@@ -128,11 +125,8 @@ __all__ = [
     "format_bh",
     "format_term",
     "identity_embedding",
-    "inclusion_of",
     "interpret_term",
     "interpretation_at",
-    "leq_fin",
-    "lt_fin",
     "make_coded",
     "map_coded",
     "normal_form",

@@ -1,4 +1,4 @@
-"""Skeletal finite linear orders and the finite-subset comparisons.
+"""Skeletal finite linear orders, their embeddings, and finite subsets.
 
 A finite order of size n is always the chain 0 < 1 < ... < n-1.  Arbitrary
 finite carriers appear only as strictly sorted tuples together with an
@@ -69,62 +69,10 @@ def all_embeddings(m: int, n: int) -> list[Embedding]:
     return [Embedding(c, n) for c in combinations(range(n), m)]
 
 
-def inclusion_of(members: Sequence[E], carrier: Sequence[E]) -> Embedding:
-    """Position map of a sorted subset into an enumerated carrier."""
-    positions = []
-    for x in members:
-        for j, y in enumerate(carrier):
-            if x == y:
-                positions.append(j)
-                break
-        else:
-            raise ValueError(f"subset member {x!r} not found in carrier")
-    return Embedding(tuple(positions), len(carrier))
-
-
 def finset_map(f: Callable[[E], object], members: Iterable[E]) -> tuple:
     """Image of a finite subset under a strictly order-preserving map."""
     return tuple(f(x) for x in members)
 
 
-def sorted_subset(items: Iterable[E], cmp: Cmp) -> tuple[E, ...]:
-    """Strictly sorted, deduplicated tuple under cmp."""
-    from functools import cmp_to_key
-
-    out: list[E] = []
-    for x in sorted(items, key=cmp_to_key(cmp)):
-        if not out or cmp(out[-1], x) < 0:
-            out.append(x)
-    return tuple(out)
-
-
 def is_strictly_sorted(items: Sequence[E], cmp: Cmp) -> bool:
     return all(cmp(a, b) < 0 for a, b in zip(items, items[1:]))
-
-
-def lt_fin(a: Iterable[E], b: Sequence[E], cmp: Cmp) -> bool:
-    """Every element of a lies strictly below some element of b."""
-    return all(any(cmp(s, t) < 0 for t in b) for s in a)
-
-
-def leq_fin(a: Iterable[E], b: Sequence[E], cmp: Cmp) -> bool:
-    """Every element of a lies at or below some element of b."""
-    return all(any(cmp(s, t) <= 0 for t in b) for s in a)
-
-
-# Singleton shorthands: one side of the comparison is a single element
-# rather than a set.  Exposed separately because call sites use them heavily.
-
-def fin_lt_elem(a: Iterable[E], t: E, cmp: Cmp) -> bool:
-    """a < {t}: every element of a is strictly below t."""
-    return all(cmp(s, t) < 0 for s in a)
-
-
-def elem_lt_fin(s: E, b: Sequence[E], cmp: Cmp) -> bool:
-    """{s} < b: some element of b lies strictly above s."""
-    return any(cmp(s, t) < 0 for t in b)
-
-
-def elem_leq_fin(s: E, b: Sequence[E], cmp: Cmp) -> bool:
-    """{s} <= b: some element of b lies at or above s."""
-    return any(cmp(s, t) <= 0 for t in b)

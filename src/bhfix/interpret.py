@@ -12,7 +12,9 @@ It extends along stage iteration by
     h'(th(sigma)) = collapse_Y(h[sigma])
 
 and a valid extension satisfies h' o iota_X = h; gluing the extensions over
-the stage tower embeds the whole limit order into Y.
+the stage tower embeds the whole limit order into Y.  On the limit itself,
+whose iota is the identity, the glued map is the recursion
+h(th(sigma)) = collapse_Y(h[sigma]) (see :func:`embed_bh`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Any, Callable
 from .dilator import CodedElement, Enumeration, map_coded
 from .errors import WitnessLawError
 from .finite_orders import sgn
-from .limits import BHElement, Tower
+from .limits import Tower
 from .standard_dilators import TOP
 from .systems import System, ThetaTerm
 
@@ -128,7 +130,13 @@ def interpretation_at(witness: Witness, tower: Tower, n: int) -> Interpretation:
     return ip
 
 
-def embed_bh(witness: Witness, tower: Tower, e: BHElement) -> Any:
-    """Image of a limit element in the witness order."""
-    ip = interpretation_at(witness, tower, e.birth_stage + 1)
-    return ip.func(e.term)
+def embed_bh(witness: Witness, tower: Tower, e: ThetaTerm) -> Any:
+    """Image of a limit element in the witness order, memoized per subterm."""
+    images: dict[ThetaTerm, Any] = {}
+
+    def h(t: ThetaTerm) -> Any:
+        if t not in images:
+            images[t] = witness.collapse(map_coded(h, t.body))
+        return images[t]
+
+    return h(e)

@@ -1,50 +1,54 @@
 """The stage tower, its direct limit, and the glued collapse.
 
 Stages iterate from the empty order: X_0 is empty and X_{n+1} is the order
-of collapse terms over X_n.  The limit order is represented canonically by
-*birth certificates*: a pair of a stage n and a term in X_{n+1} that is not
-the image of any X_n term under the stage embedding.  Equality of limit
-elements is therefore syntactic, and the order compares lifts at any common
-stage (the verdict does not depend on the stage because the embeddings are
-order-preserving).
+of collapse terms over X_n.  The direct limit of the stages is itself a
+system over its own carrier: its elements are collapse terms whose supports
+are limit elements, iota is the identity, and the order is the same
+two-clause recursion as at every stage.  Limit elements are the interned
+terms of that one system, so equality is identity and every comparison is
+one :meth:`System.compare`.
 
-The glued collapse pulls a coded element over the limit back to the least
-stage containing its support, collapses there, and injects the result; the
-commuting square of stage collapses and embeddings makes the outcome
-independent of the chosen stage.
+A term is new at stage n+1 exactly when one of its supports is new at
+stage n, so by induction a limit element of length L is born at stage
+L - 1 and first lives in X_L.  The stage tower stays as the paper's
+construction and as the oracle the checks compare against; ``flatten`` and
+``lift`` translate between the two.
 
-The stage cache is append-only; elements are immutable.
+The glued collapse is the limit system's collapse; computing it at any
+stage containing the support and flattening gives the same element.
+
+All caches are append-only; elements are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .dilator import CodedElement, Dilator, Enumeration
-from .errors import SystemDefectError
-from .finite_orders import EQ, is_strictly_sorted
+from .dilator import CodedElement, Dilator, Enumeration, make_coded, map_coded
+from .finite_orders import is_strictly_sorted
 from .systems import System, ThetaTerm, empty_system
 
 
-@dataclass(frozen=True)
-class BHElement:
-    """Canonical limit element: born at ``birth_stage``, living in X_{birth+1}."""
-
-    birth_stage: int
-    term: ThetaTerm
-
-    def __repr__(self) -> str:
-        return f"BHElement(@{self.birth_stage}, {self.term!r})"
+def birth_stage(e: ThetaTerm) -> int:
+    """The stage n at which a limit element is new, i.e. first in X_{n+1}."""
+    return e.length - 1
 
 
 class Tower:
-    """The stage sequence of a prae-dilator together with its limit order."""
+    """The stage sequence of a prae-dilator together with its limit system."""
 
     def __init__(self, dilator: Dilator):
         self.dilator = dilator
         self._systems: list[System] = [empty_system(dilator)]
-        self._memo: dict[tuple[BHElement, BHElement], int] = {}
+        # The carrier is this tower, whose compare is the limit order itself.
+        self.limit = System(
+            dilator,
+            self,
+            length_of=lambda term: term.length,
+            embed_of=lambda term: term,
+            label="lim",
+        )
+        self._flat: dict[ThetaTerm, ThetaTerm] = {}
 
     def stage(self, n: int) -> System:
         """The system whose carrier is X_n (cached; stage 0 is empty)."""
@@ -52,110 +56,63 @@ class Tower:
             self._systems.append(self._systems[-1].iterate())
         return self._systems[n]
 
-    # -- canonical representation -------------------------------------------
+    # -- bridges between the stages and the limit ------------------------------
 
-    def _preimage(self, m: int, t: ThetaTerm) -> ThetaTerm | None:
-        """Preimage of t in X_{m+1} under the stage embedding X_m -> X_{m+1}.
+    def flatten(self, s: ThetaTerm) -> ThetaTerm:
+        """The limit element of a term in any stage X_n, n >= 1."""
+        e = self._flat.get(s)
+        if e is None:
+            e = self.limit.collapse(map_coded(self.flatten, s.body))
+            self._flat[s] = e
+        return e
 
-        The embedding only relabels supports, so membership in its range
-        amounts to every support element being in the range one stage down;
-        nothing is in the range of the embedding out of the empty stage.
-        """
-        if m == 0:
-            return None
-        stripped = []
-        for u in t.body.support:
-            p = self._preimage(m - 1, u)
-            if p is None:
-                return None
-            stripped.append(p)
-        return self.stage(m - 1).collapse(CodedElement(tuple(stripped), t.body.token))
-
-    def inject(self, n: int, s: ThetaTerm) -> BHElement:
-        """Canonical limit element of s in X_n (n >= 1): strip to the birth stage."""
-        if n < 1:
-            raise ValueError("stage 0 is empty; elements live in X_n for n >= 1")
-        m = n - 1
-        while m >= 1:
-            p = self._preimage(m, s)
-            if p is None:
-                break
-            s = p
-            m -= 1
-        return BHElement(m, s)
-
-    def lift(self, e: BHElement, m: int) -> ThetaTerm:
+    def lift(self, e: ThetaTerm, m: int) -> ThetaTerm:
         """The representative of e in X_{m+1}, for any m >= its birth stage."""
-        if m < e.birth_stage:
-            raise ValueError(f"cannot lift a stage-{e.birth_stage} element down to {m}")
-        s = e.term
-        for k in range(e.birth_stage + 1, m + 1):
-            s = self.stage(k).embed(s)
-        return s
+        if m < birth_stage(e):
+            raise ValueError(f"cannot lift a stage-{birth_stage(e)} element down to {m}")
+        return self.stage(m).collapse(
+            CodedElement(tuple(self.lift(u, m - 1) for u in e.body.support), e.body.token)
+        )
 
-    # -- the limit order -----------------------------------------------------
+    # -- the limit order and the glued collapse --------------------------------
 
-    def compare(self, e1: BHElement, e2: BHElement) -> int:
-        if e1 == e2:
-            return EQ
-        key = (e1, e2)
-        verdict = self._memo.get(key)
-        if verdict is None:
-            m = max(e1.birth_stage, e2.birth_stage)
-            verdict = self.stage(m).compare(self.lift(e1, m), self.lift(e2, m))
-            if verdict == EQ:
-                raise SystemDefectError("distinct canonical limit elements compare equal")
-            self._memo[key] = verdict
-            self._memo[(e2, e1)] = -verdict
-        return verdict
+    def compare(self, e1: ThetaTerm, e2: ThetaTerm) -> int:
+        return self.limit.compare(e1, e2)
 
-    # -- the glued collapse ----------------------------------------------------
-
-    def collapse(self, coded: CodedElement) -> BHElement:
+    def collapse(self, coded: CodedElement) -> ThetaTerm:
         """Collapse a coded element over the limit order.
 
-        The support must be a strictly increasing tuple of limit elements.
-        Pulls back to the least admissible stage; the result is independent
-        of computing at any later stage.
+        The support must be a strictly increasing tuple of limit elements
+        and the token must use all of it.
         """
         if not is_strictly_sorted(coded.support, self.compare):
             raise ValueError("support must be strictly increasing in the limit order")
-        return self.collapse_at(coded, self.least_stage(coded))
+        return self.limit.collapse(make_coded(self.dilator, coded.support, coded.token))
 
     def least_stage(self, coded: CodedElement) -> int:
         """The least stage whose carrier contains the whole support."""
-        return max((e.birth_stage for e in coded.support), default=-1) + 1
-
-    def collapse_at(self, coded: CodedElement, n: int) -> BHElement:
-        """Collapse computed at stage n >= the least admissible stage; the
-        result does not depend on n."""
-        if n < self.least_stage(coded):
-            raise ValueError(f"stage {n} does not contain the whole support")
-        pulled = CodedElement(
-            tuple(self.lift(e, n - 1) for e in coded.support), coded.token
-        )
-        return self.inject(n + 1, self.stage(n).collapse(pulled))
+        return max((e.length for e in coded.support), default=0)
 
     def pull_back(self, coded: CodedElement, n: int) -> CodedElement:
         """Write a coded element over the limit as one over X_n."""
         return CodedElement(tuple(self.lift(e, n - 1) for e in coded.support), coded.token)
 
-    def push_forward(self, coded: CodedElement, n: int) -> CodedElement:
-        """Transport a coded element over X_n into one over the limit."""
-        return CodedElement(
-            tuple(self.inject(n, s) for s in coded.support), coded.token
-        )
+    def collapse_at(self, coded: CodedElement, n: int) -> ThetaTerm:
+        """The stage-n collapse of a coded element, flattened into the limit."""
+        if n < self.least_stage(coded):
+            raise ValueError(f"stage {n} does not contain the whole support")
+        return self.flatten(self.stage(n).collapse(self.pull_back(coded, n)))
 
     # -- enumeration -------------------------------------------------------------
 
     def enumerate(self, stage_bound: int, budget: int) -> Enumeration:
-        """All canonical elements born below stage_bound that the per-stage
+        """All limit elements born below stage_bound that the per-stage
         budgets discover, sorted by the limit order."""
-        out: list[BHElement] = []
+        out: list[ThetaTerm] = []
         exhaustive = True
         for n in range(stage_bound):
             xs = self.stage(n + 1).carrier.enumerate(budget)
             exhaustive &= xs.exhaustive
-            out.extend(BHElement(n, t) for t in xs if self._preimage(n, t) is None)
+            out.extend(self.flatten(t) for t in xs if t.length == n + 1)
         out.sort(key=cmp_to_key(self.compare))
         return Enumeration(tuple(out), exhaustive)

@@ -3,11 +3,12 @@
     bhterm := "@" nat ":" term
     term   := "th(" token ( ";" term { "," term } )? ")"
 
-Support terms are listed in strictly increasing carrier order; token syntax
+Support terms are listed in strictly increasing limit order; token syntax
 is per dilator.  The serializer emits no whitespace; the parser is
-whitespace-insensitive between grammar tokens.  Parsing validates terms
-against the tower stages and canonicalizes the birth stage, so every
-serialized element round-trips to an equal canonical element.
+whitespace-insensitive between grammar tokens.  Parsing builds the limit
+element directly, checking that the term lives in the stage it is read at
+(its height is at most n + 1); printing writes its birth stage, so every
+serialized element round-trips to the identical element.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 
 from .dilator import CodedElement, Dilator
 from .errors import TermSyntaxError, TermTypeError
-from .limits import BHElement, Tower
+from .limits import Tower, birth_stage
 from .systems import ThetaTerm
 
-# Stages are cheap lazy objects, but an absurd stage index in the input
-# should not allocate forever.
+# The largest stage index the grammar accepts; an absurd index in the input
+# is rejected up front.
 MAX_STAGE = 10_000
 
 
@@ -36,8 +37,8 @@ def format_term(dilator: Dilator, term: ThetaTerm) -> str:
     return f"th({token_text};{subs})"
 
 
-def format_bh(dilator: Dilator, e: BHElement) -> str:
-    return f"@{e.birth_stage}:{format_term(dilator, e.term)}"
+def format_bh(dilator: Dilator, e: ThetaTerm) -> str:
+    return f"@{birth_stage(e)}:{format_term(dilator, e)}"
 
 
 @dataclass
@@ -120,10 +121,10 @@ def _read_term(cur: _Cursor) -> _Tree:
 
 
 def _build_term(tower: Tower, tree: _Tree, n: int) -> ThetaTerm:
+    """The limit element of a term read at stage n (an element of X_{n+1})."""
     if tree.subs and n == 0:
         raise TermTypeError("a stage-0 term cannot have support terms")
     subs = tuple(_build_term(tower, sub, n - 1) for sub in tree.subs)
-    system = tower.stage(n)
     k = len(subs)
     token = tower.dilator.parse_token(k, tree.token_text)
     if tower.dilator.supp_at(k, token) != tuple(range(k)):
@@ -131,9 +132,9 @@ def _build_term(tower: Tower, tree: _Tree, n: int) -> ThetaTerm:
             f"token {tree.token_text} must use every listed support term"
         )
     for a, b in zip(subs, subs[1:]):
-        if system.carrier.compare(a, b) >= 0:
+        if tower.compare(a, b) >= 0:
             raise TermTypeError("support terms must be strictly increasing")
-    return system.collapse(CodedElement(subs, token))
+    return tower.limit.collapse(CodedElement(subs, token))
 
 
 def parse_term(tower: Tower, n: int, text: str) -> ThetaTerm:
@@ -142,18 +143,18 @@ def parse_term(tower: Tower, n: int, text: str) -> ThetaTerm:
     tree = _read_term(cur)
     if not cur.at_end():
         raise TermSyntaxError(f"trailing input at position {cur.pos}")
-    return _build_term(tower, tree, n)
+    return tower.lift(_build_term(tower, tree, n), n)
 
 
-def parse_bh(tower: Tower, text: str) -> BHElement:
-    """Parse ``@n:term`` and canonicalize to its birth stage."""
+def parse_bh(tower: Tower, text: str) -> ThetaTerm:
+    """Parse ``@n:term`` into the limit element it denotes."""
     cur = _Cursor(text)
     cur.expect("@")
     n = cur.read_nat()
     if n > MAX_STAGE:
         raise TermTypeError(f"stage {n} exceeds the supported bound {MAX_STAGE}")
     cur.expect(":")
-    term = _build_term(tower, _read_term(cur), n)
+    element = _build_term(tower, _read_term(cur), n)
     if not cur.at_end():
         raise TermSyntaxError(f"trailing input at position {cur.pos}")
-    return tower.inject(n + 1, term)
+    return element

@@ -230,8 +230,3 @@ class System:
 def empty_system(dilator: Dilator, label: str = "X0") -> System:
     """The empty order as a (vacuously good) system for any prae-dilator."""
     return System(dilator, EmptyCarrier(), length_of=None, embed_of=None, label=label)
-
-
-def embed_next(system: System, term: ThetaTerm) -> ThetaTerm:
-    """iota on the iterated carrier: push a term over X into terms over theta(X)."""
-    return system.iterate().embed(term)

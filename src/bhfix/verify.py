@@ -30,7 +30,7 @@ from .interpret import (
     extend_interpretation,
     interpretation_at,
 )
-from .limits import Tower
+from .limits import Tower, birth_stage
 from .syntax import format_bh, format_term
 from .systems import BASE_SAMPLE_CAP, System, ThetaTerm
 
@@ -434,12 +434,13 @@ def check_fixed_point(
         values.append(value)
         least = tower.least_stage(sigma)
         col.check(
-            tower.collapse_at(sigma, least + 1) == value,
+            tower.collapse_at(sigma, least) is value
+            and tower.collapse_at(sigma, least + 1) is value,
             lambda sigma=sigma: f"collapse depends on the stage for {sigma!r}",
         )
         # finite-stage absorption round trip
         col.check(
-            tower.push_forward(tower.pull_back(sigma, least), least) == sigma,
+            map_coded(tower.flatten, tower.pull_back(sigma, least)) == sigma,
             lambda sigma=sigma: f"stage absorption broken for {sigma!r}",
         )
         # condition (ii)
@@ -464,6 +465,40 @@ def check_fixed_point(
                 lambda i=i, j=j: (
                     f"condition (i) broken over the limit: "
                     f"{format_bh(dil, values[i])} vs {format_bh(dil, values[j])}"
+                ),
+            )
+    return col.report()
+
+
+def check_limit_order(
+    tower: Tower, budget: int, stage_bound: int = 3, name: str = "limit-order"
+) -> CheckReport:
+    """The limit order is the stage order of lifts: on every pair of sampled
+    limit elements it agrees with the comparison of their representatives at
+    the least common stage, and flattening a lift gives the element back."""
+    col = _Collector(
+        name,
+        "limit order equals the stage order of lifts; flatten after lift is "
+        "the identity",
+    )
+    elements = tower.enumerate(stage_bound, budget)
+    col.exhaustive = elements.exhaustive
+    dil = tower.dilator
+    for e in elements:
+        for m in range(birth_stage(e), stage_bound):
+            col.check(
+                tower.flatten(tower.lift(e, m)) is e,
+                lambda e=e, m=m: f"flatten after lift to X{m + 1} moved {format_bh(dil, e)}",
+            )
+    for i, a in enumerate(elements):
+        for b in elements[i + 1 :]:
+            m = max(birth_stage(a), birth_stage(b))
+            staged = tower.stage(m).compare(tower.lift(a, m), tower.lift(b, m))
+            col.check(
+                tower.compare(a, b) == staged,
+                lambda a=a, b=b, m=m: (
+                    f"limit order differs from the stage-{m} order on "
+                    f"{format_bh(dil, a)}, {format_bh(dil, b)}"
                 ),
             )
     return col.report()
@@ -567,9 +602,10 @@ def check_minimality(
                     ),
                 )
         for e, image in zip(elements, images):
-            later = interpretation_at(witness, tower, e.birth_stage + 2)
+            born = birth_stage(e)
+            later = interpretation_at(witness, tower, born + 2)
             col.check(
-                witness.compare(later.func(tower.lift(e, e.birth_stage + 1)), image) == 0,
+                witness.compare(later.func(tower.lift(e, born + 1)), image) == 0,
                 lambda e=e: f"gluing inconsistent across stages at {format_bh(dil, e)}",
             )
     except WitnessLawError as err:
@@ -670,6 +706,9 @@ def run_suite(
                 stage_bound=budgets.bh_stages,
                 sample_cap=budgets.sample_cap,
             )
+        )
+        reports.append(
+            check_limit_order(tower, budgets.terms, stage_bound=budgets.bh_stages)
         )
     if suite in ("all", "minimality"):
         w = witness or default_witness(dilator, tower, budgets)

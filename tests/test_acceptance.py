@@ -11,7 +11,7 @@ import time
 from bhfix.dilator import CodedElement, enumerate_coded
 from bhfix.finite_orders import LT
 from bhfix.interpret import OmegaSuccessorWitness, embed_bh
-from bhfix.limits import Tower
+from bhfix.limits import Tower, birth_stage
 from bhfix.standard_dilators import (
     ConstantDilator,
     IdentityDilator,
@@ -123,7 +123,7 @@ def test_criterion_6_successor_facts():
         assert len(stage) == n and stage.exhaustive
     elements = tower.enumerate(8, 50)
     assert len(elements) == 8 and elements.exhaustive
-    assert [e.birth_stage for e in elements] == list(range(8))
+    assert [birth_stage(e) for e in elements] == list(range(8))
     for a, b in zip(elements, elements.items[1:]):
         assert tower.compare(a, b) == LT
     witness = OmegaSuccessorWitness()

@@ -177,6 +177,16 @@ def test_absurd_stage_rejected_quickly(capsys):
     assert code == 3 and "stage" in err
 
 
+def test_compare_successor_heights_150_and_160(capsys):
+    def element(height):
+        return f"@{height - 1}:" + "th(v0;" * (height - 1) + "th(top)" + ")" * (height - 1)
+
+    code, out, _ = run_cli(
+        capsys, "compare", "--dilator", "successor", element(150), element(160)
+    )
+    assert (code, out) == (0, "LT\n")
+
+
 def test_deeply_nested_input_fails_cleanly(capsys):
     depth = 5000
     term = "th(v0;" * depth + "th(top)" + ")" * depth

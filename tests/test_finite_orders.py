@@ -6,17 +6,10 @@ from bhfix.finite_orders import (
     Embedding,
     all_embeddings,
     compose,
-    elem_leq_fin,
-    elem_lt_fin,
-    fin_lt_elem,
     finset_map,
     identity_embedding,
-    inclusion_of,
     is_strictly_sorted,
-    leq_fin,
-    lt_fin,
     sgn,
-    sorted_subset,
 )
 
 int_cmp = lambda a, b: sgn(a - b)  # noqa: E731
@@ -90,17 +83,6 @@ def test_compose_identity_laws(chain):
     assert compose(f, identity_embedding(f.codomain_size)) == f
 
 
-def test_inclusion_of_positions():
-    assert inclusion_of(("b", "d"), ("a", "b", "c", "d")).images == (1, 3)
-    assert inclusion_of((), ("a", "b")).images == ()
-    assert inclusion_of((0, 1, 2), (0, 1, 2)).images == (0, 1, 2)
-
-
-def test_inclusion_of_missing_member():
-    with pytest.raises(ValueError):
-        inclusion_of(("x",), ("a", "b"))
-
-
 def test_finset_map():
     assert finset_map(lambda x: x + 1, (0, 2)) == (1, 3)
     assert finset_map(lambda x: x * x, ()) == ()
@@ -111,38 +93,5 @@ def test_finset_map_preserves_cardinality_when_injective():
     f = Embedding((1, 4, 5), 6)
     members = (0, 1, 2)
     assert len(finset_map(f, members)) == len(members)
-
-
-def test_lt_fin_cases():
-    assert lt_fin((), (9,), int_cmp)
-    assert lt_fin((), (), int_cmp)
-    assert not lt_fin((3,), (), int_cmp)
-    assert lt_fin((1, 4), (5,), int_cmp)
-    assert not lt_fin((1, 5), (5,), int_cmp)
-    assert leq_fin((1, 5), (5,), int_cmp)
-
-
-def test_singleton_shorthands():
-    assert fin_lt_elem((1, 2), 3, int_cmp)
-    assert not fin_lt_elem((1, 3), 3, int_cmp)
-    assert elem_lt_fin(2, (1, 3), int_cmp)
-    assert elem_leq_fin(3, (1, 3), int_cmp)
-    assert not elem_lt_fin(3, (1, 3), int_cmp)
-
-
-@given(
-    st.sets(st.integers(-20, 20), max_size=6),
-    st.sets(st.integers(-20, 20), max_size=6),
-)
-def test_lt_fin_monotone_in_subsets(a, b):
-    a, b = tuple(sorted(a)), tuple(sorted(b))
-    if lt_fin(a, b, int_cmp):
-        for k in range(len(a)):
-            sub = a[:k] + a[k + 1 :]
-            assert lt_fin(sub, b, int_cmp)
-
-
-def test_sorted_subset_dedupes_and_sorts():
-    assert sorted_subset([3, 1, 3, 2], int_cmp) == (1, 2, 3)
     assert is_strictly_sorted((1, 2, 3), int_cmp)
     assert not is_strictly_sorted((1, 1), int_cmp)

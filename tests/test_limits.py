@@ -1,12 +1,23 @@
-"""The stage tower, canonical limit elements, and the glued collapse."""
+"""The stage tower, the limit system, and the glued collapse."""
 
 import pytest
 
-from bhfix.dilator import CodedElement
+from bhfix.cli import parse_selector
+from bhfix.dilator import CodedElement, map_coded
+from bhfix.errors import DilatorLawError
 from bhfix.finite_orders import EQ, LT
-from bhfix.limits import BHElement, Tower
+from bhfix.limits import Tower, birth_stage
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
 from bhfix.syntax import format_bh
+
+BATTERY = [
+    "successor",
+    "identity",
+    "constant:3",
+    "omega",
+    "sum(successor,omega)",
+    "product(successor,constant:2)",
+]
 
 
 @pytest.fixture
@@ -34,34 +45,44 @@ def test_stage_one_omega_is_th_empty(omega_tower):
     assert listed[0].body == CodedElement((), ())
 
 
+# flatten is the injection of each stage into the limit (the colimit map).
+
+
 def test_inject_strips_embedded_terms(succ_tower):
-    sys1 = succ_tower.stage(1)
-    t = sys1.carrier.enumerate(5)[0]          # th(top) in X_1
-    lifted = succ_tower.stage(1).embed(t)     # its image in X_2
-    assert succ_tower.inject(2, lifted) == BHElement(0, t)
-    assert succ_tower.inject(1, t) == BHElement(0, t)
+    t = succ_tower.stage(1).carrier.enumerate(5)[0]   # th(top) in X_1
+    lifted = succ_tower.stage(1).embed(t)             # its image in X_2
+    e = succ_tower.flatten(t)
+    assert succ_tower.flatten(lifted) is e
+    assert birth_stage(e) == 0 and succ_tower.lift(e, 0) is t
 
 
 def test_inject_detects_new_terms(succ_tower):
-    # the nested successor term in X_3 is new at stage 2
-    sys2 = succ_tower.stage(2)
-    terms3 = sys2.iterate().carrier.enumerate(10)
-    new = [t for t in terms3 if succ_tower.inject(3, t).birth_stage == 2]
-    assert len(new) == 1
-    assert succ_tower.inject(3, new[0]) == BHElement(2, new[0])
+    # exactly one X_3 term is new at stage 2: the one of length 3
+    terms3 = succ_tower.stage(3).carrier.enumerate(10)
+    new = [t for t in terms3 if birth_stage(succ_tower.flatten(t)) == 2]
+    assert len(new) == 1 and new[0].length == 3
+    assert succ_tower.lift(succ_tower.flatten(new[0]), 2) is new[0]
 
 
 def test_lift_base_and_single_step(succ_tower):
     e0 = succ_tower.enumerate(1, 10)[0]
-    assert succ_tower.lift(e0, 0) is e0.term
+    t0 = succ_tower.lift(e0, 0)
+    assert t0 in succ_tower.stage(1).carrier.enumerate(5).items
     lifted = succ_tower.lift(e0, 1)
-    assert lifted is succ_tower.stage(1).embed(e0.term)
-    assert format_bh(succ_tower.dilator, BHElement(1, lifted)).endswith("th(top)")
+    assert lifted is succ_tower.stage(1).embed(t0)
+    assert format_bh(succ_tower.dilator, succ_tower.flatten(lifted)) == "@0:th(top)"
+
+
+def test_flatten_after_lift_is_identity(succ_tower, omega_tower):
+    for tower in (succ_tower, omega_tower):
+        for e in tower.enumerate(3, 10):
+            for m in range(birth_stage(e), 5):
+                assert tower.flatten(tower.lift(e, m)) is e
 
 
 def test_lift_commutes_with_stage_embedding(succ_tower):
     for e in succ_tower.enumerate(3, 10):
-        for m in range(e.birth_stage, 5):
+        for m in range(birth_stage(e), 5):
             assert succ_tower.lift(e, m + 1) is succ_tower.stage(m + 1).embed(
                 succ_tower.lift(e, m)
             )
@@ -71,6 +92,38 @@ def test_lift_below_birth_stage_rejected(succ_tower):
     es = succ_tower.enumerate(3, 10)
     with pytest.raises(ValueError):
         succ_tower.lift(es[2], 1)
+
+
+def _preimage(tower, m, u):
+    """The X_m term that the stage embedding maps to u in X_{m+1}, if any."""
+    if m == 0:
+        return None
+    stripped = [_preimage(tower, m - 1, v) for v in u.body.support]
+    if None in stripped:
+        return None
+    p = tower.stage(m - 1).collapse(CodedElement(tuple(stripped), u.body.token))
+    assert tower.stage(m).embed(p) is u
+    return p
+
+
+def _birth_by_preimages(tower, n, t):
+    """The least m such that t in X_{n+1} comes from X_{m+1} along the
+    stage embeddings."""
+    while (p := _preimage(tower, n, t)) is not None:
+        t, n = p, n - 1
+    return n
+
+
+@pytest.mark.parametrize("selector", BATTERY)
+def test_birth_stage_is_length_minus_one(selector):
+    tower = Tower(parse_selector(selector))
+    for n in range(4):
+        for t in tower.stage(n + 1).carrier.enumerate(25):
+            e = tower.flatten(t)
+            assert _birth_by_preimages(tower, n, t) == birth_stage(e) == e.length - 1
+    for e in tower.enumerate(4, 25):
+        born = birth_stage(e)
+        assert _birth_by_preimages(tower, born, tower.lift(e, born)) == born
 
 
 def test_compare_reflexive_and_stage_monotone(succ_tower):
@@ -86,7 +139,7 @@ def test_compare_independent_of_lifting_stage(omega_tower):
     for a in es:
         for b in es:
             expected = omega_tower.compare(a, b)
-            for m in range(max(a.birth_stage, b.birth_stage), 4):
+            for m in range(max(birth_stage(a), birth_stage(b)), 4):
                 sysm = omega_tower.stage(m)
                 got = (
                     EQ
@@ -118,17 +171,26 @@ def test_glued_collapse_rejects_misordered_support(succ_tower):
         succ_tower.collapse(CodedElement((es[2], es[0]), 0))
 
 
+def test_glued_collapse_rejects_partial_support(succ_tower):
+    # the top token uses none of its arity-1 support
+    e0 = succ_tower.enumerate(1, 10)[0]
+    with pytest.raises(DilatorLawError):
+        succ_tower.collapse(CodedElement((e0,), TOP))
+
+
 def test_push_pull_round_trip(omega_tower):
+    # pull back to a stage, then push forward along flatten
     es = omega_tower.enumerate(2, 6)
     sigma = CodedElement((es[0], es[2]), (1, 0))
     n = omega_tower.least_stage(sigma)
-    assert omega_tower.push_forward(omega_tower.pull_back(sigma, n), n) == sigma
+    for m in (n, n + 1):
+        assert map_coded(omega_tower.flatten, omega_tower.pull_back(sigma, m)) == sigma
 
 
 def test_enumerate_successor_one_birth_per_stage(succ_tower):
     listed = succ_tower.enumerate(5, 50)
     assert listed.exhaustive
-    assert [e.birth_stage for e in listed] == [0, 1, 2, 3, 4]
+    assert [birth_stage(e) for e in listed] == [0, 1, 2, 3, 4]
 
 
 def test_enumerate_stage_bound_zero(succ_tower):
@@ -139,7 +201,7 @@ def test_enumerate_stage_bound_zero(succ_tower):
 def test_enumerate_omega_budgeted(omega_tower):
     listed = omega_tower.enumerate(2, 4)
     assert not listed.exhaustive
-    assert [e.birth_stage for e in listed] == [0, 1, 1, 1]
+    assert [birth_stage(e) for e in listed] == [0, 1, 1, 1]
     for a, b in zip(listed, listed.items[1:]):
         assert omega_tower.compare(a, b) == LT
 
@@ -160,9 +222,9 @@ def test_limit_order_is_linear_on_enumeration(make):
                     assert m[i][k] == LT
 
 
-def test_cocone_law(succ_tower):
-    # injecting an embedded term equals injecting the term one stage down
-    for n in (1, 2, 3):
-        for s in succ_tower.stage(n).carrier.enumerate(10):
-            lifted = succ_tower.stage(n).embed(s)
-            assert succ_tower.inject(n + 1, lifted) == succ_tower.inject(n, s)
+def test_cocone_law(succ_tower, omega_tower):
+    # flattening an embedded term gives the element of the term one stage down
+    for tower in (succ_tower, omega_tower):
+        for n in (1, 2, 3):
+            for s in tower.stage(n).carrier.enumerate(10):
+                assert tower.flatten(tower.stage(n).embed(s)) is tower.flatten(s)

@@ -7,7 +7,7 @@ from bhfix.errors import SystemDefectError
 from bhfix.finite_orders import EQ, GT, LT
 from bhfix.limits import Tower
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
-from bhfix.systems import System, embed_next
+from bhfix.systems import System
 
 
 @pytest.fixture
@@ -82,7 +82,7 @@ def test_theta_compare_omega_empty_below_singleton(omega_tower):
 def test_embed_next_keeps_empty_support_and_length(succ_tower):
     sys0 = succ_tower.stage(0)
     top0 = sys0.collapse(CodedElement((), TOP))
-    lifted = embed_next(sys0, top0)
+    lifted = sys0.iterate().embed(top0)
     assert lifted.body == CodedElement((), TOP)
     assert lifted.length == top0.length == 1
 
@@ -92,7 +92,7 @@ def test_embed_next_relabels_omega_support(omega_tower):
     sys2 = omega_tower.stage(2)
     a = sys1.carrier.enumerate(5)[0]
     term = sys1.collapse(CodedElement((a,), (0,)))
-    lifted = embed_next(sys1, term)
+    lifted = sys1.iterate().embed(term)
     assert lifted.body.token == (0,)
     assert lifted.body.support == (sys1.embed(a),)
     assert lifted.body.support[0] in sys2.carrier.enumerate(5).items
@@ -101,7 +101,7 @@ def test_embed_next_relabels_omega_support(omega_tower):
 def test_embed_next_preserves_length_on_samples(omega_tower):
     sys1 = omega_tower.stage(1)
     for term in sys1.iterate().carrier.enumerate(15):
-        assert embed_next(sys1, term).length == term.length
+        assert sys1.iterate().embed(term).length == term.length
 
 
 def test_iterate_carrier_sizes_successor(succ_tower):

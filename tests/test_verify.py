@@ -17,6 +17,7 @@ from bhfix.verify import (
     check_commuting_square,
     check_dilator_laws,
     check_goodness,
+    check_limit_order,
     check_theta_linear,
     erase_supports,
     run_suite,
@@ -108,3 +109,22 @@ def test_failure_overflow_is_capped():
     report = check_dilator_laws(broken, 3, 30)
     assert not report.passed
     assert len(report.failures) <= 13  # recorded failures plus the summary line
+
+
+class _FlippedTower(Tower):
+    """A limit order with the verdict on one pair of elements reversed."""
+
+    flipped = frozenset()
+
+    def compare(self, e1, e2):
+        verdict = super().compare(e1, e2)
+        return -verdict if {e1, e2} == self.flipped else verdict
+
+
+def test_limit_order_catches_a_perturbed_comparison():
+    tower = _FlippedTower(SuccessorDilator())
+    listed = tower.enumerate(3, 10)
+    tower.flipped = frozenset(listed[:2])
+    report = check_limit_order(tower, 10, stage_bound=3)
+    assert not report.passed
+    assert any("stage-1 order" in line for line in report.failures), report.format()

@@ -25,8 +25,26 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
             ["enumerate", "--dilator", "omega", "--stages", "3", "--budget", "12"],
             "enumerate_omega_3_12.txt",
         ),
+        (
+            ["verify", "--dilator", "omega", "--suite", "all", "--budget", "40"],
+            "verify_omega_all_40.txt",
+        ),
+        (
+            ["verify", "--dilator", "sum(successor,omega)", "--suite", "all", "--budget", "40"],
+            "verify_sum_successor_omega_all_40.txt",
+        ),
+        (
+            ["enumerate", "--dilator", "omega", "--stages", "4", "--budget", "60"],
+            "enumerate_omega_4_60.txt",
+        ),
     ],
-    ids=["verify-successor-all-20", "enumerate-omega-3-12"],
+    ids=[
+        "verify-successor-all-20",
+        "enumerate-omega-3-12",
+        "verify-omega-all-40",
+        "verify-sum-successor-omega-all-40",
+        "enumerate-omega-4-60",
+    ],
 )
 def test_cli_output_matches_golden(capsys, argv, recorded):
     code = main(argv)

@@ -12,8 +12,8 @@ from .dilator import (
     CodedElement,
     Dilator,
     Enumeration,
+    coded_elements,
     compare_coded,
-    enumerate_coded,
     make_coded,
     map_coded,
     normal_form,
@@ -114,11 +114,11 @@ __all__ = [
     "check_minimality",
     "check_theta_linear",
     "check_witness",
+    "coded_elements",
     "compare_coded",
     "compose",
     "embed_bh",
     "empty_system",
-    "enumerate_coded",
     "erase_supports",
     "extend_interpretation",
     "finset_map",

@@ -77,9 +77,7 @@ def parse_selector(text: str) -> Dilator:
         name, _, arg = text.partition(":")
         if name.strip() != "constant":
             raise SelectorError(f"unknown parameterized dilator {name.strip()!r}")
-        if not arg.strip().isdigit():
-            raise SelectorError(f"constant:<k> needs a natural number, got {arg!r}")
-        return ConstantDilator(int(arg))
+        return ConstantDilator(natural(arg.strip(), "constant:<k>"))
     simple = {
         "successor": SuccessorDilator,
         "identity": IdentityDilator,
@@ -90,13 +88,16 @@ def parse_selector(text: str) -> Dilator:
     raise SelectorError(f"unknown dilator selector {text!r}")
 
 
+def natural(text: str, what: str = "a count") -> int:
+    """A natural number written in ASCII digits; anything else is a usage error."""
+    if not (text.isascii() and text.isdigit()):
+        raise SelectorError(f"{what} must be a natural number, got {text!r}")
+    return int(text)
+
+
 def _default_budget() -> int:
     raw = os.environ.get("BH_BUDGET_DEFAULT")
-    if raw is None:
-        return 50
-    if not raw.isdigit():
-        raise SelectorError(f"BH_BUDGET_DEFAULT must be a natural number, got {raw!r}")
-    return int(raw)
+    return 50 if raw is None else natural(raw, "BH_BUDGET_DEFAULT")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,8 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="list canonical limit elements")
     p_enum.add_argument("--dilator", required=True)
-    p_enum.add_argument("--stages", type=int, required=True)
-    p_enum.add_argument("--budget", type=int, default=None)
+    p_enum.add_argument("--stages", type=natural, required=True)
+    p_enum.add_argument("--budget", type=natural, default=None)
     p_enum.add_argument("--format", choices=("text", "lines"), default="text")
 
     p_cmp = sub.add_parser("compare", help="order two serialized elements")
@@ -121,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--dilator", required=True)
     p_ver.add_argument("--suite", choices=SUITES, default="all")
-    p_ver.add_argument("--budget", type=int, default=None)
+    p_ver.add_argument("--budget", type=natural, default=None)
     p_ver.add_argument(
         "--break-naturality",
         action="store_true",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from heapq import nsmallest
 from itertools import combinations
 from typing import Any, Callable, Iterator, Sequence
 
@@ -52,6 +53,21 @@ class Enumeration:
 
     def __getitem__(self, i):
         return self.items[i]
+
+
+def least(items: Enumeration, k: int, cmp: Cmp) -> Enumeration:
+    """The k least items under cmp, sorted.
+
+    Keeps the listing's exhaustive flag when nothing is cut and clears it
+    otherwise.  Selection costs O(n log k) comparisons, so a large listing
+    cut to a small budget is never sorted in full.
+    """
+    if k < 0:
+        raise ValueError(f"cannot select {k} items")
+    key = cmp_to_key(cmp)
+    if len(items) <= k:
+        return Enumeration(tuple(sorted(items, key=key)), items.exhaustive)
+    return Enumeration(tuple(nsmallest(k, items, key=key)), False)
 
 
 class Dilator:
@@ -177,39 +193,25 @@ def map_coded(f: Callable, coded: CodedElement) -> CodedElement:
     return CodedElement(finset_map(f, coded.support), coded.token)
 
 
-def merge_supports(a: Sequence, b: Sequence, cmp: Cmp) -> tuple:
-    """Union of two strictly sorted tuples under cmp."""
-    out: list = []
-    i = j = 0
+def merged_positions(a: Sequence, b: Sequence, cmp: Cmp) -> tuple[tuple, tuple, int]:
+    """Positions of two strictly sorted tuples inside their union under cmp,
+    and the size of that union, in one merge pass."""
+    pa: list[int] = []
+    pb: list[int] = []
+    i = j = n = 0
     while i < len(a) and j < len(b):
         c = cmp(a[i], b[j])
-        if c < 0:
-            out.append(a[i])
+        if c <= 0:
+            pa.append(n)
             i += 1
-        elif c > 0:
-            out.append(b[j])
+        if c >= 0:
+            pb.append(n)
             j += 1
-        else:
-            out.append(a[i])
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-def positions_in(members: Sequence, carrier: Sequence, cmp: Cmp) -> Embedding:
-    """Inclusion of a sorted subset into a sorted carrier, located via cmp."""
-    positions = []
-    j = 0
-    for x in members:
-        while j < len(carrier) and cmp(carrier[j], x) < 0:
-            j += 1
-        if j >= len(carrier) or cmp(carrier[j], x) != 0:
-            raise ValueError("support member missing from merged carrier")
-        positions.append(j)
-        j += 1
-    return Embedding(tuple(positions), len(carrier))
+        n += 1
+    rest_a, rest_b = len(a) - i, len(b) - j
+    pa.extend(range(n, n + rest_a))
+    pb.extend(range(n, n + rest_b))
+    return tuple(pa), tuple(pb), n + rest_a + rest_b
 
 
 def compare_coded(dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement) -> int:
@@ -220,14 +222,14 @@ def compare_coded(dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement
     """
     if e1 == e2:
         return EQ
-    merged = merge_supports(e1.support, e2.support, cmp)
-    t1 = dilator.map_token(positions_in(e1.support, merged, cmp), e1.token)
-    t2 = dilator.map_token(positions_in(e2.support, merged, cmp), e2.token)
-    verdict = dilator.compare_at(len(merged), t1, t2)
+    p1, p2, n = merged_positions(e1.support, e2.support, cmp)
+    t1 = dilator.map_token(Embedding.trusted(p1, n), e1.token)
+    t2 = dilator.map_token(Embedding.trusted(p2, n), e2.token)
+    verdict = dilator.compare_at(n, t1, t2)
     if verdict == EQ:
         raise DilatorLawError(
             f"{dilator.name}: distinct coded elements compare equal "
-            f"(token {dilator.format_token(len(merged), t1)})"
+            f"(token {dilator.format_token(n, t1)})"
         )
     return verdict
 
@@ -239,21 +241,21 @@ def full_support_tokens(dilator: Dilator, k: int, budget: int) -> Enumeration:
     return Enumeration(full, sample.exhaustive)
 
 
-def enumerate_coded(
-    dilator: Dilator, carrier_sample: Sequence, budget: int, cmp: Cmp
+def coded_elements(
+    dilator: Dilator, carrier_sample: Enumeration, budget: int, cmp: Cmp
 ) -> Enumeration:
     """All coded elements with support inside the sample and token within
-    the per-arity budget, sorted by compare_coded.
+    the per-arity budget, in generation order (not sorted).
 
     ``carrier_sample`` must be strictly sorted under cmp.  The result is
-    exhaustive for T_X restricted to the sampled carrier only when every
-    per-arity token enumeration was exhaustive.
+    exhaustive for T_X restricted to the sampled carrier only when the
+    sample and every per-arity token enumeration were exhaustive.
     """
-    sample = tuple(carrier_sample)
+    sample = carrier_sample.items
     if not is_strictly_sorted(sample, cmp):
         raise ValueError("carrier sample must be strictly sorted")
     out: list[CodedElement] = []
-    exhaustive = True
+    exhaustive = carrier_sample.exhaustive
     for k in range(len(sample) + 1):
         tokens = full_support_tokens(dilator, k, budget)
         exhaustive &= tokens.exhaustive
@@ -261,5 +263,4 @@ def enumerate_coded(
             continue
         for subset in combinations(sample, k):
             out.extend(CodedElement(subset, tok) for tok in tokens)
-    out.sort(key=cmp_to_key(lambda a, b: compare_coded(dilator, cmp, a, b)))
     return Enumeration(tuple(out), exhaustive)

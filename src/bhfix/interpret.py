@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .dilator import CodedElement, Enumeration, map_coded
+from .dilator import CodedElement, Enumeration, least, map_coded
 from .errors import WitnessLawError
 from .finite_orders import sgn
 from .limits import Tower
@@ -90,9 +90,7 @@ class SelfWitness(Witness):
 
     def enumerate(self, budget):
         listed = self.tower.enumerate(min(budget, self.stage_bound), budget)
-        if len(listed) > budget:
-            return Enumeration(listed.items[:budget], False)
-        return listed
+        return least(listed, budget, self.compare)
 
 
 @dataclass(frozen=True)

@@ -23,23 +23,26 @@ systems; a violated length law raises :class:`SystemDefectError` instead
 of looping.
 
 Terms are interned per system (one object per body), so term equality is
-object identity, and comparison verdicts are memoized.  Both caches are
+object identity, and comparison verdicts are memoized.  A carrier of an
+iterated system also keeps its listing per budget.  All three caches are
 append-only and idempotent; systems are immutable once built and safe to
-share.  Carriers of iterated systems are lazy: a stage never materializes
-more terms than an enumeration call's budget.
+share.  Carriers of iterated systems are lazy: a stage interns only the
+collapses over a base sample of at most ``BASE_SAMPLE_CAP`` elements, and
+selects the least ``budget`` of them without sorting the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Any, Callable
 
 from .dilator import (
     CodedElement,
     Dilator,
     Enumeration,
+    coded_elements,
     compare_coded,
+    least,
     map_coded,
 )
 from .errors import SystemDefectError
@@ -76,19 +79,21 @@ class ThetaCarrier:
 
     def __init__(self, base: "System"):
         self.base = base
+        self._listings: dict[int, Enumeration] = {}
 
     def compare(self, s: ThetaTerm, t: ThetaTerm) -> int:
         return self.base.compare(s, t)
 
     def enumerate(self, budget: int) -> Enumeration:
-        base_sample = self.base.carrier.enumerate(min(budget, BASE_SAMPLE_CAP))
-        coded = self.base.enumerate_coded(base_sample.items, budget)
-        terms = [self.base.collapse(c) for c in coded]
-        terms.sort(key=cmp_to_key(self.base.compare))
-        exhaustive = base_sample.exhaustive and coded.exhaustive
-        if len(terms) > budget:
-            return Enumeration(tuple(terms[:budget]), False)
-        return Enumeration(tuple(terms), exhaustive)
+        """The least ``budget`` collapses of coded elements over a base sample."""
+        listing = self._listings.get(budget)
+        if listing is None:
+            base = self.base
+            sample = base.carrier.enumerate(min(budget, BASE_SAMPLE_CAP))
+            coded = coded_elements(base.dilator, sample, budget, base.carrier.compare)
+            terms = Enumeration(tuple(map(base.collapse, coded)), coded.exhaustive)
+            listing = self._listings[budget] = least(terms, budget, base.compare)
+        return listing
 
 
 class System:
@@ -217,14 +222,6 @@ class System:
             nxt._embed_of = embed_next
             self._next = nxt
         return self._next
-
-    # -- element sources ---------------------------------------------------
-
-    def enumerate_coded(self, carrier_sample, budget: int) -> Enumeration:
-        """Coded elements of T_X with supports inside the given sample."""
-        from .dilator import enumerate_coded
-
-        return enumerate_coded(self.dilator, carrier_sample, budget, self.carrier.compare)
 
 
 def empty_system(dilator: Dilator, label: str = "X0") -> System:

@@ -11,11 +11,14 @@ CLI ``compare`` command.  Checks are independent and deterministic given
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .dilator import (
     Dilator,
+    Enumeration,
+    coded_elements,
     compare_coded,
-    enumerate_coded,
+    least,
     map_coded,
     normal_form,
 )
@@ -263,14 +266,17 @@ def check_theta_linear(system: System, budget: int, name: str = "theta-linear") 
     return col.report()
 
 
-def _coded_sample(system: System, budget: int):
+def _least_coded(
+    dilator: Dilator, carried: Enumeration, budget: int, cap: int, cmp
+) -> Enumeration:
+    """The least ``cap`` coded elements over a carrier sample, sorted."""
+    coded = coded_elements(dilator, carried, budget, cmp)
+    return least(coded, cap, partial(compare_coded, dilator, cmp))
+
+
+def _coded_sample(system: System, budget: int) -> Enumeration:
     base = system.carrier.enumerate(min(budget, BASE_SAMPLE_CAP))
-    coded = system.enumerate_coded(base.items, budget)
-    exhaustive = base.exhaustive and coded.exhaustive
-    items = coded.items
-    if len(items) > budget:
-        items, exhaustive = items[:budget], False
-    return items, exhaustive
+    return _least_coded(system.dilator, base, budget, budget, system.carrier.compare)
 
 
 def check_collapse_admissible(
@@ -283,7 +289,8 @@ def check_collapse_admissible(
         "collapse conditions over one stage, subterm bound, redundant order "
         "test in the second comparison clause",
     )
-    coded, col.exhaustive = _coded_sample(system, budget)
+    coded = _coded_sample(system, budget)
+    col.exhaustive = coded.exhaustive
     terms = [system.collapse(c) for c in coded]
     dil = system.dilator
     for sigma, term in zip(coded, terms):
@@ -373,7 +380,8 @@ def check_commuting_square(
         "next-stage embedding of a collapse equals the collapse of the "
         "relabelled element (syntactic equality)",
     )
-    coded, col.exhaustive = _coded_sample(system, budget)
+    coded = _coded_sample(system, budget)
+    col.exhaustive = coded.exhaustive
     nxt = system.iterate()
     for sigma in coded:
         left = nxt.embed(system.collapse(sigma))
@@ -392,22 +400,6 @@ def check_commuting_square(
 # the limit order
 
 
-def _limit_coded_sample(
-    tower: Tower, stage_bound: int, budget: int, cap: int, carrier_cap: int = BASE_SAMPLE_CAP
-):
-    elements = tower.enumerate(stage_bound, budget)
-    carried = elements.items
-    exhaustive = elements.exhaustive
-    if len(carried) > carrier_cap:
-        carried, exhaustive = carried[:carrier_cap], False
-    coded = enumerate_coded(tower.dilator, carried, budget, tower.compare)
-    exhaustive &= coded.exhaustive
-    items = coded.items
-    if len(items) > cap:
-        items, exhaustive = items[:cap], False
-    return items, exhaustive
-
-
 def check_fixed_point(
     tower: Tower,
     budget: int,
@@ -424,23 +416,23 @@ def check_fixed_point(
         "glued collapse: both collapse conditions over the limit, stage "
         "independence, finite-stage absorption",
     )
-    coded, col.exhaustive = _limit_coded_sample(
-        tower, stage_bound, budget, sample_cap, carrier_cap
-    )
+    carried = least(tower.enumerate(stage_bound, budget), carrier_cap, tower.compare)
+    coded = _least_coded(tower.dilator, carried, budget, sample_cap, tower.compare)
+    col.exhaustive = coded.exhaustive
     dil = tower.dilator
     values = []
     for sigma in coded:
         value = tower.collapse(sigma)
         values.append(value)
-        least = tower.least_stage(sigma)
+        first = tower.least_stage(sigma)
         col.check(
-            tower.collapse_at(sigma, least) is value
-            and tower.collapse_at(sigma, least + 1) is value,
+            tower.collapse_at(sigma, first) is value
+            and tower.collapse_at(sigma, first + 1) is value,
             lambda sigma=sigma: f"collapse depends on the stage for {sigma!r}",
         )
         # finite-stage absorption round trip
         col.check(
-            map_coded(tower.flatten, tower.pull_back(sigma, least)) == sigma,
+            map_coded(tower.flatten, tower.pull_back(sigma, first)) == sigma,
             lambda sigma=sigma: f"stage absorption broken for {sigma!r}",
         )
         # condition (ii)
@@ -516,16 +508,9 @@ def check_witness(
     col = _Collector(
         name, f"collapse conditions for witness {witness.name} on sampled elements"
     )
-    ys = witness.enumerate(budget)
-    carried = ys.items
-    col.exhaustive = ys.exhaustive
-    if len(carried) > carrier_cap:
-        carried, col.exhaustive = carried[:carrier_cap], False
-    coded = enumerate_coded(dilator, carried, budget, witness.compare)
-    col.exhaustive &= coded.exhaustive
-    items = coded.items
-    if len(items) > budget:
-        items, col.exhaustive = items[:budget], False
+    carried = least(witness.enumerate(budget), carrier_cap, witness.compare)
+    items = _least_coded(dilator, carried, budget, budget, witness.compare)
+    col.exhaustive = items.exhaustive
     try:
         values = [witness.collapse(sigma) for sigma in items]
     except WitnessLawError as err:

@@ -8,7 +8,7 @@ tolerances are the stated runtime bounds.
 import functools
 import time
 
-from bhfix.dilator import CodedElement, enumerate_coded
+from bhfix.dilator import CodedElement, coded_elements, least
 from bhfix.finite_orders import LT
 from bhfix.interpret import OmegaSuccessorWitness, embed_bh
 from bhfix.limits import Tower, birth_stage
@@ -139,10 +139,8 @@ def test_criterion_7_fixed_point():
     )
     assert report.passed and report.exhaustive, report.format()
     om_tower = Tower(OmegaPowerDilator())
-    elements = om_tower.enumerate(2, 40).items[:12]
-    coded = enumerate_coded(
-        om_tower.dilator, elements, 40, om_tower.compare
-    )
+    elements = least(om_tower.enumerate(2, 40), 12, om_tower.compare)
+    coded = coded_elements(om_tower.dilator, elements, 40, om_tower.compare)
     pairs = min(len(coded), 40)
     assert pairs * (pairs - 1) >= 100
     report = check_fixed_point(

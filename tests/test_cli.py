@@ -157,6 +157,38 @@ def test_budget_env_default(capsys, monkeypatch):
     assert code == 2 and "BH_BUDGET_DEFAULT" in err
 
 
+@pytest.mark.parametrize("digits", ["²", "٣", "+3"])
+def test_non_ascii_digits_are_usage_errors(capsys, monkeypatch, digits):
+    # str.isdigit accepts "²" and int() accepts "٣"; neither is a count here
+    code, out, err = run_cli(
+        capsys, "enumerate", "--dilator", f"constant:{digits}", "--stages", "1"
+    )
+    assert (code, out) == (2, "") and err.startswith("error:")
+    monkeypatch.setenv("BH_BUDGET_DEFAULT", digits)
+    code, out, err = run_cli(capsys, "enumerate", "--dilator", "omega", "--stages", "2")
+    assert (code, out) == (2, "") and "BH_BUDGET_DEFAULT" in err
+    monkeypatch.delenv("BH_BUDGET_DEFAULT")
+    code, out, err = run_cli(
+        capsys, "verify", "--dilator", "successor", "--budget", digits
+    )
+    assert (code, out) == (2, "") and "--budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--dilator", "successor", "--stages", "-2"],
+        ["enumerate", "--dilator", "omega", "--stages", "3", "--budget", "-3"],
+        ["verify", "--dilator", "omega", "--budget", "-1"],
+    ],
+    ids=["enumerate-stages", "enumerate-budget", "verify-budget"],
+)
+def test_negative_counts_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "invalid natural value" in err
+
+
 def test_enumeration_is_consistent_with_compare(capsys):
     code, out, _ = run_cli(
         capsys, "enumerate", "--dilator", "omega", "--stages", "3",

@@ -1,15 +1,22 @@
 """Coded-element operations against the successor and omega dilators."""
 
+from functools import partial
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bhfix.dilator import (
     CodedElement,
     Dilator,
+    Enumeration,
+    coded_elements,
     compare_coded,
-    enumerate_coded,
     full_support_tokens,
+    least,
     make_coded,
     map_coded,
+    merged_positions,
     normal_form,
 )
 from bhfix.errors import DilatorLawError
@@ -107,27 +114,49 @@ def test_support_naturality_at_coded_level():
     assert map_coded(f, e).support == finset_map(f, e.support)
 
 
+def sorted_coded(dilator, sample, budget):
+    """Every coded element over a sorted sample of naturals, in coded order."""
+    coded = coded_elements(dilator, Enumeration(tuple(sample), True), budget, int_cmp)
+    return least(coded, len(coded), partial(compare_coded, dilator, int_cmp))
+
+
 def test_enumerate_coded_successor_singleton_sample():
-    out = enumerate_coded(succ, (7,), 10, int_cmp)
+    out = sorted_coded(succ, (7,), 10)
     assert out.exhaustive
     assert list(out) == [CodedElement((7,), 0), CodedElement((), TOP)]
 
 
 def test_enumerate_coded_empty_sample_arity_zero_only():
-    out = enumerate_coded(omega, (), 10, int_cmp)
+    out = sorted_coded(omega, (), 10)
     assert list(out) == [CodedElement((), ())]
     assert out.exhaustive
 
 
 def test_enumerate_coded_budget_zero():
-    out = enumerate_coded(succ, (3,), 0, int_cmp)
+    out = sorted_coded(succ, (3,), 0)
     assert len(out) == 0
     assert not out.exhaustive
 
 
 def test_enumerate_coded_requires_sorted_sample():
     with pytest.raises(ValueError):
-        enumerate_coded(succ, (3, 1), 5, int_cmp)
+        coded_elements(succ, Enumeration((3, 1), True), 5, int_cmp)
+
+
+def test_least_selects_sorts_and_flags_the_cut():
+    listing = Enumeration((5, 1, 4, 2, 3), True)
+    assert least(listing, 5, int_cmp) == Enumeration((1, 2, 3, 4, 5), True)
+    assert least(listing, 9, int_cmp) == Enumeration((1, 2, 3, 4, 5), True)
+    assert least(listing, 2, int_cmp) == Enumeration((1, 2), False)
+    assert least(listing, 0, int_cmp) == Enumeration((), False)
+    assert least(Enumeration((2, 1), False), 2, int_cmp) == Enumeration((1, 2), False)
+    with pytest.raises(ValueError):
+        least(listing, -1, int_cmp)
+
+
+def test_coded_elements_keeps_the_sample_flag():
+    assert coded_elements(succ, Enumeration((7,), True), 10, int_cmp).exhaustive
+    assert not coded_elements(succ, Enumeration((7,), False), 10, int_cmp).exhaustive
 
 
 def _verdict_matrix(dilator, items, cmp):
@@ -139,7 +168,7 @@ def _verdict_matrix(dilator, items, cmp):
     [(succ, (0, 1, 2), 10), (omega, (0, 1), 14)],
 )
 def test_compare_coded_is_linear_on_enumeration(dilator, sample, budget):
-    items = list(enumerate_coded(dilator, sample, budget, int_cmp))
+    items = list(sorted_coded(dilator, sample, budget))
     assert len(items) <= 60
     m = _verdict_matrix(dilator, items, int_cmp)
     n = len(items)
@@ -162,7 +191,7 @@ def test_compare_coded_invariant_under_larger_carrier():
     # computing the verdict inside any common superset of the supports
     # agrees with the merge of the two supports
     sample = (0, 1, 2, 3)
-    items = list(enumerate_coded(omega, sample, 12, int_cmp))
+    items = list(sorted_coded(omega, sample, 12))
     whole = Embedding(tuple(sample), len(sample))
     for a in items[:20]:
         for b in items[:20]:
@@ -175,6 +204,24 @@ def test_compare_coded_invariant_under_larger_carrier():
             )
             assert big == compare_coded(omega, int_cmp, a, b)
     assert whole.codomain_size == 4
+
+
+@given(
+    st.sets(st.integers(-20, 20)), st.sets(st.integers(-20, 20)), st.booleans()
+)
+def test_merged_positions_are_the_inclusions_into_the_union(xs, ys, descending):
+    # the carrier order comes only from cmp: descending runs reverse it
+    cmp = (lambda a, b: int_cmp(b, a)) if descending else int_cmp
+    a = tuple(sorted(xs, reverse=descending))
+    b = tuple(sorted(ys, reverse=descending))
+    union = sorted(xs | ys, reverse=descending)
+    pa, pb, n = merged_positions(a, b, cmp)
+    assert n == len(union)
+    assert pa == tuple(union.index(x) for x in a)
+    assert pb == tuple(union.index(y) for y in b)
+    # the public constructor accepts what compare_coded builds unchecked
+    assert Embedding(pa, n) == Embedding.trusted(pa, n)
+    assert Embedding(pb, n) == Embedding.trusted(pb, n)
 
 
 def test_full_support_tokens_successor():

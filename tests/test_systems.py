@@ -1,13 +1,27 @@
 """The collapse-term order over one stage: lengths, comparison, iteration."""
 
+from functools import cmp_to_key
+from itertools import combinations
+
 import pytest
 
-from bhfix.dilator import CodedElement
+from bhfix.cli import parse_selector
+from bhfix.dilator import CodedElement, full_support_tokens
 from bhfix.errors import SystemDefectError
 from bhfix.finite_orders import EQ, GT, LT
 from bhfix.limits import Tower
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
-from bhfix.systems import System
+from bhfix.systems import BASE_SAMPLE_CAP, System
+
+# the default battery of scripts/run_checks.py
+SELECTORS = [
+    "successor",
+    "identity",
+    "constant:3",
+    "omega",
+    "sum(successor,omega)",
+    "product(successor,constant:2)",
+]
 
 
 @pytest.fixture
@@ -164,3 +178,31 @@ def test_compare_is_memoized_deterministically(omega_tower):
     first = [[sys1.compare(s, t) for t in terms] for s in terms]
     again = [[sys1.compare(s, t) for t in terms] for s in terms]
     assert first == again
+
+
+def _sorted_then_cut(system, budget):
+    """Reference stage listing: collapse every coded element over the base
+    sample, sort all of the terms, and cut the sorted list to the budget."""
+    sample = system.carrier.enumerate(min(budget, BASE_SAMPLE_CAP))
+    exhaustive = sample.exhaustive
+    terms = []
+    for k in range(len(sample) + 1):
+        tokens = full_support_tokens(system.dilator, k, budget)
+        exhaustive &= tokens.exhaustive
+        for subset in combinations(sample.items, k):
+            terms.extend(system.collapse(CodedElement(subset, tok)) for tok in tokens)
+    terms.sort(key=cmp_to_key(system.compare))
+    return tuple(terms[:budget]), exhaustive and len(terms) <= budget
+
+
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_stage_listing_is_the_sorted_cut(selector):
+    tower = Tower(parse_selector(selector))
+    for n in (1, 2, 3):
+        carrier = tower.stage(n).carrier
+        for budget in (0, 1, 5, 12, 40):
+            listed = carrier.enumerate(budget)
+            assert (listed.items, listed.exhaustive) == _sorted_then_cut(
+                tower.stage(n - 1), budget
+            ), (selector, n, budget)
+            assert carrier.enumerate(budget) is listed

@@ -9,7 +9,7 @@ order type visible at a glance.
 import argparse
 import sys
 
-from bhfix.cli import parse_selector
+from bhfix.cli import natural, parse_selector
 from bhfix.interpret import OmegaSuccessorWitness, embed_bh
 from bhfix.limits import Tower
 from bhfix.syntax import format_bh
@@ -18,8 +18,8 @@ from bhfix.syntax import format_bh
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dilator", default="successor")
-    parser.add_argument("--stages", type=int, default=4)
-    parser.add_argument("--budget", type=int, default=12)
+    parser.add_argument("--stages", type=natural, default=4)
+    parser.add_argument("--budget", type=natural, default=12)
     args = parser.parse_args()
 
     dilator = parse_selector(args.dilator)

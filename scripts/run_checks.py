@@ -9,7 +9,7 @@ import argparse
 import sys
 import time
 
-from bhfix.cli import parse_selector
+from bhfix.cli import natural, parse_selector
 from bhfix.verify import Budgets, run_suite
 
 DEFAULT_SELECTORS = [
@@ -24,7 +24,7 @@ DEFAULT_SELECTORS = [
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--budget", type=int, default=40)
+    parser.add_argument("--budget", type=natural, default=40)
     parser.add_argument("--suite", default="all")
     parser.add_argument("selectors", nargs="*", default=DEFAULT_SELECTORS)
     args = parser.parse_args()

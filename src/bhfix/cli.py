@@ -35,7 +35,7 @@ from .standard_dilators import (
     SuccessorDilator,
     SumDilator,
 )
-from .syntax import format_bh, parse_bh
+from .syntax import MAX_STAGE, format_bh, parse_bh
 from .verify import SUITES, Budgets, erase_supports, run_suite
 
 EXIT_OK = 0
@@ -139,6 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_enumerate(args) -> int:
     dilator = parse_selector(args.dilator)
+    if args.stages > MAX_STAGE:
+        raise SelectorError(f"--stages {args.stages} exceeds the supported bound {MAX_STAGE}")
     budget = args.budget if args.budget is not None else _default_budget()
     tower = Tower(dilator)
     listed = tower.enumerate(args.stages, budget)

@@ -82,11 +82,11 @@ class Dilator:
     * every token is map_token(inclusion-of-its-support) of a unique
       full-support token.
 
-    ``enumerate_at`` must return an initial segment of Tok_n under
-    ``compare_at`` (exhaustive when Tok_n is finite and fits the budget).
-    ``sample_at`` may return any deterministic finite subset and exists so
-    that dilators with infinite token orders can still feed diverse inputs
-    to the law checks; the default is the initial-segment enumeration.
+    ``sample_at`` is the one token listing: a deterministic finite subset
+    of Tok_n of at most ``budget`` tokens, flagged exhaustive only when it
+    is all of Tok_n.  It need not be an initial segment, so dilators with
+    infinite token orders can feed diverse tokens to the checks and to the
+    stage enumerations.
     """
 
     name = "dilator"
@@ -100,22 +100,19 @@ class Dilator:
     def supp_at(self, n: int, tok: Token) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def enumerate_at(self, n: int, budget: int) -> Enumeration:
-        raise NotImplementedError
-
     def sample_at(self, n: int, budget: int) -> Enumeration:
-        return self.enumerate_at(n, budget)
+        raise NotImplementedError
 
     def restrict_token(self, n: int, tok: Token, positions: Sequence[int]) -> Token:
         """Preimage of tok under the inclusion of ``positions`` into 0..n-1.
 
-        Generic fallback: search the enumeration at the lower arity.  Only
-        guaranteed to succeed when that enumeration reaches the preimage;
-        fails loudly otherwise.
+        Generic fallback: search the sample at the lower arity.  Only
+        guaranteed to succeed when that sample reaches the preimage; fails
+        loudly otherwise.
         """
         k = len(positions)
         incl = Embedding(tuple(positions), n)
-        candidates = self.enumerate_at(k, RESTRICT_SEARCH_BUDGET)
+        candidates = self.sample_at(k, RESTRICT_SEARCH_BUDGET)
         for cand in candidates:
             if self.compare_at(n, self.map_token(incl, cand), tok) == EQ:
                 return cand

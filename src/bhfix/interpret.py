@@ -29,6 +29,10 @@ from .limits import Tower
 from .standard_dilators import TOP
 from .systems import System, ThetaTerm
 
+# Stage bound of the limit samples: the self witness's order sample and the
+# limit checks of :mod:`bhfix.verify`.
+LIMIT_STAGES = 3
+
 
 class Witness:
     """Contract for an order Y with a claimed collapse of T_Y into Y."""
@@ -77,10 +81,10 @@ class SelfWitness(Witness):
     this witness must be the identity, which makes it a sharp self-test.
     """
 
-    def __init__(self, tower: Tower, stage_bound: int = 6):
+    name = "bh-self"
+
+    def __init__(self, tower: Tower):
         self.tower = tower
-        self.stage_bound = stage_bound
-        self.name = "bh-self"
 
     def compare(self, a, b):
         return self.tower.compare(a, b)
@@ -89,7 +93,7 @@ class SelfWitness(Witness):
         return self.tower.collapse(coded)
 
     def enumerate(self, budget):
-        listed = self.tower.enumerate(min(budget, self.stage_bound), budget)
+        listed = self.tower.enumerate(min(budget, LIMIT_STAGES), budget)
         return least(listed, budget, self.compare)
 
 

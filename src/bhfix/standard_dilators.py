@@ -75,7 +75,7 @@ class SuccessorDilator(Dilator):
     def supp_at(self, n, tok):
         return () if tok == TOP else (tok,)
 
-    def enumerate_at(self, n, budget):
+    def sample_at(self, n, budget):
         items = list(range(n)) + [TOP]
         return Enumeration(tuple(items[:budget]), budget >= n + 1)
 
@@ -105,7 +105,7 @@ class IdentityDilator(Dilator):
     def supp_at(self, n, tok):
         return (tok,)
 
-    def enumerate_at(self, n, budget):
+    def sample_at(self, n, budget):
         return Enumeration(tuple(range(min(n, budget))), budget >= n)
 
     def restrict_token(self, n, tok, positions):
@@ -136,7 +136,7 @@ class ConstantDilator(Dilator):
     def supp_at(self, n, tok):
         return ()
 
-    def enumerate_at(self, n, budget):
+    def sample_at(self, n, budget):
         return Enumeration(tuple(range(min(self.k, budget))), budget >= self.k)
 
     def restrict_token(self, n, tok, positions):
@@ -171,18 +171,12 @@ class OmegaPowerDilator(Dilator):
     def supp_at(self, n, tok):
         return tuple(sorted(set(tok)))
 
-    def enumerate_at(self, n, budget):
-        # The initial segment of Tok_n never leaves constant-zero blocks:
-        # each token's successor in the lexicographic order appends a 0.
-        if n == 0:
-            return Enumeration(((),) if budget >= 1 else (), budget >= 1)
-        return Enumeration(tuple((0,) * j for j in range(budget)), False)
-
     def sample_at(self, n, budget):
         # Diverse sampling by length: all weakly descending sequences of
-        # length 0, 1, 2, ... until the budget is filled.
+        # length 0, 1, 2, ... until the budget is filled.  At arity 0 the
+        # empty sequence is the only token.
         if n == 0:
-            return self.enumerate_at(n, budget)
+            return Enumeration(((),) if budget >= 1 else (), budget >= 1)
         items: list[tuple[int, ...]] = []
         length = 0
         while len(items) < budget:
@@ -237,15 +231,6 @@ class SumDilator(Dilator):
     def supp_at(self, n, tok):
         return self._side(tok[0]).supp_at(n, tok[1])
 
-    def enumerate_at(self, n, budget):
-        l = self.left.enumerate_at(n, budget)
-        items = [("L", t) for t in l]
-        if not l.exhaustive:
-            return Enumeration(tuple(items[:budget]), False)
-        r = self.right.enumerate_at(n, budget - len(items))
-        items += [("R", t) for t in r]
-        return Enumeration(tuple(items), r.exhaustive)
-
     def sample_at(self, n, budget):
         l = self.left.sample_at(n, budget)
         r = self.right.sample_at(n, budget)
@@ -288,22 +273,6 @@ class LexProductDilator(Dilator):
 
     def supp_at(self, n, tok):
         return tuple(sorted(set(self.left.supp_at(n, tok[0])) | set(self.right.supp_at(n, tok[1]))))
-
-    def enumerate_at(self, n, budget):
-        l = self.left.enumerate_at(n, budget)
-        items: list = []
-        complete = l.exhaustive
-        for tl in l:
-            room = budget - len(items)
-            if room <= 0:
-                complete = False
-                break
-            r = self.right.enumerate_at(n, room)
-            items += [(tl, tr) for tr in r]
-            if not r.exhaustive:
-                complete = False
-                break
-        return Enumeration(tuple(items), complete)
 
     def sample_at(self, n, budget):
         ls = self.left.sample_at(n, budget)

@@ -137,15 +137,6 @@ def _build_term(tower: Tower, tree: _Tree, n: int) -> ThetaTerm:
     return tower.limit.collapse(CodedElement(subs, token))
 
 
-def parse_term(tower: Tower, n: int, text: str) -> ThetaTerm:
-    """Parse a term over the stage-n carrier (an element of X_{n+1})."""
-    cur = _Cursor(text)
-    tree = _read_term(cur)
-    if not cur.at_end():
-        raise TermSyntaxError(f"trailing input at position {cur.pos}")
-    return tower.lift(_build_term(tower, tree, n), n)
-
-
 def parse_bh(tower: Tower, text: str) -> ThetaTerm:
     """Parse ``@n:term`` into the limit element it denotes."""
     cur = _Cursor(text)

@@ -25,6 +25,7 @@ from .dilator import (
 from .errors import DilatorLawError, SystemDefectError, WitnessLawError
 from .finite_orders import EQ, GT, LT, all_embeddings, compose, finset_map, identity_embedding
 from .interpret import (
+    LIMIT_STAGES,
     OmegaSuccessorWitness,
     SelfWitness,
     Witness,
@@ -38,6 +39,9 @@ from .syntax import format_bh, format_term
 from .systems import BASE_SAMPLE_CAP, System, ThetaTerm
 
 _MAX_RECORDED_FAILURES = 12
+
+MAX_ORDER = 4  # largest finite order for the dilator-law checks
+STAGES = 3     # how many stage iterations the theta checks cover
 
 
 @dataclass
@@ -70,13 +74,10 @@ class CheckReport:
 
 @dataclass
 class Budgets:
-    """Knobs for the verification suites."""
+    """Budgets of the verification suites."""
 
-    max_order: int = 4       # largest finite order for the dilator-law checks
     tokens: int = 50         # per-arity token budget
     terms: int = 40          # per-stage term budget
-    stages: int = 3          # how many stage iterations the theta checks cover
-    bh_stages: int = 3       # stage bound for limit-order samples
     sample_cap: int = 30     # cap on coded-element samples feeding pair loops
 
 
@@ -114,7 +115,9 @@ class _Collector:
 # dilator laws
 
 
-def check_dilator_laws(dilator: Dilator, max_n: int = 4, budget: int = 50) -> CheckReport:
+def check_dilator_laws(
+    dilator: Dilator, max_n: int = MAX_ORDER, budget: int = 50
+) -> CheckReport:
     """Functoriality, strict monotonicity, support naturality, and the
     support factorization condition, over all embeddings between orders of
     size <= max_n and all sampled tokens."""
@@ -403,7 +406,7 @@ def check_commuting_square(
 def check_fixed_point(
     tower: Tower,
     budget: int,
-    stage_bound: int = 3,
+    stage_bound: int = LIMIT_STAGES,
     sample_cap: int = 30,
     carrier_cap: int = BASE_SAMPLE_CAP,
     name: str = "fixed-point",
@@ -463,7 +466,7 @@ def check_fixed_point(
 
 
 def check_limit_order(
-    tower: Tower, budget: int, stage_bound: int = 3, name: str = "limit-order"
+    tower: Tower, budget: int, stage_bound: int = LIMIT_STAGES, name: str = "limit-order"
 ) -> CheckReport:
     """The limit order is the stage order of lifts: on every pair of sampled
     limit elements it agrees with the comparison of their representatives at
@@ -540,7 +543,7 @@ def check_minimality(
     tower: Tower,
     witness: Witness,
     budget: int,
-    stages: int = 3,
+    stages: int = LIMIT_STAGES,
     name: str = "minimality",
 ) -> CheckReport:
     """Interpretations extend stage by stage (defining equation, embedding
@@ -619,9 +622,6 @@ class _ErasedSupports(Dilator):
     def supp_at(self, n, tok):
         return ()
 
-    def enumerate_at(self, n, budget):
-        return self.inner.enumerate_at(n, budget)
-
     def sample_at(self, n, budget):
         return self.inner.sample_at(n, budget)
 
@@ -642,10 +642,10 @@ def erase_supports(dilator: Dilator) -> Dilator:
 SUITES = ("all", "laws", "theta", "fixedpoint", "minimality")
 
 
-def default_witness(dilator: Dilator, tower: Tower, budgets: Budgets) -> Witness:
+def default_witness(dilator: Dilator, tower: Tower) -> Witness:
     if dilator.name == "successor":
         return OmegaSuccessorWitness()
-    return SelfWitness(tower, stage_bound=budgets.bh_stages)
+    return SelfWitness(tower)
 
 
 def run_suite(
@@ -662,9 +662,9 @@ def run_suite(
     tower = tower or Tower(dilator)
     reports: list[CheckReport] = []
     if suite in ("all", "laws"):
-        reports.append(check_dilator_laws(dilator, budgets.max_order, budgets.tokens))
+        reports.append(check_dilator_laws(dilator, budget=budgets.tokens))
     if suite in ("all", "theta"):
-        for n in range(budgets.stages):
+        for n in range(STAGES):
             sysn = tower.stage(n)
             reports.append(
                 check_theta_linear(sysn, budgets.terms, name=f"theta-linear:X{n + 1}")
@@ -679,27 +679,16 @@ def run_suite(
                     sysn, budgets.terms, name=f"commuting-square:X{n + 1}"
                 )
             )
-        for n in range(1, budgets.stages + 1):
+        for n in range(1, STAGES + 1):
             reports.append(
                 check_goodness(tower.stage(n), budgets.terms, name=f"goodness:X{n}")
             )
     if suite in ("all", "fixedpoint"):
-        reports.append(
-            check_fixed_point(
-                tower,
-                budgets.terms,
-                stage_bound=budgets.bh_stages,
-                sample_cap=budgets.sample_cap,
-            )
-        )
-        reports.append(
-            check_limit_order(tower, budgets.terms, stage_bound=budgets.bh_stages)
-        )
+        reports.append(check_fixed_point(tower, budgets.terms, sample_cap=budgets.sample_cap))
+        reports.append(check_limit_order(tower, budgets.terms))
     if suite in ("all", "minimality"):
-        w = witness or default_witness(dilator, tower, budgets)
+        w = witness or default_witness(dilator, tower)
         reports.append(check_witness(w, dilator, budgets.sample_cap))
-        reports.append(
-            check_minimality(tower, w, budgets.terms, stages=budgets.bh_stages)
-        )
+        reports.append(check_minimality(tower, w, budgets.terms))
     reports.sort(key=lambda r: r.name)
     return reports

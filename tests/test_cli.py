@@ -1,12 +1,17 @@
 """Command-line contract: outputs, exit codes, environment knobs."""
 
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from bhfix.cli import main, parse_selector
 from bhfix.errors import SelectorError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +192,35 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "invalid natural value" in err
+
+
+def test_enumerate_stages_above_the_bound_is_a_usage_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "enumerate", "--dilator", "constant:2", "--stages", "10001", "--budget", "3"
+    )
+    assert (code, out) == (2, "")
+    assert "10000" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "script, argv",
+    [
+        ("run_checks.py", ["--budget", "-1"]),
+        ("explore_limit.py", ["--budget", "-1"]),
+        ("explore_limit.py", ["--stages", "-2"]),
+    ],
+    ids=["run-checks-budget", "explore-limit-budget", "explore-limit-stages"],
+)
+def test_scripts_reject_negative_counts(script, argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "invalid natural value" in proc.stderr
 
 
 def test_enumeration_is_consistent_with_compare(capsys):

@@ -60,8 +60,8 @@ class _NoRestrict(Dilator):
     def supp_at(self, n, tok):
         return succ.supp_at(n, tok)
 
-    def enumerate_at(self, n, budget):
-        return succ.enumerate_at(n, budget)
+    def sample_at(self, n, budget):
+        return succ.sample_at(n, budget)
 
     def format_token(self, n, tok):
         return succ.format_token(n, tok)

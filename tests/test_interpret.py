@@ -97,7 +97,7 @@ def test_embed_bh_is_order_preserving_and_stage_consistent(succ_tower):
 def test_self_witness_embeds_identically(dilator):
     # the limit collapses into itself; the induced embedding is the identity
     tower = Tower(dilator)
-    w = SelfWitness(tower, stage_bound=3)
+    w = SelfWitness(tower)
     for e in tower.enumerate(3, 8):
         assert embed_bh(w, tower, e) is e
 

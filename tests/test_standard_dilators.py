@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bhfix.cli import parse_selector
 from bhfix.dilator import full_support_tokens
 from bhfix.errors import TermSyntaxError, TermTypeError
 from bhfix.finite_orders import EQ, GT, LT
@@ -44,12 +45,46 @@ def test_contract_laws_small(dilator):
     assert report.passed, report.format()
 
 
+SAMPLE_BUDGETS = (0, 1, 2, 3, 5, 8, 20)
+
+
+@pytest.mark.parametrize(
+    "selector",
+    [
+        "successor",
+        "identity",
+        "constant:3",
+        "omega",
+        "sum(successor,omega)",
+        "product(successor,constant:2)",
+        "sum(constant:2,successor)",
+        "product(omega,successor)",
+        "product(constant:0,successor)",
+    ],
+)
+def test_sample_at_contract(selector):
+    # sample_at is the one token listing: deterministic, within budget,
+    # growing with the budget, and complete once it claims to be exhaustive
+    dilator = parse_selector(selector)
+    for n in range(5):
+        listings = [dilator.sample_at(n, b) for b in SAMPLE_BUDGETS]
+        for budget, listed in zip(SAMPLE_BUDGETS, listings):
+            assert len(listed) <= budget
+            assert len(set(listed.items)) == len(listed)
+            assert dilator.sample_at(n, budget) == listed
+        for i, small in enumerate(listings):
+            for large in listings[i + 1 :]:
+                assert set(small.items) <= set(large.items)
+                if small.exhaustive:
+                    assert set(large.items) == set(small.items) and large.exhaustive
+
+
 def test_successor_enumeration_sizes():
     for n in range(6):
-        listed = succ.enumerate_at(n, 50)
+        listed = succ.sample_at(n, 50)
         assert len(listed) == n + 1
         assert listed.exhaustive
-    assert list(succ.enumerate_at(0, 50)) == [TOP]
+    assert list(succ.sample_at(0, 50)) == [TOP]
 
 
 def test_successor_top_is_maximal():
@@ -59,21 +94,14 @@ def test_successor_top_is_maximal():
     assert succ.compare_at(4, TOP, TOP) == EQ
 
 
-def test_omega_enumerate_at_zero_and_prefix_rule():
-    assert list(omega.enumerate_at(0, 5)) == [()]
-    assert omega.enumerate_at(0, 5).exhaustive
+def test_omega_sample_at_zero_and_prefix_rule():
+    assert list(omega.sample_at(0, 5)) == [()]
+    assert omega.sample_at(0, 5).exhaustive
     assert omega.compare_at(1, (), (0,)) == LT
     # proper extension is greater; first difference decides otherwise
     assert omega.compare_at(2, (1,), (1, 0)) == LT
     assert omega.compare_at(2, (0, 0), (1,)) == LT
     assert omega.compare_at(3, (2, 1), (2, 0, 0)) == GT
-
-
-def test_omega_enumerate_at_is_initial_segment():
-    # the lexicographic successor of any sequence appends a zero, so finite
-    # initial segments at arity >= 1 are exactly the zero blocks
-    assert list(omega.enumerate_at(2, 4)) == [(), (0,), (0, 0), (0, 0, 0)]
-    assert not omega.enumerate_at(2, 4).exhaustive
 
 
 def _descending(n, max_len):
@@ -104,35 +132,32 @@ def test_omega_full_support_tokens_are_onto_sequences():
 
 def test_constant_dilator_shape():
     c3 = ConstantDilator(3)
-    assert list(c3.enumerate_at(5, 10)) == [0, 1, 2]
-    assert c3.enumerate_at(5, 10).exhaustive
+    assert list(c3.sample_at(5, 10)) == [0, 1, 2]
+    assert c3.sample_at(5, 10).exhaustive
     assert c3.supp_at(5, 1) == ()
     f = None  # map ignores the embedding entirely
     assert c3.map_token(f, 2) == 2
 
 
 def test_identity_dilator_has_empty_arity_zero():
-    listed = ident.enumerate_at(0, 5)
+    listed = ident.sample_at(0, 5)
     assert len(listed) == 0 and listed.exhaustive
 
 
 def test_sum_order_and_enumeration():
     s = SumDilator(SuccessorDilator(), OmegaPowerDilator())
     assert s.compare_at(1, ("L", TOP), ("R", ())) == LT
-    listed = s.enumerate_at(1, 5)
-    assert listed.items[:2] == (("L", 0), ("L", TOP))
-    assert all(tag == "R" for tag, _ in listed.items[2:])
-    assert not listed.exhaustive
-    # infinite left component blocks the right side entirely
+    # the sample interleaves the two sides, so an infinite left side does
+    # not hide the right one
     s2 = SumDilator(OmegaPowerDilator(), SuccessorDilator())
-    listed2 = s2.enumerate_at(1, 6)
-    assert all(tag == "L" for tag, _ in listed2.items)
-    assert not listed2.exhaustive
+    listed = s2.sample_at(1, 5)
+    assert listed.items == (("L", ()), ("R", 0), ("L", (0,)), ("R", TOP), ("L", (0, 0)))
+    assert not listed.exhaustive
 
 
 def test_product_lex_order_and_enumeration():
     p = LexProductDilator(ConstantDilator(2), SuccessorDilator())
-    listed = p.enumerate_at(1, 10)
+    listed = p.sample_at(1, 10)
     assert listed.items == ((0, 0), (0, TOP), (1, 0), (1, TOP))
     assert listed.exhaustive
     assert p.compare_at(1, (0, TOP), (1, 0)) == LT
@@ -141,7 +166,7 @@ def test_product_lex_order_and_enumeration():
 
 def test_product_with_empty_component_is_empty():
     p = LexProductDilator(ConstantDilator(0), SuccessorDilator())
-    listed = p.enumerate_at(2, 10)
+    listed = p.sample_at(2, 10)
     assert len(listed) == 0 and listed.exhaustive
 
 

@@ -5,7 +5,12 @@ import pytest
 from bhfix.errors import TermSyntaxError, TermTypeError
 from bhfix.limits import Tower, birth_stage
 from bhfix.standard_dilators import OmegaPowerDilator, SuccessorDilator
-from bhfix.syntax import format_bh, format_term, parse_bh, parse_term
+from bhfix.syntax import format_bh, format_term, parse_bh
+
+
+def parse_stage_term(tower, n, text):
+    """The representative in X_{n+1} of a term read at stage n."""
+    return tower.lift(parse_bh(tower, f"@{n}:{text}"), n)
 
 
 @pytest.fixture
@@ -30,7 +35,7 @@ def test_round_trip_enumerated_elements(make):
 
 def test_nested_omega_term_example(omega_tower):
     text = "th(w[1,0,0];th(w[]),th(w[0];th(w[])))"
-    term = parse_term(omega_tower, 2, text)
+    term = parse_stage_term(omega_tower, 2, text)
     assert format_term(omega_tower.dilator, term) == text
     assert term.body.token == (1, 0, 0)
     assert len(term.body.support) == 2
@@ -40,7 +45,7 @@ def test_whitespace_insensitive(succ_tower, omega_tower):
     a = parse_bh(succ_tower, " @1 : th( v0 ; th( top ) ) ")
     b = parse_bh(succ_tower, "@1:th(v0;th(top))")
     assert a is b
-    c = parse_term(omega_tower, 1, "th( w[ 0 , 0 ] ; th(w[]) )")
+    c = parse_stage_term(omega_tower, 1, "th( w[ 0 , 0 ] ; th(w[]) )")
     assert format_term(omega_tower.dilator, c) == "th(w[0,0];th(w[]))"
 
 
@@ -71,12 +76,12 @@ def test_type_errors(succ_tower, omega_tower):
         parse_bh(omega_tower, "@1:th(w[];th(w[]))")
     # misordered support list
     with pytest.raises(TermTypeError):
-        parse_term(
+        parse_stage_term(
             omega_tower, 1, "th(w[1,0];th(w[0];th(w[])),th(w[]))"
         )
     # duplicate support terms
     with pytest.raises(TermTypeError):
-        parse_term(omega_tower, 1, "th(w[1,0];th(w[]),th(w[]))")
+        parse_stage_term(omega_tower, 1, "th(w[1,0];th(w[]),th(w[]))")
 
 
 def test_unknown_token_is_syntax_error(succ_tower):

@@ -10,7 +10,7 @@ import sys
 import time
 
 from bhfix.cli import natural, parse_selector
-from bhfix.verify import Budgets, run_suite
+from bhfix.verify import run_suite
 
 DEFAULT_SELECTORS = [
     "successor",
@@ -32,13 +32,8 @@ def main() -> int:
     failed = 0
     for selector in args.selectors:
         dilator = parse_selector(selector)
-        budgets = Budgets(
-            tokens=args.budget,
-            terms=min(args.budget, 40),
-            sample_cap=min(args.budget, 30),
-        )
         start = time.perf_counter()
-        reports = run_suite(dilator, args.suite, budgets)
+        reports = run_suite(dilator, args.suite, args.budget)
         elapsed = time.perf_counter() - start
         print(f"== {dilator.name} ({elapsed:.2f}s)")
         for report in reports:

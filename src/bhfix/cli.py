@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 
-from .dilator import Dilator
+from .dilator import Dilator, parse_nat
 from .errors import (
     DilatorLawError,
     SelectorError,
@@ -34,9 +34,10 @@ from .standard_dilators import (
     OmegaPowerDilator,
     SuccessorDilator,
     SumDilator,
+    _split_args,
 )
 from .syntax import MAX_STAGE, format_bh, parse_bh
-from .verify import SUITES, Budgets, erase_supports, run_suite
+from .verify import SUITES, erase_supports, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,21 +54,13 @@ def parse_selector(text: str) -> Dilator:
         name, _, rest = text.partition("(")
         if not rest.endswith(")"):
             raise SelectorError(f"unbalanced parentheses in selector {text!r}")
-        inner = rest[:-1]
-        depth = 0
-        split = -1
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                split = i
-                break
-        if split < 0:
-            raise SelectorError(f"selector {text!r} needs two components")
-        left = parse_selector(inner[:split])
-        right = parse_selector(inner[split + 1 :])
+        try:
+            parts = _split_args(rest[:-1])
+        except TermSyntaxError as err:
+            raise SelectorError(str(err)) from None
+        if len(parts) != 2:
+            raise SelectorError(f"selector {text!r} needs exactly two components")
+        left, right = map(parse_selector, parts)
         if name.strip() == "sum":
             return SumDilator(left, right)
         if name.strip() == "product":
@@ -90,9 +83,7 @@ def parse_selector(text: str) -> Dilator:
 
 def natural(text: str, what: str = "a count") -> int:
     """A natural number written in ASCII digits; anything else is a usage error."""
-    if not (text.isascii() and text.isdigit()):
-        raise SelectorError(f"{what} must be a natural number, got {text!r}")
-    return int(text)
+    return parse_nat(text, what, SelectorError)
 
 
 def _default_budget() -> int:
@@ -166,9 +157,8 @@ def _cmd_verify(args) -> int:
     if args.break_naturality:
         dilator = erase_supports(dilator)
     budget = args.budget if args.budget is not None else _default_budget()
-    budgets = Budgets(tokens=budget, terms=min(budget, 40), sample_cap=min(budget, 30))
     try:
-        reports = run_suite(dilator, args.suite, budgets)
+        reports = run_suite(dilator, args.suite, budget)
     except (DilatorLawError, SystemDefectError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CHECK_FAILED

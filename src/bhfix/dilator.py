@@ -32,6 +32,9 @@ Cmp = Callable[[Any, Any], int]
 # restrict_token and never hit it.
 RESTRICT_SEARCH_BUDGET = 512
 
+# The longest numeral parse_nat reads: Python's default limit of int(str).
+MAX_DIGITS = 4300
+
 
 @dataclass(frozen=True)
 class Enumeration:
@@ -128,6 +131,20 @@ class Dilator:
 
     def parse_token(self, n: int, text: str) -> Token:
         raise NotImplementedError
+
+
+def parse_nat(text: str, what: str, error: type[ValueError]) -> int:
+    """The natural number that ``text`` writes in ASCII decimal digits.
+
+    The one numeral reader of token texts, term stages and command-line
+    counts.  Anything else raises ``error``: other Unicode digits ("²",
+    "٣"), signs, spaces, and numerals of more than ``MAX_DIGITS`` digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise error(f"{what} must be a natural number, got {text!r}")
+    if len(text) > MAX_DIGITS:
+        raise error(f"{what} has {len(text)} digits, more than {MAX_DIGITS}")
+    return int(text)
 
 
 @dataclass(frozen=True)

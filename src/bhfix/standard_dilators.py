@@ -12,22 +12,19 @@ Token syntaxes (bit-exact, used by the term grammar):
 
 from __future__ import annotations
 
-import re
 from itertools import combinations_with_replacement
 
-from .dilator import Dilator, Enumeration, Token
+from .dilator import Dilator, Enumeration, Token, parse_nat
 from .errors import TermSyntaxError, TermTypeError
 from .finite_orders import EQ, GT, LT, sgn
 
 TOP = "top"
 
-_NAT_RE = re.compile(r"^(0|[1-9][0-9]*)$")
-
 
 def _parse_nat(text: str, what: str) -> int:
-    if not _NAT_RE.match(text):
-        raise TermSyntaxError(f"expected a natural number in {what}, got {text!r}")
-    return int(text)
+    if text.startswith("0") and text != "0":
+        raise TermSyntaxError(f"{what} has a leading zero: {text!r}")
+    return parse_nat(text, what, TermSyntaxError)
 
 
 def _split_args(text: str) -> list[str]:
@@ -201,7 +198,7 @@ class OmegaPowerDilator(Dilator):
         inner = text[2:-1]
         if inner == "":
             return ()
-        entries = tuple(_parse_nat(p, "w[...]") for p in inner.split(","))
+        entries = tuple(_parse_nat(p, "an entry of w[...]") for p in inner.split(","))
         if any(x >= n for x in entries):
             raise TermTypeError(f"{text} has entries outside 0..{n - 1}")
         if any(a < b for a, b in zip(entries, entries[1:])):
@@ -308,7 +305,7 @@ class LexProductDilator(Dilator):
 def _parse_element(text: str, prefix: str, bound: int, name: str) -> int:
     if not text.startswith(prefix):
         raise TermSyntaxError(f"unknown {name} token {text!r}")
-    i = _parse_nat(text[len(prefix):], f"{name} token")
+    i = _parse_nat(text[len(prefix):], f"the index of a {name} token")
     if i >= bound:
         raise TermTypeError(f"token {text} out of range (bound {bound}) for {name}")
     return i

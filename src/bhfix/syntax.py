@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dilator import CodedElement, Dilator
+from .dilator import CodedElement, Dilator, parse_nat
 from .errors import TermSyntaxError, TermTypeError
 from .limits import Tower, birth_stage
 from .systems import ThetaTerm
@@ -30,10 +30,7 @@ def format_term(dilator: Dilator, term: ThetaTerm) -> str:
     token_text = dilator.format_token(body.arity, body.token)
     if not body.support:
         return f"th({token_text})"
-    subs = ",".join(
-        format_term(dilator, s) if isinstance(s, ThetaTerm) else repr(s)
-        for s in body.support
-    )
+    subs = ",".join(format_term(dilator, s) for s in body.support)
     return f"th({token_text};{subs})"
 
 
@@ -70,11 +67,12 @@ class _Cursor:
     def read_nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise TermSyntaxError(f"expected a number at position {start}")
-        return int(self.text[start : self.pos])
+        digits = self.text[start : self.pos]
+        return parse_nat(digits, f"the stage at position {start}", TermSyntaxError)
 
     def read_token_text(self) -> str:
         # The token region ends at the first ';' or ')' outside any nested

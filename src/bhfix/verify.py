@@ -5,7 +5,7 @@ sets are finite and fit the budget, flagged otherwise), tests the law on
 each instance, and returns a :class:`CheckReport`.  Counterexamples are
 serialized in the external term grammar so they can be replayed with the
 CLI ``compare`` command.  Checks are independent and deterministic given
-(dilator, budgets): same inputs, same instance counts, same verdicts.
+(dilator, budget): same inputs, same instance counts, same verdicts.
 """
 
 from __future__ import annotations
@@ -40,28 +40,43 @@ from .systems import BASE_SAMPLE_CAP, System, ThetaTerm
 
 _MAX_RECORDED_FAILURES = 12
 
-MAX_ORDER = 4  # largest finite order for the dilator-law checks
-STAGES = 3     # how many stage iterations the theta checks cover
+MAX_ORDER = 4    # largest finite order for the dilator-law checks
+STAGES = 3       # how many stage iterations the theta checks cover
+TERMS_CAP = 40   # cap on the per-stage term budget of a suite
+SAMPLE_CAP = 30  # cap on the coded-element samples feeding pair loops
 
 
 @dataclass
 class CheckReport:
-    """Outcome of one law check.
+    """Outcome of one law check, filled in instance by instance.
 
     ``exhaustive`` is True only when every enumeration feeding the check
     reported completeness, i.e. the law was verified on *all* instances at
-    this scale rather than on a sample.
+    this scale rather than on a sample.  At most ``_MAX_RECORDED_FAILURES``
+    failures are recorded; ``overflow`` counts the rest.
     """
 
     name: str
-    law: str
-    instances: int
-    exhaustive: bool
+    exhaustive: bool = True
+    instances: int = 0
     failures: list[str] = field(default_factory=list)
+    overflow: int = 0
 
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    def check(self, ok: bool, describe) -> None:
+        """Count one instance; on failure record ``describe`` (or its call)."""
+        self.instances += 1
+        if not ok:
+            if len(self.failures) < _MAX_RECORDED_FAILURES:
+                self.failures.append(describe() if callable(describe) else describe)
+            else:
+                self.overflow += 1
+
+    def fail(self, message: str) -> None:
+        self.check(False, message)
 
     def format(self) -> str:
         head = (
@@ -69,46 +84,41 @@ class CheckReport:
             f"instances={self.instances} "
             f"exhaustive={'true' if self.exhaustive else 'false'}"
         )
-        return "\n".join([head] + [f"  {line}" for line in self.failures])
+        lines = [head] + [f"  {line}" for line in self.failures]
+        if self.overflow:
+            lines.append(f"  ... and {self.overflow} more failures")
+        return "\n".join(lines)
 
 
-@dataclass
-class Budgets:
-    """Budgets of the verification suites."""
-
-    tokens: int = 50         # per-arity token budget
-    terms: int = 40          # per-stage term budget
-    sample_cap: int = 30     # cap on coded-element samples feeding pair loops
+def _identity(x):
+    return x
 
 
-class _Collector:
-    def __init__(self, name: str, law: str):
-        self.name = name
-        self.law = law
-        self.instances = 0
-        self.exhaustive = True
-        self._failures: list[str] = []
-        self._overflow = 0
-
-    def check(self, ok: bool, describe) -> None:
-        self.instances += 1
-        if not ok:
-            if len(self._failures) < _MAX_RECORDED_FAILURES:
-                self._failures.append(describe() if callable(describe) else describe)
-            else:
-                self._overflow += 1
-
-    def bulk(self, count: int) -> None:
-        self.instances += count
-
-    def fail(self, message: str) -> None:
-        self.check(False, message)
-
-    def report(self) -> CheckReport:
-        failures = list(self._failures)
-        if self._overflow:
-            failures.append(f"... and {self._overflow} more failures")
-        return CheckReport(self.name, self.law, self.instances, self.exhaustive, failures)
+def _collapse_conditions(report: CheckReport, coded, values, compare, embed, show) -> None:
+    """Both collapse conditions for ``coded[i] -> values[i]``, where ``coded``
+    is sorted: (ii) every embedded support element lies below its collapse,
+    and (i) sigma < tau with the embedded support of sigma below theta(tau)
+    gives theta(sigma) < theta(tau)."""
+    for sigma, value in zip(coded, values):
+        for x in sigma.support:
+            report.check(
+                compare(embed(x), value) < 0,
+                lambda x=x, value=value: (
+                    f"condition (ii) broken: {show(embed(x))} not below {show(value)}"
+                ),
+            )
+    for i, sigma in enumerate(coded):
+        for j, value in enumerate(values):
+            if i == j:
+                continue
+            # the sample is sorted, so sigma < tau iff i < j
+            premise = i < j and all(compare(embed(x), value) < 0 for x in sigma.support)
+            report.check(
+                not premise or compare(values[i], value) < 0,
+                lambda i=i, j=j: (
+                    f"condition (i) broken: {show(values[i])} vs {show(values[j])}"
+                ),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +131,8 @@ def check_dilator_laws(
     """Functoriality, strict monotonicity, support naturality, and the
     support factorization condition, over all embeddings between orders of
     size <= max_n and all sampled tokens."""
-    col = _Collector(
-        "dilator-laws",
-        "endofunctor laws, strict monotonicity, support naturality, "
-        "support factorization",
-    )
     samples = {n: dilator.sample_at(n, budget) for n in range(max_n + 1)}
-    col.exhaustive = all(s.exhaustive for s in samples.values())
+    report = CheckReport("dilator-laws", all(s.exhaustive for s in samples.values()))
     embeddings = {
         (m, n): all_embeddings(m, n) for m in range(max_n + 1) for n in range(m, max_n + 1)
     }
@@ -138,7 +143,7 @@ def check_dilator_laws(
     for n, toks in samples.items():
         idn = identity_embedding(n)
         for tok in toks:
-            col.check(
+            report.check(
                 dilator.compare_at(n, dilator.map_token(idn, tok), tok) == EQ,
                 lambda n=n, tok=tok: f"identity action changed {fmt(n, tok)}",
             )
@@ -146,7 +151,7 @@ def check_dilator_laws(
         for i, s in enumerate(toks):
             for t in toks[i + 1 :]:
                 v, w = dilator.compare_at(n, s, t), dilator.compare_at(n, t, s)
-                col.check(
+                report.check(
                     v != EQ and v == -w,
                     lambda n=n, s=s, t=t: f"token order broken on {fmt(n, s)}, {fmt(n, t)}",
                 )
@@ -156,7 +161,7 @@ def check_dilator_laws(
             for tok in samples[m]:
                 mapped = dilator.map_token(f, tok)
                 # naturality of supports
-                col.check(
+                report.check(
                     dilator.supp_at(n, mapped) == finset_map(f, dilator.supp_at(m, tok)),
                     lambda m=m, n=n, f=f, tok=tok: (
                         f"support not natural for {fmt(m, tok)} along {f.images}->{n}"
@@ -166,7 +171,7 @@ def check_dilator_laws(
             for s in samples[m]:
                 for t in samples[m]:
                     if dilator.compare_at(m, s, t) == LT:
-                        col.check(
+                        report.check(
                             dilator.compare_at(n, dilator.map_token(f, s), dilator.map_token(f, t)) == LT,
                             lambda m=m, n=n, f=f, s=s, t=t: (
                                 f"monotonicity broken: {fmt(m, s)} < {fmt(m, t)} "
@@ -180,7 +185,7 @@ def check_dilator_laws(
                     for tok in samples[m]:
                         via = dilator.map_token(g, dilator.map_token(f, tok))
                         direct = dilator.map_token(fg, tok)
-                        col.check(
+                        report.check(
                             dilator.compare_at(p, direct, via) == EQ,
                             lambda m=m, p=p, tok=tok: (
                                 f"composition law broken on {fmt(m, tok)} at arity {p}"
@@ -193,10 +198,10 @@ def check_dilator_laws(
         for tok in toks:
             try:
                 normal_form(dilator, n, tok)
-                col.check(True, "")
+                report.check(True, "")
             except DilatorLawError as err:
-                col.fail(str(err))
-    return col.report()
+                report.fail(str(err))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +231,8 @@ def check_theta_linear(system: System, budget: int, name: str = "theta-linear") 
     """The term order over the system's carrier is linear: trichotomy and
     antisymmetry on all pairs (clause-level cross check included) and
     transitivity on all triples of the sample."""
-    col = _Collector(
-        name,
-        "linearity of the collapse-term order: pairwise trichotomy/antisymmetry, "
-        "triple transitivity",
-    )
     terms = _term_sample(system, budget)
-    col.exhaustive = terms.exhaustive
+    report = CheckReport(name, terms.exhaustive)
     items = terms.items
     size = len(items)
     matrix = [[system.compare(s, t) for t in items] for s in items]
@@ -243,7 +243,7 @@ def check_theta_linear(system: System, budget: int, name: str = "theta-linear") 
             forward = _clause_less(system, items[i], items[j])
             backward = _clause_less(system, items[j], items[i])
             agreed = (matrix[i][j] == LT) == forward and (matrix[i][j] == GT) == backward
-            col.check(
+            report.check(
                 forward != backward and agreed,
                 lambda i=i, j=j: (
                     "trichotomy/antisymmetry broken between "
@@ -259,14 +259,14 @@ def check_theta_linear(system: System, budget: int, name: str = "theta-linear") 
             triples += len(below[j])
             for k in below[j]:
                 if row[k] != LT:
-                    col.fail(
+                    report.fail(
                         "transitivity broken on "
                         f"{format_term(system.dilator, items[i])} < "
                         f"{format_term(system.dilator, items[j])} < "
                         f"{format_term(system.dilator, items[k])}"
                     )
-    col.bulk(triples)
-    return col.report()
+    report.instances += triples
+    return report
 
 
 def _least_coded(
@@ -287,72 +287,42 @@ def check_collapse_admissible(
 ) -> CheckReport:
     """The stage collapse satisfies both collapse conditions, the subterm
     bound, and the redundancy of the order test in the second clause."""
-    col = _Collector(
-        name,
-        "collapse conditions over one stage, subterm bound, redundant order "
-        "test in the second comparison clause",
-    )
     coded = _coded_sample(system, budget)
-    col.exhaustive = coded.exhaustive
+    report = CheckReport(name, coded.exhaustive)
     terms = [system.collapse(c) for c in coded]
-    dil = system.dilator
-    for sigma, term in zip(coded, terms):
-        # condition (ii): the translated support sits strictly below the collapse
-        for x in sigma.support:
-            col.check(
-                system.compare(system.embed(x), term) == LT,
-                lambda term=term: (
-                    f"support not below its collapse: {format_term(dil, term)}"
-                ),
-            )
-        # subterm bound
+    show = partial(format_term, system.dilator)
+    _collapse_conditions(report, coded, terms, system.compare, system.embed, show)
+    for term in terms:
         for r in system.subterm_closure(term):
-            col.check(
+            report.check(
                 system.compare(r, term) != GT and r.length <= term.length,
-                lambda r=r, term=term: (
-                    f"subterm {format_term(dil, r)} exceeds {format_term(dil, term)}"
-                ),
+                lambda r=r, term=term: f"subterm {show(r)} exceeds {show(term)}",
             )
-    for i, (sigma, s_term) in enumerate(zip(coded, terms)):
-        for j, (tau, t_term) in enumerate(zip(coded, terms)):
+    for i, s_term in enumerate(terms):
+        for j, tau in enumerate(coded):
             if i == j:
                 continue
-            # coded sample is sorted, so the body verdict is the index order
-            premise = i < j and all(
-                system.compare(system.embed(x), t_term) == LT for x in sigma.support
-            )
-            col.check(
-                not premise or system.compare(s_term, t_term) == LT,
-                lambda s_term=s_term, t_term=t_term: (
-                    f"condition (i) broken: {format_term(dil, s_term)} vs "
-                    f"{format_term(dil, t_term)}"
-                ),
-            )
             dominated = any(
                 system.compare(s_term, system.embed(x)) != GT for x in tau.support
             )
-            col.check(
-                not dominated or system.compare(s_term, t_term) == LT,
-                lambda s_term=s_term, t_term=t_term: (
-                    f"redundancy claim broken: {format_term(dil, s_term)} vs "
-                    f"{format_term(dil, t_term)}"
+            report.check(
+                not dominated or system.compare(s_term, terms[j]) == LT,
+                lambda s_term=s_term, j=j: (
+                    f"redundancy claim broken: {show(s_term)} vs {show(terms[j])}"
                 ),
             )
-    return col.report()
+    return report
 
 
 def check_goodness(system: System, budget: int, name: str = "goodness") -> CheckReport:
     """The carrier embedding preserves lengths (the system equation) and the
     order (goodness)."""
-    col = _Collector(
-        name, "length equation L(iota(x)) = L(x) and order preservation of iota"
-    )
     xs = system.carrier.enumerate(budget)
-    col.exhaustive = xs.exhaustive
+    report = CheckReport(name, xs.exhaustive)
     fmt = lambda t: format_term(system.dilator, t)  # noqa: E731
     try:
         for x in xs:
-            col.check(
+            report.check(
                 system.embed(x).length == system.length_of(x),
                 lambda x=x: (
                     f"length equation broken at {x!r}: "
@@ -361,7 +331,7 @@ def check_goodness(system: System, budget: int, name: str = "goodness") -> Check
             )
         for i, x in enumerate(xs):
             for y in xs[i + 1 :]:
-                col.check(
+                report.check(
                     system.compare(system.embed(x), system.embed(y)) == LT,
                     lambda x=x, y=y: (
                         f"iota not order preserving: {fmt(system.embed(x))} vs "
@@ -369,8 +339,8 @@ def check_goodness(system: System, budget: int, name: str = "goodness") -> Check
                     ),
                 )
     except SystemDefectError as err:
-        col.fail(f"system defect: {err}")
-    return col.report()
+        report.fail(f"system defect: {err}")
+    return report
 
 
 def check_commuting_square(
@@ -378,25 +348,20 @@ def check_commuting_square(
 ) -> CheckReport:
     """Embedding after collapsing equals collapsing the relabelled element,
     as syntactic identity of interned terms."""
-    col = _Collector(
-        name,
-        "next-stage embedding of a collapse equals the collapse of the "
-        "relabelled element (syntactic equality)",
-    )
     coded = _coded_sample(system, budget)
-    col.exhaustive = coded.exhaustive
+    report = CheckReport(name, coded.exhaustive)
     nxt = system.iterate()
     for sigma in coded:
         left = nxt.embed(system.collapse(sigma))
         right = nxt.collapse(map_coded(system.embed, sigma))
-        col.check(
+        report.check(
             left is right,
             lambda left=left, right=right: (
                 f"square does not commute: {format_term(system.dilator, left)} vs "
                 f"{format_term(system.dilator, right)}"
             ),
         )
-    return col.report()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -407,62 +372,34 @@ def check_fixed_point(
     tower: Tower,
     budget: int,
     stage_bound: int = LIMIT_STAGES,
-    sample_cap: int = 30,
+    sample_cap: int = SAMPLE_CAP,
     carrier_cap: int = BASE_SAMPLE_CAP,
     name: str = "fixed-point",
 ) -> CheckReport:
     """The glued collapse satisfies both collapse conditions over the limit
     order, is independent of the stage it is computed at, and every sampled
     element of T over the limit comes from a finite stage."""
-    col = _Collector(
-        name,
-        "glued collapse: both collapse conditions over the limit, stage "
-        "independence, finite-stage absorption",
-    )
     carried = least(tower.enumerate(stage_bound, budget), carrier_cap, tower.compare)
     coded = _least_coded(tower.dilator, carried, budget, sample_cap, tower.compare)
-    col.exhaustive = coded.exhaustive
-    dil = tower.dilator
+    report = CheckReport(name, coded.exhaustive)
     values = []
     for sigma in coded:
         value = tower.collapse(sigma)
         values.append(value)
         first = tower.least_stage(sigma)
-        col.check(
+        report.check(
             tower.collapse_at(sigma, first) is value
             and tower.collapse_at(sigma, first + 1) is value,
             lambda sigma=sigma: f"collapse depends on the stage for {sigma!r}",
         )
         # finite-stage absorption round trip
-        col.check(
+        report.check(
             map_coded(tower.flatten, tower.pull_back(sigma, first)) == sigma,
             lambda sigma=sigma: f"stage absorption broken for {sigma!r}",
         )
-        # condition (ii)
-        for e in sigma.support:
-            col.check(
-                tower.compare(e, value) == LT,
-                lambda e=e, value=value: (
-                    f"support element {format_bh(dil, e)} not below "
-                    f"{format_bh(dil, value)}"
-                ),
-            )
-    for i, sigma in enumerate(coded):
-        for j in range(len(coded)):
-            if i == j:
-                continue
-            # sample is sorted, so sigma < tau iff i < j
-            premise = i < j and all(
-                tower.compare(e, values[j]) == LT for e in sigma.support
-            )
-            col.check(
-                not premise or tower.compare(values[i], values[j]) == LT,
-                lambda i=i, j=j: (
-                    f"condition (i) broken over the limit: "
-                    f"{format_bh(dil, values[i])} vs {format_bh(dil, values[j])}"
-                ),
-            )
-    return col.report()
+    show = partial(format_bh, tower.dilator)
+    _collapse_conditions(report, coded, values, tower.compare, _identity, show)
+    return report
 
 
 def check_limit_order(
@@ -471,17 +408,12 @@ def check_limit_order(
     """The limit order is the stage order of lifts: on every pair of sampled
     limit elements it agrees with the comparison of their representatives at
     the least common stage, and flattening a lift gives the element back."""
-    col = _Collector(
-        name,
-        "limit order equals the stage order of lifts; flatten after lift is "
-        "the identity",
-    )
     elements = tower.enumerate(stage_bound, budget)
-    col.exhaustive = elements.exhaustive
+    report = CheckReport(name, elements.exhaustive)
     dil = tower.dilator
     for e in elements:
         for m in range(birth_stage(e), stage_bound):
-            col.check(
+            report.check(
                 tower.flatten(tower.lift(e, m)) is e,
                 lambda e=e, m=m: f"flatten after lift to X{m + 1} moved {format_bh(dil, e)}",
             )
@@ -489,14 +421,14 @@ def check_limit_order(
         for b in elements[i + 1 :]:
             m = max(birth_stage(a), birth_stage(b))
             staged = tower.stage(m).compare(tower.lift(a, m), tower.lift(b, m))
-            col.check(
+            report.check(
                 tower.compare(a, b) == staged,
                 lambda a=a, b=b, m=m: (
                     f"limit order differs from the stage-{m} order on "
                     f"{format_bh(dil, a)}, {format_bh(dil, b)}"
                 ),
             )
-    return col.report()
+    return report
 
 
 def check_witness(
@@ -508,35 +440,16 @@ def check_witness(
 ) -> CheckReport:
     """Both collapse conditions for an external witness, on a sample of
     coded elements over the witness order."""
-    col = _Collector(
-        name, f"collapse conditions for witness {witness.name} on sampled elements"
-    )
     carried = least(witness.enumerate(budget), carrier_cap, witness.compare)
     items = _least_coded(dilator, carried, budget, budget, witness.compare)
-    col.exhaustive = items.exhaustive
+    report = CheckReport(name, items.exhaustive)
     try:
         values = [witness.collapse(sigma) for sigma in items]
     except WitnessLawError as err:
-        col.fail(f"collapse undefined on a sampled element: {err}")
-        return col.report()
-    for sigma, value in zip(items, values):
-        for y in sigma.support:
-            col.check(
-                witness.compare(y, value) < 0,
-                lambda sigma=sigma: f"support not below the collapse at {sigma!r}",
-            )
-    for i in range(len(items)):
-        for j in range(len(items)):
-            if i == j:
-                continue
-            premise = i < j and all(
-                witness.compare(y, values[j]) < 0 for y in items[i].support
-            )
-            col.check(
-                not premise or witness.compare(values[i], values[j]) < 0,
-                lambda i=i, j=j: f"condition (i) broken by the witness on pair ({i}, {j})",
-            )
-    return col.report()
+        report.fail(f"collapse undefined on a sampled element: {err}")
+        return report
+    _collapse_conditions(report, items, values, witness.compare, _identity, repr)
+    return report
 
 
 def check_minimality(
@@ -548,28 +461,24 @@ def check_minimality(
 ) -> CheckReport:
     """Interpretations extend stage by stage (defining equation, embedding
     property) and glue to an order embedding of the limit into the witness."""
-    col = _Collector(
-        name,
-        "interpretation extension equation, order embedding of every stage, "
-        "gluing consistency over the limit",
-    )
+    report = CheckReport(name)
     dil = tower.dilator
     try:
         ip = empty_interpretation(witness, tower)
         for n in range(stages):
             nxt = extend_interpretation(witness, ip)
             xs = tower.stage(n).carrier.enumerate(budget)
-            col.exhaustive &= xs.exhaustive
+            report.exhaustive &= xs.exhaustive
             for x in xs:
-                col.check(
+                report.check(
                     witness.compare(nxt.func(tower.stage(n).embed(x)), ip.func(x)) == 0,
                     lambda x=x: f"extension equation broken at {x!r}",
                 )
             xs1 = tower.stage(n + 1).carrier.enumerate(budget)
-            col.exhaustive &= xs1.exhaustive
+            report.exhaustive &= xs1.exhaustive
             for i, s in enumerate(xs1):
                 for t in xs1[i + 1 :]:
-                    col.check(
+                    report.check(
                         witness.compare(nxt.func(s), nxt.func(t)) < 0,
                         lambda s=s, t=t: (
                             f"stage map not an embedding on {format_term(dil, s)}, "
@@ -578,11 +487,11 @@ def check_minimality(
                     )
             ip = nxt
         elements = tower.enumerate(stages, budget)
-        col.exhaustive &= elements.exhaustive
+        report.exhaustive &= elements.exhaustive
         images = [embed_bh(witness, tower, e) for e in elements]
         for i in range(len(elements)):
             for j in range(i + 1, len(elements)):
-                col.check(
+                report.check(
                     witness.compare(images[i], images[j]) < 0,
                     lambda i=i, j=j: (
                         f"limit embedding not order preserving on "
@@ -592,13 +501,13 @@ def check_minimality(
         for e, image in zip(elements, images):
             born = birth_stage(e)
             later = interpretation_at(witness, tower, born + 2)
-            col.check(
+            report.check(
                 witness.compare(later.func(tower.lift(e, born + 1)), image) == 0,
                 lambda e=e: f"gluing inconsistent across stages at {format_bh(dil, e)}",
             )
     except WitnessLawError as err:
-        col.fail(f"witness law violation: {err}")
-    return col.report()
+        report.fail(f"witness law violation: {err}")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -651,44 +560,36 @@ def default_witness(dilator: Dilator, tower: Tower) -> Witness:
 def run_suite(
     dilator: Dilator,
     suite: str = "all",
-    budgets: Budgets | None = None,
+    budget: int = 50,
     witness: Witness | None = None,
     tower: Tower | None = None,
 ) -> list[CheckReport]:
-    """Run one of the named suites; reports come back sorted by check name."""
+    """Run one of the named suites; reports come back sorted by check name.
+
+    ``budget`` is the token budget per arity; the term budget per stage and
+    the coded samples are capped at ``TERMS_CAP`` and ``SAMPLE_CAP``.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    budgets = budgets or Budgets()
+    terms, sample_cap = min(budget, TERMS_CAP), min(budget, SAMPLE_CAP)
     tower = tower or Tower(dilator)
     reports: list[CheckReport] = []
     if suite in ("all", "laws"):
-        reports.append(check_dilator_laws(dilator, budget=budgets.tokens))
+        reports.append(check_dilator_laws(dilator, budget=budget))
     if suite in ("all", "theta"):
         for n in range(STAGES):
-            sysn = tower.stage(n)
-            reports.append(
-                check_theta_linear(sysn, budgets.terms, name=f"theta-linear:X{n + 1}")
-            )
-            reports.append(
-                check_collapse_admissible(
-                    sysn, budgets.terms, name=f"collapse-admissible:X{n + 1}"
-                )
-            )
-            reports.append(
-                check_commuting_square(
-                    sysn, budgets.terms, name=f"commuting-square:X{n + 1}"
-                )
-            )
+            sysn, x = tower.stage(n), f"X{n + 1}"
+            reports.append(check_theta_linear(sysn, terms, name=f"theta-linear:{x}"))
+            reports.append(check_collapse_admissible(sysn, terms, name=f"collapse-admissible:{x}"))
+            reports.append(check_commuting_square(sysn, terms, name=f"commuting-square:{x}"))
         for n in range(1, STAGES + 1):
-            reports.append(
-                check_goodness(tower.stage(n), budgets.terms, name=f"goodness:X{n}")
-            )
+            reports.append(check_goodness(tower.stage(n), terms, name=f"goodness:X{n}"))
     if suite in ("all", "fixedpoint"):
-        reports.append(check_fixed_point(tower, budgets.terms, sample_cap=budgets.sample_cap))
-        reports.append(check_limit_order(tower, budgets.terms))
+        reports.append(check_fixed_point(tower, terms, sample_cap=sample_cap))
+        reports.append(check_limit_order(tower, terms))
     if suite in ("all", "minimality"):
         w = witness or default_witness(dilator, tower)
-        reports.append(check_witness(w, dilator, budgets.sample_cap))
-        reports.append(check_minimality(tower, w, budgets.terms))
+        reports.append(check_witness(w, dilator, sample_cap))
+        reports.append(check_minimality(tower, w, terms))
     reports.sort(key=lambda r: r.name)
     return reports

@@ -90,15 +90,17 @@ def test_compare_type_error_exit_3(capsys):
 
 
 def test_bad_selector_exit_2(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "--dilator", "frob", "--stages", "1")
-    assert code == 2 and "selector" in err
+    for selector in ["frob", "sum(successor,omega,identity)"]:
+        code, _, err = run_cli(capsys, "enumerate", "--dilator", selector, "--stages", "1")
+        assert code == 2 and "selector" in err
 
 
 def test_selector_grammar():
     assert parse_selector("constant:4").name == "constant:4"
     nested = parse_selector("sum(product(successor,constant:2),omega)")
     assert nested.name == "sum(product(successor,constant:2),omega)"
-    for bad in ["", "constant:x", "sum(successor)", "mix(a,b)", "constant"]:
+    for bad in ["", "constant:x", "sum(successor)", "mix(a,b)", "constant",
+                "sum(successor,omega,identity)", "sum(successor),omega)"]:
         with pytest.raises(SelectorError):
             parse_selector(bad)
 
@@ -162,9 +164,12 @@ def test_budget_env_default(capsys, monkeypatch):
     assert code == 2 and "BH_BUDGET_DEFAULT" in err
 
 
-@pytest.mark.parametrize("digits", ["²", "٣", "+3"])
+@pytest.mark.parametrize(
+    "digits", ["²", "٣", "+3", pytest.param("1" * 5000, id="5000-digits")]
+)
 def test_non_ascii_digits_are_usage_errors(capsys, monkeypatch, digits):
-    # str.isdigit accepts "²" and int() accepts "٣"; neither is a count here
+    # str.isdigit accepts "²" and int() accepts "٣"; neither is a count here,
+    # and int() refuses a numeral of more than 4300 digits
     code, out, err = run_cli(
         capsys, "enumerate", "--dilator", f"constant:{digits}", "--stages", "1"
     )
@@ -177,6 +182,15 @@ def test_non_ascii_digits_are_usage_errors(capsys, monkeypatch, digits):
         capsys, "verify", "--dilator", "successor", "--budget", digits
     )
     assert (code, out) == (2, "") and "--budget" in err
+    # the stage of a term and the index inside a token
+    for dilator, term in [
+        ("successor", f"@{digits}:th(top)"),
+        ("successor", f"@1:th(v{digits};th(top))"),
+        ("constant:3", f"@0:th(c{digits})"),
+        ("omega", f"@1:th(w[{digits}];th(w[]))"),
+    ]:
+        code, out, err = run_cli(capsys, "compare", "--dilator", dilator, term, term)
+        assert (code, out) == (2, "") and err.startswith("error:"), term[:30]
 
 
 @pytest.mark.parametrize(
@@ -221,6 +235,19 @@ def test_scripts_reject_negative_counts(script, argv):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "invalid natural value" in proc.stderr
+
+
+def test_run_checks_script_matches_verify_golden():
+    # the script and `verify --budget 40` derive the same caps from one budget
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_checks.py"), "--budget", "40", "omega"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    checks = [line for line in proc.stdout.splitlines() if line.startswith("CHECK ")]
+    golden = (ROOT / "tests" / "golden" / "verify_omega_all_40.txt").read_text()
+    assert checks == golden.splitlines()
 
 
 def test_enumeration_is_consistent_with_compare(capsys):

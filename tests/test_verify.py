@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from bhfix.dilator import CodedElement
 from bhfix.limits import Tower
 from bhfix.standard_dilators import (
     ConstantDilator,
@@ -13,9 +14,10 @@ from bhfix.standard_dilators import (
 )
 from bhfix.systems import System
 from bhfix.verify import (
-    Budgets,
+    check_collapse_admissible,
     check_commuting_square,
     check_dilator_laws,
+    check_fixed_point,
     check_goodness,
     check_limit_order,
     check_theta_linear,
@@ -33,16 +35,14 @@ def test_report_line_format():
 
 
 def test_successor_suites_all_pass():
-    reports = run_suite(SuccessorDilator(), "all", Budgets(terms=20, sample_cap=20))
+    reports = run_suite(SuccessorDilator(), "all", 20)
     assert reports == sorted(reports, key=lambda r: r.name)
     for report in reports:
         assert report.passed, report.format()
 
 
 def test_omega_suites_all_pass():
-    reports = run_suite(
-        OmegaPowerDilator(), "all", Budgets(tokens=20, terms=15, sample_cap=15)
-    )
+    reports = run_suite(OmegaPowerDilator(), "all", 20)
     for report in reports:
         assert report.passed, report.format()
 
@@ -108,7 +108,8 @@ def test_failure_overflow_is_capped():
     broken = erase_supports(OmegaPowerDilator())
     report = check_dilator_laws(broken, 3, 30)
     assert not report.passed
-    assert len(report.failures) <= 13  # recorded failures plus the summary line
+    assert len(report.failures) == 12 and report.overflow > 0
+    assert report.format().endswith(f"\n  ... and {report.overflow} more failures")
 
 
 class _FlippedTower(Tower):
@@ -128,3 +129,41 @@ def test_limit_order_catches_a_perturbed_comparison():
     report = check_limit_order(tower, 10, stage_bound=3)
     assert not report.passed
     assert any("stage-1 order" in line for line in report.failures), report.format()
+
+
+class _FlippedSystem(System):
+    """A stage system with the verdict on one pair of terms reversed."""
+
+    flipped = frozenset()
+
+    def compare(self, s, t):
+        verdict = super().compare(s, t)
+        return -verdict if {s, t} == self.flipped else verdict
+
+
+def test_collapse_admissible_catches_a_perturbed_stage_order():
+    # a copy of the successor stage X1 whose order puts th(v0;th(top))
+    # below its own support element th(top)
+    succ = SuccessorDilator()
+    sys1 = Tower(succ).stage(1)
+    bad = _FlippedSystem(succ, sys1.carrier, length_of=lambda t: t.length, label="bad")
+    bad._embed_of = lambda x: bad.collapse(x.body)
+    (top,) = sys1.carrier.enumerate(1)
+    bad.flipped = frozenset({bad.embed(top), bad.collapse(CodedElement((top,), 0))})
+    report = check_collapse_admissible(bad, 10)
+    assert not report.passed
+    assert "condition (ii) broken: th(top) not below th(v0;th(top))" in report.failures, (
+        report.format()
+    )
+
+
+def test_fixed_point_catches_a_perturbed_limit_order():
+    tower = _FlippedTower(SuccessorDilator())
+    listed = tower.enumerate(3, 10)
+    tower.flipped = frozenset(listed[:2])
+    report = check_fixed_point(tower, 10)
+    assert not report.passed
+    assert any(
+        line.startswith("condition (ii) broken: @0:th(top) not below @1:th(")
+        for line in report.failures
+    ), report.format()

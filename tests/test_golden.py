@@ -55,6 +55,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
             "verify_sum_successor_omega_all_40_broken.txt",
             1,
         ),
+        (
+            ["enumerate", "--dilator", "constant:2", "--stages", "10000", "--budget", "3"],
+            "enumerate_constant2_10000_3.txt",
+            0,
+        ),
+        (
+            ["enumerate", "--dilator", "omega", "--stages", "5000", "--budget", "3"],
+            "enumerate_omega_5000_3.txt",
+            0,
+        ),
     ],
     ids=[
         "verify-successor-all-20",
@@ -64,6 +74,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         "enumerate-omega-4-60",
         "verify-omega-all-40-broken",
         "verify-sum-successor-omega-all-40-broken",
+        "enumerate-constant2-10000-3",
+        "enumerate-omega-5000-3",
     ],
 )
 def test_cli_output_matches_golden(capsys, argv, recorded, exit_code):

@@ -93,7 +93,7 @@ class SelfWitness(Witness):
         return self.tower.collapse(coded)
 
     def enumerate(self, budget):
-        listed = self.tower.enumerate(min(budget, LIMIT_STAGES), budget)
+        listed = self.tower.enumerate(LIMIT_STAGES, budget)
         return least(listed, budget, self.compare)
 
 

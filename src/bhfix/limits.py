@@ -10,9 +10,10 @@ one :meth:`System.compare`.
 
 A term is new at stage n+1 exactly when one of its supports is new at
 stage n, so by induction a limit element of length L is born at stage
-L - 1 and first lives in X_L.  The stage tower stays as the paper's
-construction and as the oracle the checks compare against; ``flatten`` and
-``lift`` translate between the two.
+L - 1 and first lives in X_L.  Listings are generated over the limit
+(:meth:`Tower.listing`) and lifted to the stages, which stay as the
+paper's construction and as the oracle the checks compare against;
+``flatten`` and ``lift`` translate between the two.
 
 The glued collapse is the limit system's collapse; computing it at any
 stage containing the support and flattening gives the same element.
@@ -24,9 +25,17 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 
-from .dilator import CodedElement, Dilator, Enumeration, make_coded, map_coded
+from .dilator import (
+    CodedElement,
+    Dilator,
+    Enumeration,
+    coded_elements,
+    least,
+    make_coded,
+    map_coded,
+)
 from .finite_orders import is_strictly_sorted
-from .systems import System, ThetaTerm, empty_system
+from .systems import BASE_SAMPLE_CAP, System, ThetaCarrier, ThetaTerm
 
 
 def birth_stage(e: ThetaTerm) -> int:
@@ -39,7 +48,7 @@ class Tower:
 
     def __init__(self, dilator: Dilator):
         self.dilator = dilator
-        self._systems: list[System] = [empty_system(dilator)]
+        self._systems = [System(dilator, ThetaCarrier(self), label="X0")]
         # The carrier is this tower, whose compare is the limit order itself.
         self.limit = System(
             dilator,
@@ -49,6 +58,7 @@ class Tower:
             label="lim",
         )
         self._flat: dict[ThetaTerm, ThetaTerm] = {}
+        self._listings: dict[tuple[int, int], Enumeration] = {}
 
     def stage(self, n: int) -> System:
         """The system whose carrier is X_n (cached; stage 0 is empty)."""
@@ -105,14 +115,36 @@ class Tower:
 
     # -- enumeration -------------------------------------------------------------
 
+    def listing(self, n: int, budget: int) -> Enumeration:
+        """The least ``budget`` collapses over ``listing(n - 1, min(budget,
+        BASE_SAMPLE_CAP))``, sorted; X_0 is empty.  The one listing generator,
+        cached per (n, budget) and filled bottom-up."""
+        if n == 0 or (n, budget) in self._listings:
+            return self._listings.get((n, budget), Enumeration((), True))
+        cap = min(budget, BASE_SAMPLE_CAP)
+        m = n - 1
+        while m and (m, cap) not in self._listings:
+            m -= 1
+        listing = self._listings[m, cap] if m else Enumeration((), True)
+        cmp = self.limit.compare
+        for k in range(m + 1, n + 1):
+            b = budget if k == n else cap
+            coded = coded_elements(self.dilator, listing, b, cmp)
+            terms = Enumeration(tuple(map(self.limit.collapse, coded)), coded.exhaustive)
+            listing = self._listings[k, b] = least(terms, b, cmp)
+        return listing
+
     def enumerate(self, stage_bound: int, budget: int) -> Enumeration:
-        """All limit elements born below stage_bound that the per-stage
-        budgets discover, sorted by the limit order."""
+        """All limit elements born below stage_bound that the listings reach,
+        sorted; it stops once the capped listings repeat, as all later ones do."""
         out: list[ThetaTerm] = []
         exhaustive = True
-        for n in range(stage_bound):
-            xs = self.stage(n + 1).carrier.enumerate(budget)
+        cap = min(budget, BASE_SAMPLE_CAP)
+        for n in range(1, stage_bound + 1):
+            xs = self.listing(n, budget)
             exhaustive &= xs.exhaustive
-            out.extend(self.flatten(t) for t in xs if t.length == n + 1)
+            out.extend(e for e in xs if e.length == n)
+            if self.listing(n, cap) == self.listing(n - 1, cap):
+                break
         out.sort(key=cmp_to_key(self.compare))
         return Enumeration(tuple(out), exhaustive)

@@ -23,12 +23,12 @@ systems; a violated length law raises :class:`SystemDefectError` instead
 of looping.
 
 Terms are interned per system (one object per body), so term equality is
-object identity, and comparison verdicts are memoized.  A carrier of an
-iterated system also keeps its listing per budget.  All three caches are
-append-only and idempotent; systems are immutable once built and safe to
-share.  Carriers of iterated systems are lazy: a stage interns only the
-collapses over a base sample of at most ``BASE_SAMPLE_CAP`` elements, and
-selects the least ``budget`` of them without sorting the rest.
+object identity, and comparison verdicts are memoized.  A stage carrier
+also keeps its listing per budget.  All three caches are append-only and
+idempotent; systems are immutable once built and safe to share.  Stage
+carriers generate nothing: the tower lists limit elements
+(:meth:`bhfix.limits.Tower.listing`), and a stage listing is that listing
+lifted to the stage.
 """
 
 from __future__ import annotations
@@ -36,20 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .dilator import (
-    CodedElement,
-    Dilator,
-    Enumeration,
-    coded_elements,
-    compare_coded,
-    least,
-    map_coded,
-)
+from .dilator import CodedElement, Dilator, Enumeration, compare_coded, map_coded
 from .errors import SystemDefectError
 from .finite_orders import EQ, GT, LT
 
-# Carrier samples feeding a stage enumeration are capped so that the subset
-# lattice over the sample stays at desk scale even for generous budgets.
+# Base samples feeding a listing are capped so that the subset lattice over
+# the sample stays at desk scale even for generous budgets.
 BASE_SAMPLE_CAP = 12
 
 
@@ -64,35 +56,25 @@ class ThetaTerm:
         return f"ThetaTerm(L={self.length}, token={self.body.token!r}, supp={len(self.body.support)})"
 
 
-class EmptyCarrier:
-    """The empty order; the base of every stage tower."""
-
-    def compare(self, a: Any, b: Any) -> int:
-        raise SystemDefectError("the empty carrier has no elements to compare")
-
-    def enumerate(self, budget: int) -> Enumeration:
-        return Enumeration((), True)
-
-
 class ThetaCarrier:
-    """Carrier of an iterated system: all collapse terms over the base system."""
+    """Carrier X_n of a stage: the collapse terms over X_{n-1}; X_0 is empty."""
 
-    def __init__(self, base: "System"):
+    def __init__(self, tower, base: "System | None" = None):
+        self.tower = tower
         self.base = base
+        self.n = 0 if base is None else base.carrier.n + 1
         self._listings: dict[int, Enumeration] = {}
 
     def compare(self, s: ThetaTerm, t: ThetaTerm) -> int:
         return self.base.compare(s, t)
 
     def enumerate(self, budget: int) -> Enumeration:
-        """The least ``budget`` collapses of coded elements over a base sample."""
+        """The tower's listing of X_n at this budget, as terms of X_n."""
         listing = self._listings.get(budget)
         if listing is None:
-            base = self.base
-            sample = base.carrier.enumerate(min(budget, BASE_SAMPLE_CAP))
-            coded = coded_elements(base.dilator, sample, budget, base.carrier.compare)
-            terms = Enumeration(tuple(map(base.collapse, coded)), coded.exhaustive)
-            listing = self._listings[budget] = least(terms, budget, base.compare)
+            listed = self.tower.listing(self.n, budget)
+            lifted = tuple(self.tower.lift(e, self.n - 1) for e in listed)
+            listing = self._listings[budget] = Enumeration(lifted, listed.exhaustive)
         return listing
 
 
@@ -130,16 +112,10 @@ class System:
 
     def embed(self, x) -> ThetaTerm:
         """iota_X: translate a carrier element into the term order over X."""
-        if self._embed_of is None:
-            raise SystemDefectError(f"{self.label}: no embedding is defined")
         return self._embed_of(x)
 
     def theta_length(self, coded: CodedElement) -> int:
         """Term length: one plus the maximal carrier length over the support."""
-        if self.length_of is None:
-            if coded.support:
-                raise SystemDefectError(f"{self.label}: no length function is defined")
-            return 1
         return 1 + max((self.length_of(x) for x in coded.support), default=0)
 
     def collapse(self, coded: CodedElement) -> ThetaTerm:
@@ -211,7 +187,7 @@ class System:
         if self._next is None:
             nxt = System(
                 self.dilator,
-                ThetaCarrier(self),
+                ThetaCarrier(self.carrier.tower, self),
                 length_of=lambda term: term.length,
                 label=f"theta({self.label})",
             )
@@ -222,8 +198,3 @@ class System:
             nxt._embed_of = embed_next
             self._next = nxt
         return self._next
-
-
-def empty_system(dilator: Dilator, label: str = "X0") -> System:
-    """The empty order as a (vacuously good) system for any prae-dilator."""
-    return System(dilator, EmptyCarrier(), length_of=None, embed_of=None, label=label)

@@ -223,15 +223,11 @@ def _clause_less(system: System, s: ThetaTerm, t: ThetaTerm) -> bool:
     return False
 
 
-def _term_sample(system: System, budget: int):
-    return system.iterate().carrier.enumerate(budget)
-
-
 def check_theta_linear(system: System, budget: int, name: str = "theta-linear") -> CheckReport:
     """The term order over the system's carrier is linear: trichotomy and
     antisymmetry on all pairs (clause-level cross check included) and
     transitivity on all triples of the sample."""
-    terms = _term_sample(system, budget)
+    terms = system.iterate().carrier.enumerate(budget)
     report = CheckReport(name, terms.exhaustive)
     items = terms.items
     size = len(items)

@@ -291,10 +291,11 @@ def test_deeply_nested_input_fails_cleanly(capsys):
 
 
 def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "bhfix", "enumerate", "--dilator", "successor",
          "--stages", "1", "--format", "lines"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "@0:th(top)"

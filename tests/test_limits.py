@@ -1,5 +1,7 @@
 """The stage tower, the limit system, and the glued collapse."""
 
+from functools import cmp_to_key
+
 import pytest
 
 from bhfix.cli import parse_selector
@@ -228,3 +230,30 @@ def test_cocone_law(succ_tower, omega_tower):
         for n in (1, 2, 3):
             for s in tower.stage(n).carrier.enumerate(10):
                 assert tower.flatten(tower.stage(n).embed(s)) is tower.flatten(s)
+
+
+@pytest.mark.parametrize("selector", BATTERY)
+def test_enumerate_builds_no_stage_system(selector):
+    tower = Tower(parse_selector(selector))
+    tower.enumerate(200, 12)
+    assert len(tower._systems) == 1
+
+
+@pytest.mark.parametrize("selector", BATTERY)
+def test_enumerate_stops_where_every_later_listing_repeats(selector):
+    # the early stop agrees with walking every stage up to the bound
+    tower = Tower(parse_selector(selector))
+    for budget in (0, 3, 12, 13):
+        out, exhaustive = [], True
+        for n in range(1, 9):
+            listed = tower.listing(n, budget)
+            exhaustive &= listed.exhaustive
+            out.extend(e for e in listed if e.length == n)
+        out.sort(key=cmp_to_key(tower.compare))
+        listed = tower.enumerate(8, budget)
+        assert (listed.items, listed.exhaustive) == (tuple(out), exhaustive), budget
+
+
+def test_deep_listing_is_built_without_recursion(omega_tower):
+    listed = omega_tower.listing(5000, 3)
+    assert listed == omega_tower.listing(4, 3)

@@ -180,16 +180,20 @@ def test_compare_is_memoized_deterministically(omega_tower):
     assert first == again
 
 
-def _sorted_then_cut(system, budget):
-    """Reference stage listing: collapse every coded element over the base
-    sample, sort all of the terms, and cut the sorted list to the budget."""
-    sample = system.carrier.enumerate(min(budget, BASE_SAMPLE_CAP))
-    exhaustive = sample.exhaustive
+def _sorted_then_cut(tower, n, budget):
+    """Reference listing of X_n, built without any carrier listing: take
+    this same reference one stage down as the base sample, collapse every
+    coded element over it in the stage system, sort all of the terms by the
+    stage order, and cut the sorted list to the budget."""
+    if n == 0:
+        return (), True
+    system = tower.stage(n - 1)
+    sample, exhaustive = _sorted_then_cut(tower, n - 1, min(budget, BASE_SAMPLE_CAP))
     terms = []
     for k in range(len(sample) + 1):
         tokens = full_support_tokens(system.dilator, k, budget)
         exhaustive &= tokens.exhaustive
-        for subset in combinations(sample.items, k):
+        for subset in combinations(sample, k):
             terms.extend(system.collapse(CodedElement(subset, tok)) for tok in tokens)
     terms.sort(key=cmp_to_key(system.compare))
     return tuple(terms[:budget]), exhaustive and len(terms) <= budget
@@ -198,11 +202,11 @@ def _sorted_then_cut(system, budget):
 @pytest.mark.parametrize("selector", SELECTORS)
 def test_stage_listing_is_the_sorted_cut(selector):
     tower = Tower(parse_selector(selector))
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         carrier = tower.stage(n).carrier
-        for budget in (0, 1, 5, 12, 40):
+        for budget in (0, 1, 5, 12, 13, 40, 60):
             listed = carrier.enumerate(budget)
             assert (listed.items, listed.exhaustive) == _sorted_then_cut(
-                tower.stage(n - 1), budget
+                tower, n, budget
             ), (selector, n, budget)
             assert carrier.enumerate(budget) is listed

@@ -117,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--break-naturality",
         action="store_true",
-        help="test hook: erase all supports before checking (must fail)",
+        help="test hook: erase all supports before checking; this fails unless "
+        "the supports are already empty, as for constant dilators",
     )
 
     p_int = sub.add_parser("interpret", help="evaluate an element in a witness")

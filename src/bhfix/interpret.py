@@ -6,8 +6,8 @@ conditions; validity is only ever *sampled* (see
 :func:`bhfix.verify.check_witness`), never proven, since the conditions
 quantify over all of T_Y.
 
-An interpretation of a system X into a witness is an order map h : X -> Y.
-It extends along stage iteration by
+An interpretation of a stage X into a witness is an order map h : X -> Y,
+represented as a plain function.  It extends along stage iteration by
 
     h'(th(sigma)) = collapse_Y(h[sigma])
 
@@ -19,7 +19,6 @@ h(th(sigma)) = collapse_Y(h[sigma]) (see :func:`embed_bh`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from .dilator import CodedElement, Enumeration, least, map_coded
@@ -27,7 +26,7 @@ from .errors import WitnessLawError
 from .finite_orders import sgn
 from .limits import Tower
 from .standard_dilators import TOP
-from .systems import System, ThetaTerm
+from .systems import ThetaTerm
 
 # Stage bound of the limit samples: the self witness's order sample and the
 # limit checks of :mod:`bhfix.verify`.
@@ -97,39 +96,22 @@ class SelfWitness(Witness):
         return least(listed, budget, self.compare)
 
 
-@dataclass(frozen=True)
-class Interpretation:
-    """An order map from a system's carrier into a witness order."""
-
-    system: System
-    func: Callable[[Any], Any]
+def extend_interpretation(witness: Witness, h: Callable) -> Callable:
+    """The extension of an interpretation h of X_n to X_{n+1}:
+    th(sigma) |-> collapse_Y(h[sigma])."""
+    return lambda term: witness.collapse(map_coded(h, term.body))
 
 
-def empty_interpretation(witness: Witness, tower: Tower) -> Interpretation:
-    def no_element(x):
+def interpretation_at(witness: Witness, n: int) -> Callable:
+    """The glued interpretation of X_n, built by iterated extension from the
+    empty map on X_0."""
+
+    def h(x):
         raise WitnessLawError("the empty system has no elements to interpret")
 
-    return Interpretation(tower.stage(0), no_element)
-
-
-def interpret_term(witness: Witness, ip: Interpretation, term: ThetaTerm) -> Any:
-    """Value of the extended map on a term over ip's carrier."""
-    return witness.collapse(map_coded(ip.func, term.body))
-
-
-def extend_interpretation(witness: Witness, ip: Interpretation) -> Interpretation:
-    """The extension of an interpretation one stage up the tower."""
-    return Interpretation(
-        ip.system.iterate(), lambda term: interpret_term(witness, ip, term)
-    )
-
-
-def interpretation_at(witness: Witness, tower: Tower, n: int) -> Interpretation:
-    """The glued interpretation of X_n, built by iterated extension."""
-    ip = empty_interpretation(witness, tower)
     for _ in range(n):
-        ip = extend_interpretation(witness, ip)
-    return ip
+        h = extend_interpretation(witness, h)
+    return h
 
 
 def embed_bh(witness: Witness, tower: Tower, e: ThetaTerm) -> Any:

@@ -1,12 +1,13 @@
 """The stage tower, its direct limit, and the glued collapse.
 
-Stages iterate from the empty order: X_0 is empty and X_{n+1} is the order
-of collapse terms over X_n.  The direct limit of the stages is itself a
-system over its own carrier: its elements are collapse terms whose supports
-are limit elements, iota is the identity, and the order is the same
-two-clause recursion as at every stage.  Limit elements are the interned
-terms of that one system, so equality is identity and every comparison is
-one :meth:`System.compare`.
+Stages iterate from the empty order: X_0 is empty and the system over X_n
+is ``System(tower, stage(n - 1))``, whose carrier is the order of collapse
+terms over X_{n-1}.  The direct limit of the stages is itself a system over
+its own carrier (:class:`LimitSystem`): its elements are collapse terms
+whose supports are limit elements, iota is the identity, and the order is
+the same two-clause recursion as at every stage.  Limit elements are the
+interned terms of that one system, so equality is identity and every
+comparison is one :meth:`System.compare`.
 
 A term is new at stage n+1 exactly when one of its supports is new at
 stage n, so by induction a limit element of length L is born at stage
@@ -35,7 +36,7 @@ from .dilator import (
     map_coded,
 )
 from .finite_orders import is_strictly_sorted
-from .systems import BASE_SAMPLE_CAP, System, ThetaCarrier, ThetaTerm
+from .systems import BASE_SAMPLE_CAP, System, ThetaTerm
 
 
 def birth_stage(e: ThetaTerm) -> int:
@@ -43,27 +44,34 @@ def birth_stage(e: ThetaTerm) -> int:
     return e.length - 1
 
 
+class LimitSystem(System):
+    """The direct limit as a system over its own elements: the carrier order
+    is the limit order itself and iota is the identity."""
+
+    def __repr__(self) -> str:
+        return "lim"
+
+    def carrier_compare(self, x: ThetaTerm, y: ThetaTerm) -> int:
+        return self.compare(x, y)
+
+    def embed(self, x: ThetaTerm) -> ThetaTerm:
+        return x
+
+
 class Tower:
     """The stage sequence of a prae-dilator together with its limit system."""
 
     def __init__(self, dilator: Dilator):
         self.dilator = dilator
-        self._systems = [System(dilator, ThetaCarrier(self), label="X0")]
-        # The carrier is this tower, whose compare is the limit order itself.
-        self.limit = System(
-            dilator,
-            self,
-            length_of=lambda term: term.length,
-            embed_of=lambda term: term,
-            label="lim",
-        )
+        self._systems = [System(self)]
+        self.limit = LimitSystem(self)
         self._flat: dict[ThetaTerm, ThetaTerm] = {}
         self._listings: dict[tuple[int, int], Enumeration] = {}
 
     def stage(self, n: int) -> System:
         """The system whose carrier is X_n (cached; stage 0 is empty)."""
         while len(self._systems) <= n:
-            self._systems.append(self._systems[-1].iterate())
+            self._systems.append(System(self, self._systems[-1]))
         return self._systems[n]
 
     # -- bridges between the stages and the limit ------------------------------
@@ -80,9 +88,7 @@ class Tower:
         """The representative of e in X_{m+1}, for any m >= its birth stage."""
         if m < birth_stage(e):
             raise ValueError(f"cannot lift a stage-{birth_stage(e)} element down to {m}")
-        return self.stage(m).collapse(
-            CodedElement(tuple(self.lift(u, m - 1) for u in e.body.support), e.body.token)
-        )
+        return self.stage(m).collapse(self.pull_back(e.body, m))
 
     # -- the limit order and the glued collapse --------------------------------
 

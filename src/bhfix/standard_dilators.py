@@ -200,7 +200,7 @@ class OmegaPowerDilator(Dilator):
             return ()
         entries = tuple(_parse_nat(p, "an entry of w[...]") for p in inner.split(","))
         if any(x >= n for x in entries):
-            raise TermTypeError(f"{text} has entries outside 0..{n - 1}")
+            raise TermTypeError(f"{text} has an entry not below {n}")
         if any(a < b for a, b in zip(entries, entries[1:])):
             raise TermTypeError(f"{text} is not weakly descending")
         return entries

@@ -22,19 +22,22 @@ length is strictly smaller, so the recursion terminates on well-formed
 systems; a violated length law raises :class:`SystemDefectError` instead
 of looping.
 
+A stage system is fixed by the stage below it, its *base*: its carrier
+X_{n+1} is the base's term order, L is the term length, and iota relabels
+supports through the base's iota.  X_0 has no base and is empty.
+
 Terms are interned per system (one object per body), so term equality is
-object identity, and comparison verdicts are memoized.  A stage carrier
-also keeps its listing per budget.  All three caches are append-only and
-idempotent; systems are immutable once built and safe to share.  Stage
-carriers generate nothing: the tower lists limit elements
-(:meth:`bhfix.limits.Tower.listing`), and a stage listing is that listing
+object identity, and comparison verdicts are memoized.  A stage also keeps
+its carrier listing per budget.  All three caches are append-only and
+idempotent; systems are immutable once built and safe to share.  Stages
+generate nothing: the tower lists limit elements
+(:meth:`bhfix.limits.Tower.listing`), and a carrier listing is that listing
 lifted to the stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
 
 from .dilator import CodedElement, Dilator, Enumeration, compare_coded, map_coded
 from .errors import SystemDefectError
@@ -56,19 +59,31 @@ class ThetaTerm:
         return f"ThetaTerm(L={self.length}, token={self.body.token!r}, supp={len(self.body.support)})"
 
 
-class ThetaCarrier:
-    """Carrier X_n of a stage: the collapse terms over X_{n-1}; X_0 is empty."""
+class System:
+    """The stage system (X, iota_X, L_X) over ``base``; X_0 has no base.
+
+    Goodness and the length equation are checkable properties (see
+    :func:`bhfix.verify.check_goodness`), never assumed at construction.
+    """
 
     def __init__(self, tower, base: "System | None" = None):
         self.tower = tower
         self.base = base
-        self.n = 0 if base is None else base.carrier.n + 1
+        self.n = 0 if base is None else base.n + 1
+        self.dilator: Dilator = tower.dilator
+        self._intern: dict[CodedElement, ThetaTerm] = {}
+        self._memo: dict[tuple[int, int], int] = {}
         self._listings: dict[int, Enumeration] = {}
 
-    def compare(self, s: ThetaTerm, t: ThetaTerm) -> int:
-        return self.base.compare(s, t)
+    def __repr__(self) -> str:
+        return f"X{self.n}"
 
-    def enumerate(self, budget: int) -> Enumeration:
+    # -- the carrier X_n: the terms of the base system ----------------------
+
+    def carrier_compare(self, x: ThetaTerm, y: ThetaTerm) -> int:
+        return self.base.compare(x, y)
+
+    def carrier_listing(self, budget: int) -> Enumeration:
         """The tower's listing of X_n at this budget, as terms of X_n."""
         listing = self._listings.get(budget)
         if listing is None:
@@ -77,42 +92,15 @@ class ThetaCarrier:
             listing = self._listings[budget] = Enumeration(lifted, listed.exhaustive)
         return listing
 
-
-class System:
-    """A Bachmann-Howard system (X, iota_X, L_X) for a fixed prae-dilator.
-
-    ``carrier`` supplies the order on X (compare + budgeted enumerate),
-    ``length_of`` is L_X, and ``embed_of`` is iota_X, producing terms over
-    this same system.  Goodness and the length equation are checkable
-    properties (see :func:`bhfix.verify.check_goodness`), never assumed at
-    construction time.
-    """
-
-    def __init__(
-        self,
-        dilator: Dilator,
-        carrier,
-        length_of: Callable[[Any], int] | None = None,
-        embed_of: Callable[[Any], ThetaTerm] | None = None,
-        label: str = "X",
-    ):
-        self.dilator = dilator
-        self.carrier = carrier
-        self.length_of = length_of
-        self._embed_of = embed_of
-        self.label = label
-        self._intern: dict[CodedElement, ThetaTerm] = {}
-        self._memo: dict[tuple[int, int], int] = {}
-        self._next: System | None = None
-
-    def __repr__(self) -> str:
-        return f"System({self.dilator.name}, {self.label})"
+    def length_of(self, x: ThetaTerm) -> int:
+        """L_X: the term length of a carrier element."""
+        return x.length
 
     # -- the system data ---------------------------------------------------
 
-    def embed(self, x) -> ThetaTerm:
-        """iota_X: translate a carrier element into the term order over X."""
-        return self._embed_of(x)
+    def embed(self, x: ThetaTerm) -> ThetaTerm:
+        """iota_X: relabel the supports of x through the base's iota."""
+        return self.collapse(map_coded(self.base.embed, x.body))
 
     def theta_length(self, coded: CodedElement) -> int:
         """Term length: one plus the maximal carrier length over the support."""
@@ -140,10 +128,10 @@ class System:
         return verdict
 
     def _compare_terms(self, s: ThetaTerm, t: ThetaTerm) -> int:
-        body = compare_coded(self.dilator, self.carrier.compare, s.body, t.body)
+        body = compare_coded(self.dilator, self.carrier_compare, s.body, t.body)
         if body == EQ:
             raise SystemDefectError(
-                f"{self.label}: two distinct interned terms have equal bodies"
+                f"{self!r}: two distinct interned terms have equal bodies"
             )
         if body == LT:
             return LT if self._support_below(s, t) else GT
@@ -157,7 +145,7 @@ class System:
             ix = self.embed(x)
             if ix.length >= s.length:
                 raise SystemDefectError(
-                    f"{self.label}: length law violated: L(iota(x)) = {ix.length} "
+                    f"{self!r}: length law violated: L(iota(x)) = {ix.length} "
                     f">= {s.length} = L(term); comparison recursion would not terminate"
                 )
             if self.compare(ix, t) != LT:
@@ -171,7 +159,7 @@ class System:
             ix = self.embed(x)
             if ix.length >= t.length:
                 raise SystemDefectError(
-                    f"{self.label}: length law violated below {t!r}"
+                    f"{self!r}: length law violated below {t!r}"
                 )
             out |= self.subterm_closure(ix)
         return frozenset(out)
@@ -179,22 +167,6 @@ class System:
     # -- iteration ---------------------------------------------------------
 
     def iterate(self) -> "System":
-        """The next system: carrier = terms over X, iota relabels supports.
-
-        Idempotent: repeated calls return the same object, so term interning
-        is shared by everyone walking the same stage chain.
-        """
-        if self._next is None:
-            nxt = System(
-                self.dilator,
-                ThetaCarrier(self.carrier.tower, self),
-                length_of=lambda term: term.length,
-                label=f"theta({self.label})",
-            )
-
-            def embed_next(term: ThetaTerm) -> ThetaTerm:
-                return nxt.collapse(map_coded(self.embed, term.body))
-
-            nxt._embed_of = embed_next
-            self._next = nxt
-        return self._next
+        """The next stage system, X_{n+1}: the tower's one cached copy, so
+        term interning is shared by everyone walking the same stage chain."""
+        return self.tower.stage(self.n + 1)

@@ -30,7 +30,6 @@ from .interpret import (
     SelfWitness,
     Witness,
     embed_bh,
-    empty_interpretation,
     extend_interpretation,
     interpretation_at,
 )
@@ -211,7 +210,7 @@ def check_dilator_laws(
 def _clause_less(system: System, s: ThetaTerm, t: ThetaTerm) -> bool:
     """Literal transcription of the two comparison clauses (used as a cross
     check against the production comparison, which fuses them)."""
-    body = compare_coded(system.dilator, system.carrier.compare, s.body, t.body)
+    body = compare_coded(system.dilator, system.carrier_compare, s.body, t.body)
     if body == LT and all(
         system.compare(system.embed(x), t) == LT for x in s.body.support
     ):
@@ -227,7 +226,7 @@ def check_theta_linear(system: System, budget: int, name: str = "theta-linear") 
     """The term order over the system's carrier is linear: trichotomy and
     antisymmetry on all pairs (clause-level cross check included) and
     transitivity on all triples of the sample."""
-    terms = system.iterate().carrier.enumerate(budget)
+    terms = system.iterate().carrier_listing(budget)
     report = CheckReport(name, terms.exhaustive)
     items = terms.items
     size = len(items)
@@ -274,8 +273,8 @@ def _least_coded(
 
 
 def _coded_sample(system: System, budget: int) -> Enumeration:
-    base = system.carrier.enumerate(min(budget, BASE_SAMPLE_CAP))
-    return _least_coded(system.dilator, base, budget, budget, system.carrier.compare)
+    base = system.carrier_listing(min(budget, BASE_SAMPLE_CAP))
+    return _least_coded(system.dilator, base, budget, budget, system.carrier_compare)
 
 
 def check_collapse_admissible(
@@ -313,7 +312,7 @@ def check_collapse_admissible(
 def check_goodness(system: System, budget: int, name: str = "goodness") -> CheckReport:
     """The carrier embedding preserves lengths (the system equation) and the
     order (goodness)."""
-    xs = system.carrier.enumerate(budget)
+    xs = system.carrier_listing(budget)
     report = CheckReport(name, xs.exhaustive)
     fmt = lambda t: format_term(system.dilator, t)  # noqa: E731
     try:
@@ -460,22 +459,22 @@ def check_minimality(
     report = CheckReport(name)
     dil = tower.dilator
     try:
-        ip = empty_interpretation(witness, tower)
+        ip = interpretation_at(witness, 0)
         for n in range(stages):
             nxt = extend_interpretation(witness, ip)
-            xs = tower.stage(n).carrier.enumerate(budget)
+            xs = tower.stage(n).carrier_listing(budget)
             report.exhaustive &= xs.exhaustive
             for x in xs:
                 report.check(
-                    witness.compare(nxt.func(tower.stage(n).embed(x)), ip.func(x)) == 0,
+                    witness.compare(nxt(tower.stage(n).embed(x)), ip(x)) == 0,
                     lambda x=x: f"extension equation broken at {x!r}",
                 )
-            xs1 = tower.stage(n + 1).carrier.enumerate(budget)
+            xs1 = tower.stage(n + 1).carrier_listing(budget)
             report.exhaustive &= xs1.exhaustive
             for i, s in enumerate(xs1):
                 for t in xs1[i + 1 :]:
                     report.check(
-                        witness.compare(nxt.func(s), nxt.func(t)) < 0,
+                        witness.compare(nxt(s), nxt(t)) < 0,
                         lambda s=s, t=t: (
                             f"stage map not an embedding on {format_term(dil, s)}, "
                             f"{format_term(dil, t)}"
@@ -496,9 +495,9 @@ def check_minimality(
                 )
         for e, image in zip(elements, images):
             born = birth_stage(e)
-            later = interpretation_at(witness, tower, born + 2)
+            later = interpretation_at(witness, born + 2)
             report.check(
-                witness.compare(later.func(tower.lift(e, born + 1)), image) == 0,
+                witness.compare(later(tower.lift(e, born + 1)), image) == 0,
                 lambda e=e: f"gluing inconsistent across stages at {format_bh(dil, e)}",
             )
     except WitnessLawError as err:

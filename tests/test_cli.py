@@ -87,6 +87,10 @@ def test_compare_type_error_exit_3(capsys):
         "@0:th(v0;th(top))", "@0:th(top)",
     )
     assert code == 3
+    code, _, err = run_cli(
+        capsys, "compare", "--dilator", "omega", "@0:th(w[0])", "@0:th(w[])"
+    )
+    assert code == 3 and "w[0] has an entry not below 0" in err
 
 
 def test_bad_selector_exit_2(capsys):
@@ -117,6 +121,13 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     )
     assert code == 1
     assert "fail" in out
+
+
+@pytest.mark.parametrize("selector, code", [("constant:3", 0), ("identity", 1)])
+def test_break_naturality_fails_unless_supports_are_empty(capsys, selector, code):
+    # constant dilators have empty supports, so erasing them changes nothing
+    argv = ["verify", "--dilator", selector, "--suite", "all", "--budget", "6"]
+    assert run_cli(capsys, *argv, "--break-naturality")[0] == code
 
 
 def test_verify_bad_suite_exit_2(capsys):

@@ -9,9 +9,7 @@ from bhfix.interpret import (
     SelfWitness,
     Witness,
     embed_bh,
-    empty_interpretation,
     extend_interpretation,
-    interpret_term,
     interpretation_at,
 )
 from bhfix.limits import Tower, birth_stage
@@ -31,9 +29,9 @@ def test_omega_witness_base_values(succ_tower):
     w = OmegaSuccessorWitness()
     assert w.collapse(CodedElement((), TOP)) == 0
     assert w.collapse(CodedElement((7,), 0)) == 8
-    h1 = interpretation_at(w, succ_tower, 1)
-    first = succ_tower.stage(1).carrier.enumerate(5)[0]
-    assert h1.func(first) == 0
+    h1 = interpretation_at(w, 1)
+    first = succ_tower.stage(1).carrier_listing(5)[0]
+    assert h1(first) == 0
 
 
 def test_omega_witness_rejects_foreign_elements():
@@ -42,38 +40,37 @@ def test_omega_witness_rejects_foreign_elements():
         w.collapse(CodedElement((1, 2), (1, 0)))
 
 
-def test_empty_interpretation_is_vacuous(succ_tower):
-    ip = empty_interpretation(OmegaSuccessorWitness(), succ_tower)
-    assert ip.system is succ_tower.stage(0)
+def test_empty_interpretation_is_vacuous():
+    ip = interpretation_at(OmegaSuccessorWitness(), 0)
     with pytest.raises(WitnessLawError):
-        ip.func(object())
+        ip(object())
 
 
 def test_iterated_interpretation_enumerates_naturals(succ_tower):
     w = OmegaSuccessorWitness()
     for n in range(1, 6):
-        ip = interpretation_at(w, succ_tower, n)
-        values = [ip.func(t) for t in succ_tower.stage(n).carrier.enumerate(20)]
+        ip = interpretation_at(w, n)
+        values = [ip(t) for t in succ_tower.stage(n).carrier_listing(20)]
         assert values == list(range(n))
 
 
 def test_extension_equation_on_samples(succ_tower):
     w = OmegaSuccessorWitness()
-    ip = empty_interpretation(w, succ_tower)
+    ip = interpretation_at(w, 0)
     for n in range(4):
         nxt = extend_interpretation(w, ip)
-        for x in succ_tower.stage(n).carrier.enumerate(10):
-            assert nxt.func(succ_tower.stage(n).embed(x)) == ip.func(x)
+        for x in succ_tower.stage(n).carrier_listing(10):
+            assert nxt(succ_tower.stage(n).embed(x)) == ip(x)
         ip = nxt
 
 
 def test_interpret_term_maps_support_through_h(succ_tower):
     w = OmegaSuccessorWitness()
-    ip = interpretation_at(w, succ_tower, 1)
+    h = extend_interpretation(w, interpretation_at(w, 1))
     sys1 = succ_tower.stage(1)
-    x = sys1.carrier.enumerate(5)[0]
-    assert interpret_term(w, ip, sys1.collapse(CodedElement((x,), 0))) == 1
-    assert interpret_term(w, ip, sys1.collapse(CodedElement((), TOP))) == 0
+    x = sys1.carrier_listing(5)[0]
+    assert h(sys1.collapse(CodedElement((x,), 0))) == 1
+    assert h(sys1.collapse(CodedElement((), TOP))) == 0
 
 
 def test_embed_bh_counts_the_naturals(succ_tower):
@@ -88,8 +85,8 @@ def test_embed_bh_is_order_preserving_and_stage_consistent(succ_tower):
     images = [embed_bh(w, succ_tower, e) for e in elements]
     assert images == sorted(images)
     for e, img in zip(elements, images):
-        later = interpretation_at(w, succ_tower, birth_stage(e) + 2)
-        assert later.func(succ_tower.lift(e, birth_stage(e) + 1)) == img
+        later = interpretation_at(w, birth_stage(e) + 2)
+        assert later(succ_tower.lift(e, birth_stage(e) + 1)) == img
 
 
 @pytest.mark.parametrize("dilator", [SuccessorDilator(), OmegaPowerDilator()],

@@ -33,16 +33,16 @@ def omega_tower():
 
 
 def test_stage_zero_is_empty(succ_tower):
-    listed = succ_tower.stage(0).carrier.enumerate(10)
+    listed = succ_tower.stage(0).carrier_listing(10)
     assert len(listed) == 0 and listed.exhaustive
 
 
 def test_stage_sizes_successor(succ_tower):
-    assert len(succ_tower.stage(2).carrier.enumerate(10)) == 2
+    assert len(succ_tower.stage(2).carrier_listing(10)) == 2
 
 
 def test_stage_one_omega_is_th_empty(omega_tower):
-    listed = omega_tower.stage(1).carrier.enumerate(10)
+    listed = omega_tower.stage(1).carrier_listing(10)
     assert len(listed) == 1 and listed.exhaustive
     assert listed[0].body == CodedElement((), ())
 
@@ -51,7 +51,7 @@ def test_stage_one_omega_is_th_empty(omega_tower):
 
 
 def test_inject_strips_embedded_terms(succ_tower):
-    t = succ_tower.stage(1).carrier.enumerate(5)[0]   # th(top) in X_1
+    t = succ_tower.stage(1).carrier_listing(5)[0]   # th(top) in X_1
     lifted = succ_tower.stage(1).embed(t)             # its image in X_2
     e = succ_tower.flatten(t)
     assert succ_tower.flatten(lifted) is e
@@ -60,7 +60,7 @@ def test_inject_strips_embedded_terms(succ_tower):
 
 def test_inject_detects_new_terms(succ_tower):
     # exactly one X_3 term is new at stage 2: the one of length 3
-    terms3 = succ_tower.stage(3).carrier.enumerate(10)
+    terms3 = succ_tower.stage(3).carrier_listing(10)
     new = [t for t in terms3 if birth_stage(succ_tower.flatten(t)) == 2]
     assert len(new) == 1 and new[0].length == 3
     assert succ_tower.lift(succ_tower.flatten(new[0]), 2) is new[0]
@@ -69,7 +69,7 @@ def test_inject_detects_new_terms(succ_tower):
 def test_lift_base_and_single_step(succ_tower):
     e0 = succ_tower.enumerate(1, 10)[0]
     t0 = succ_tower.lift(e0, 0)
-    assert t0 in succ_tower.stage(1).carrier.enumerate(5).items
+    assert t0 in succ_tower.stage(1).carrier_listing(5).items
     lifted = succ_tower.lift(e0, 1)
     assert lifted is succ_tower.stage(1).embed(t0)
     assert format_bh(succ_tower.dilator, succ_tower.flatten(lifted)) == "@0:th(top)"
@@ -120,7 +120,7 @@ def _birth_by_preimages(tower, n, t):
 def test_birth_stage_is_length_minus_one(selector):
     tower = Tower(parse_selector(selector))
     for n in range(4):
-        for t in tower.stage(n + 1).carrier.enumerate(25):
+        for t in tower.stage(n + 1).carrier_listing(25):
             e = tower.flatten(t)
             assert _birth_by_preimages(tower, n, t) == birth_stage(e) == e.length - 1
     for e in tower.enumerate(4, 25):
@@ -228,7 +228,7 @@ def test_cocone_law(succ_tower, omega_tower):
     # flattening an embedded term gives the element of the term one stage down
     for tower in (succ_tower, omega_tower):
         for n in (1, 2, 3):
-            for s in tower.stage(n).carrier.enumerate(10):
+            for s in tower.stage(n).carrier_listing(10):
                 assert tower.flatten(tower.stage(n).embed(s)) is tower.flatten(s)
 
 
@@ -257,3 +257,14 @@ def test_enumerate_stops_where_every_later_listing_repeats(selector):
 def test_deep_listing_is_built_without_recursion(omega_tower):
     listed = omega_tower.listing(5000, 3)
     assert listed == omega_tower.listing(4, 3)
+
+
+@pytest.mark.parametrize("selector", BATTERY)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stage_iota_is_the_lift_of_the_flattened_element(selector, n):
+    # iota of X_n relabels through the stage below; through the limit it is
+    # the element's own representative one stage up
+    tower = Tower(parse_selector(selector))
+    stage = tower.stage(n)
+    for x in stage.carrier_listing(40):
+        assert stage.embed(x) is tower.lift(tower.flatten(x), n)

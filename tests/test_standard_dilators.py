@@ -203,5 +203,7 @@ def test_token_parse_errors():
         omega.parse_token(2, "w[0,1]")
     with pytest.raises(TermTypeError):
         omega.parse_token(1, "w[3]")
+    with pytest.raises(TermTypeError, match=r"^w\[0\] has an entry not below 0$"):
+        omega.parse_token(0, "w[0]")
     with pytest.raises(TermSyntaxError):
         SumDilator(succ, omega).parse_token(1, "M(v0)")

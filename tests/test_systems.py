@@ -38,17 +38,17 @@ def test_theta_length_conventions(succ_tower, omega_tower):
     sys0 = succ_tower.stage(0)
     assert sys0.theta_length(CodedElement((), TOP)) == 1
     sys1 = succ_tower.stage(1)
-    x = sys1.carrier.enumerate(5)[0]  # the single stage-1 term, length 1
+    x = sys1.carrier_listing(5)[0]  # the single stage-1 term, length 1
     assert sys1.length_of(x) == 1
     assert sys1.theta_length(CodedElement((x,), 0)) == 2
     osys1 = omega_tower.stage(1)
-    a = osys1.carrier.enumerate(5)[0]
+    a = osys1.carrier_listing(5)[0]
     assert osys1.theta_length(CodedElement((a,), (0, 0))) == 2
 
 
 def test_collapse_interns_and_is_injective(succ_tower):
     sys1 = succ_tower.stage(1)
-    x = sys1.carrier.enumerate(5)[0]
+    x = sys1.carrier_listing(5)[0]
     s1 = sys1.collapse(CodedElement((x,), 0))
     s2 = sys1.collapse(CodedElement((x,), 0))
     t = sys1.collapse(CodedElement((), TOP))
@@ -61,7 +61,7 @@ def test_theta_compare_successor_stage_one(succ_tower):
     # over the one-element carrier: th(top) < th(v0; th(top)), decided by the
     # second clause since the carrier element embeds back to th(top) itself
     sys1 = succ_tower.stage(1)
-    x = sys1.carrier.enumerate(5)[0]
+    x = sys1.carrier_listing(5)[0]
     top_term = sys1.collapse(CodedElement((), TOP))
     succ_term = sys1.collapse(CodedElement((x,), 0))
     assert sys1.embed(x) is top_term
@@ -75,19 +75,19 @@ def test_theta_compare_agrees_with_external_oracle(succ_tower):
     from bhfix.interpret import OmegaSuccessorWitness, interpretation_at
 
     w = OmegaSuccessorWitness()
-    h2 = interpretation_at(w, succ_tower, 2)
+    h2 = interpretation_at(w, 2)
     sys1 = succ_tower.stage(1)
-    x = sys1.carrier.enumerate(5)[0]
+    x = sys1.carrier_listing(5)[0]
     top_term = sys1.collapse(CodedElement((), TOP))
     succ_term = sys1.collapse(CodedElement((x,), 0))
-    assert h2.func(top_term) == 0
-    assert h2.func(succ_term) == 1
+    assert h2(top_term) == 0
+    assert h2(succ_term) == 1
     assert sys1.compare(top_term, succ_term) == LT
 
 
 def test_theta_compare_omega_empty_below_singleton(omega_tower):
     sys1 = omega_tower.stage(1)
-    a = sys1.carrier.enumerate(5)[0]
+    a = sys1.carrier_listing(5)[0]
     empty = sys1.collapse(CodedElement((), ()))
     single = sys1.collapse(CodedElement((a,), (0,)))
     assert sys1.compare(empty, single) == LT
@@ -104,24 +104,24 @@ def test_embed_next_keeps_empty_support_and_length(succ_tower):
 def test_embed_next_relabels_omega_support(omega_tower):
     sys1 = omega_tower.stage(1)
     sys2 = omega_tower.stage(2)
-    a = sys1.carrier.enumerate(5)[0]
+    a = sys1.carrier_listing(5)[0]
     term = sys1.collapse(CodedElement((a,), (0,)))
     lifted = sys1.iterate().embed(term)
     assert lifted.body.token == (0,)
     assert lifted.body.support == (sys1.embed(a),)
-    assert lifted.body.support[0] in sys2.carrier.enumerate(5).items
+    assert lifted.body.support[0] in sys2.carrier_listing(5).items
 
 
 def test_embed_next_preserves_length_on_samples(omega_tower):
     sys1 = omega_tower.stage(1)
-    for term in sys1.iterate().carrier.enumerate(15):
+    for term in sys1.iterate().carrier_listing(15):
         assert sys1.iterate().embed(term).length == term.length
 
 
 def test_iterate_carrier_sizes_successor(succ_tower):
-    assert len(succ_tower.stage(0).carrier.enumerate(10)) == 0
-    assert len(succ_tower.stage(1).carrier.enumerate(10)) == 1
-    assert len(succ_tower.stage(2).carrier.enumerate(10)) == 2
+    assert len(succ_tower.stage(0).carrier_listing(10)) == 0
+    assert len(succ_tower.stage(1).carrier_listing(10)) == 1
+    assert len(succ_tower.stage(2).carrier_listing(10)) == 2
 
 
 def test_iterate_is_idempotent(succ_tower):
@@ -132,7 +132,7 @@ def test_iterate_is_idempotent(succ_tower):
 
 def test_iterate_omega_budgeted_chain(omega_tower):
     sys2 = omega_tower.stage(2)
-    listed = sys2.carrier.enumerate(5)
+    listed = sys2.carrier_listing(5)
     assert not listed.exhaustive
     tokens = [t.body.token for t in listed]
     assert tokens == [(), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)]
@@ -142,7 +142,7 @@ def test_iterate_omega_budgeted_chain(omega_tower):
 
 def test_subterm_closure_cases(succ_tower):
     sys1 = succ_tower.stage(1)
-    x = sys1.carrier.enumerate(5)[0]
+    x = sys1.carrier_listing(5)[0]
     top_term = sys1.collapse(CodedElement((), TOP))
     succ_term = sys1.collapse(CodedElement((x,), 0))
     assert sys1.subterm_closure(top_term) == frozenset({top_term})
@@ -151,7 +151,7 @@ def test_subterm_closure_cases(succ_tower):
 
 def test_subterm_closure_is_closed_and_bounded(omega_tower):
     sys2 = omega_tower.stage(2)
-    for term in sys2.iterate().carrier.enumerate(12):
+    for term in sys2.iterate().carrier_listing(12):
         closure = sys2.subterm_closure(term)
         for r in closure:
             assert sys2.compare(r, term) in (LT, EQ)
@@ -159,13 +159,23 @@ def test_subterm_closure_is_closed_and_bounded(omega_tower):
             assert sys2.subterm_closure(r) <= closure
 
 
+class _SelfEmbeddingSystem(System):
+    """A copy of X1 whose iota sends x to th(v0; x) and whose lengths are
+    all 5, so that th(v0; x) translates its own support back to itself."""
+
+    def length_of(self, x):
+        return 5
+
+    def embed(self, x):
+        return self.collapse(CodedElement((x,), 0))
+
+
 def test_corrupted_length_function_trips_the_recursion_guard():
     succ = SuccessorDilator()
     tower = Tower(succ)
     sys1 = tower.stage(1)
-    x = sys1.carrier.enumerate(5)[0]
-    bad = System(succ, sys1.carrier, length_of=lambda t: 5, label="bad")
-    bad._embed_of = lambda y: bad.collapse(CodedElement((y,), 0))
+    x = sys1.carrier_listing(5)[0]
+    bad = _SelfEmbeddingSystem(tower, tower.stage(0))
     s = bad.collapse(CodedElement((x,), 0))
     t = bad.collapse(CodedElement((), TOP))
     with pytest.raises(SystemDefectError):
@@ -174,7 +184,7 @@ def test_corrupted_length_function_trips_the_recursion_guard():
 
 def test_compare_is_memoized_deterministically(omega_tower):
     sys1 = omega_tower.stage(1)
-    terms = sys1.iterate().carrier.enumerate(20).items
+    terms = sys1.iterate().carrier_listing(20).items
     first = [[sys1.compare(s, t) for t in terms] for s in terms]
     again = [[sys1.compare(s, t) for t in terms] for s in terms]
     assert first == again
@@ -203,10 +213,10 @@ def _sorted_then_cut(tower, n, budget):
 def test_stage_listing_is_the_sorted_cut(selector):
     tower = Tower(parse_selector(selector))
     for n in (1, 2, 3, 4):
-        carrier = tower.stage(n).carrier
+        stage = tower.stage(n)
         for budget in (0, 1, 5, 12, 13, 40, 60):
-            listed = carrier.enumerate(budget)
+            listed = stage.carrier_listing(budget)
             assert (listed.items, listed.exhaustive) == _sorted_then_cut(
                 tower, n, budget
             ), (selector, n, budget)
-            assert carrier.enumerate(budget) is listed
+            assert stage.carrier_listing(budget) is listed

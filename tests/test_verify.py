@@ -56,12 +56,23 @@ def test_broken_dilator_fails_with_counterexample():
     assert any("factorization" in line for line in report.failures)
 
 
+class _LengthenedSystem(System):
+    """A copy of a stage whose length function overshoots by one."""
+
+    def length_of(self, x):
+        return x.length + 1
+
+
+class _ZeroLengthSystem(System):
+    """A copy of a stage whose length function is constantly 0."""
+
+    def length_of(self, x):
+        return 0
+
+
 def test_corrupted_length_fails_goodness():
-    succ = SuccessorDilator()
-    tower = Tower(succ)
-    sys1 = tower.stage(1)
-    bad = System(succ, sys1.carrier, length_of=lambda t: t.length + 1, label="bad")
-    bad._embed_of = lambda x: bad.collapse(x.body)
+    tower = Tower(SuccessorDilator())
+    bad = _LengthenedSystem(tower, tower.stage(0))
     report = check_goodness(bad, 10)
     assert not report.passed
     assert any("length equation" in line for line in report.failures)
@@ -94,11 +105,8 @@ def test_unknown_suite_rejected():
 
 def test_failure_lines_use_term_grammar():
     # a corrupted stage system reports counterexamples as serialized terms
-    succ = SuccessorDilator()
-    tower = Tower(succ)
-    sys1 = tower.stage(1)
-    bad = System(succ, sys1.carrier, length_of=lambda t: 0, label="bad")
-    bad._embed_of = lambda x: bad.collapse(x.body)
+    tower = Tower(SuccessorDilator())
+    bad = _ZeroLengthSystem(tower, tower.stage(0))
     report = check_goodness(bad, 10)
     assert not report.passed
     assert any("th(" in line or "length" in line for line in report.failures)
@@ -144,11 +152,9 @@ class _FlippedSystem(System):
 def test_collapse_admissible_catches_a_perturbed_stage_order():
     # a copy of the successor stage X1 whose order puts th(v0;th(top))
     # below its own support element th(top)
-    succ = SuccessorDilator()
-    sys1 = Tower(succ).stage(1)
-    bad = _FlippedSystem(succ, sys1.carrier, length_of=lambda t: t.length, label="bad")
-    bad._embed_of = lambda x: bad.collapse(x.body)
-    (top,) = sys1.carrier.enumerate(1)
+    tower = Tower(SuccessorDilator())
+    bad = _FlippedSystem(tower, tower.stage(0))
+    (top,) = tower.stage(1).carrier_listing(1)
     bad.flipped = frozenset({bad.embed(top), bad.collapse(CodedElement((top,), 0))})
     report = check_collapse_admissible(bad, 10)
     assert not report.passed

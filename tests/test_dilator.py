@@ -1,6 +1,6 @@
 """Coded-element operations against the successor and omega dilators."""
 
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given
@@ -21,7 +21,13 @@ from bhfix.dilator import (
 )
 from bhfix.errors import DilatorLawError
 from bhfix.finite_orders import EQ, GT, LT, Embedding, all_embeddings, compose, finset_map, sgn
-from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
+from bhfix.standard_dilators import (
+    TOP,
+    LexProductDilator,
+    OmegaPowerDilator,
+    SuccessorDilator,
+    SumDilator,
+)
 
 int_cmp = lambda a, b: sgn(a - b)  # noqa: E731
 succ = SuccessorDilator()
@@ -243,3 +249,69 @@ def test_map_token_along_all_small_embeddings_keeps_laws():
                             assert omega.map_token(compose(f, g), tok) == omega.map_token(
                                 g, omega.map_token(f, tok)
                             )
+
+
+def _reference_compare(dilator, cmp, e1, e2):
+    # both tokens always pushed into the merge of the two supports
+    p1, p2, n = merged_positions(e1.support, e2.support, cmp)
+    return dilator.compare_at(
+        n,
+        dilator.map_token(Embedding(p1, n), e1.token),
+        dilator.map_token(Embedding(p2, n), e2.token),
+    )
+
+
+_COMPOSITES = {
+    d.name: d
+    for d in (omega, SumDilator(succ, omega), LexProductDilator(omega, succ))
+}
+
+
+@lru_cache(maxsize=None)
+def _full_tokens(name, k):
+    return full_support_tokens(_COMPOSITES[name], k, 120).items
+
+
+@pytest.mark.parametrize("name", sorted(_COMPOSITES))
+@given(data=st.data())
+def test_compare_coded_agrees_with_mapping_both_tokens(name, data):
+    dilator = _COMPOSITES[name]
+    support = data.draw(st.sets(st.integers(-9, 9), max_size=3))
+    relation = data.draw(st.sampled_from(["equal", "nested", "disjoint", "empty"]))
+    if relation == "equal":
+        other = support
+    elif relation == "nested":
+        other = data.draw(st.sets(st.sampled_from(sorted(support)))) if support else set()
+    elif relation == "disjoint":
+        outside = st.integers(-9, 9).filter(lambda x: x not in support)
+        other = data.draw(st.sets(outside, max_size=3))
+    else:
+        other = set()
+    elements = [
+        CodedElement(tuple(sorted(s)), data.draw(st.sampled_from(_full_tokens(name, len(s)))))
+        for s in (support, other)
+    ]
+    if data.draw(st.booleans()):
+        elements.reverse()
+    e1, e2 = elements
+    expected = _reference_compare(dilator, int_cmp, e1, e2)
+    if expected == EQ:
+        assert e1 == e2
+    assert compare_coded(dilator, int_cmp, e1, e2) == expected
+
+
+def _zip_compare(s, t):
+    for a, b in zip(s, t):
+        if a != b:
+            return sgn(a - b)
+    return sgn(len(s) - len(t))
+
+
+_descending = st.lists(st.integers(0, 5), max_size=6).map(
+    lambda xs: tuple(sorted(xs, reverse=True))
+)
+
+
+@given(_descending, _descending)
+def test_omega_order_is_lexicographic_with_extensions_greater(s, t):
+    assert omega.compare_at(6, s, t) == _zip_compare(s, t)

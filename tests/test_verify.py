@@ -5,12 +5,14 @@ import re
 import pytest
 
 from bhfix.dilator import CodedElement
+from bhfix.finite_orders import EQ
 from bhfix.limits import Tower
 from bhfix.standard_dilators import (
     ConstantDilator,
     IdentityDilator,
     OmegaPowerDilator,
     SuccessorDilator,
+    TOP,
 )
 from bhfix.systems import System
 from bhfix.verify import (
@@ -54,6 +56,94 @@ def test_broken_dilator_fails_with_counterexample():
     report = check_dilator_laws(broken, 3, 10)
     assert not report.passed
     assert any("factorization" in line for line in report.failures)
+
+
+def _is_identity(f):
+    return f.images == tuple(range(f.codomain_size))
+
+
+class _IdentityMovesTokens(SuccessorDilator):
+    """Identity maps send every token to top.  An identity action that is
+    not the identity also breaks monotonicity or composition, so other
+    laws fail too, after this one."""
+
+    def map_token(self, f, tok):
+        return TOP if _is_identity(f) else super().map_token(f, tok)
+
+
+class _FlatValues(SuccessorDilator):
+    """All value tokens compare equal: compare_at is no longer linear."""
+
+    def compare_at(self, n, s, t):
+        return EQ if TOP not in (s, t) else super().compare_at(n, s, t)
+
+
+class _TopHasSupport(SuccessorDilator):
+    """top claims support {0} at every non-zero arity, which the empty
+    embedding 0 -> n cannot carry over."""
+
+    def supp_at(self, n, tok):
+        return (0,) if tok == TOP and n else super().supp_at(n, tok)
+
+
+class _EvenArityReversed(SuccessorDilator):
+    """Value tokens are ordered backwards at even arities, so an embedding
+    from an even to an odd arity reverses them."""
+
+    def compare_at(self, n, s, t):
+        verdict = super().compare_at(n, s, t)
+        return -verdict if n % 2 == 0 and TOP not in (s, t) else verdict
+
+
+class _MergedRepeats(OmegaPowerDilator):
+    """Every non-identity map drops repeated entries, so distinct tokens
+    such as w[0] and w[0,0] map to one token; support factorization fails
+    too, after monotonicity."""
+
+    def map_token(self, f, tok):
+        mapped = super().map_token(f, tok)
+        return mapped if _is_identity(f) else tuple(sorted(set(mapped), reverse=True))
+
+
+class _DoubledHead(OmegaPowerDilator):
+    """Every non-identity map repeats the first entry of a non-empty token:
+    monotone and natural, but mapping along f and then g repeats it twice.
+    The inclusions miss the tokens without a repeat, so support
+    factorization, checked last, fails too."""
+
+    def map_token(self, f, tok):
+        mapped = super().map_token(f, tok)
+        return mapped[:1] + mapped if mapped and not _is_identity(f) else mapped
+
+
+@pytest.mark.parametrize(
+    "mutant,instances,exhaustive,first,alone",
+    [
+        (_IdentityMovesTokens, 160, True, "identity action changed v0", False),
+        (_FlatValues, 153, True, "token order broken on v0, v1", True),
+        (_TopHasSupport, 160, True, "support not natural for top along ()->1", True),
+        (
+            _EvenArityReversed, 160, True,
+            "monotonicity broken: v1 < v0 but not after mapping along (0, 1)->3", True,
+        ),
+        (
+            _MergedRepeats, 483, False,
+            "monotonicity broken: w[0] < w[0,0] but not after mapping along (0,)->2", False,
+        ),
+        (_DoubledHead, 483, False, "composition law broken on w[0] at arity 3", False),
+    ],
+    ids=[
+        "identity", "token-order", "naturality", "order-monotonicity", "map-monotonicity",
+        "composition",
+    ],
+)
+def test_dilator_laws_report_each_broken_law(mutant, instances, exhaustive, first, alone):
+    report = check_dilator_laws(mutant(), 3, 6)
+    assert (report.instances, report.exhaustive) == (instances, exhaustive)
+    assert report.failures[0] == first, report.format()
+    if alone:
+        # the mutant breaks this law alone
+        assert all(line.split()[0] == first.split()[0] for line in report.failures)
 
 
 class _LengthenedSystem(System):

@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from bhfix.cli import natural, parse_selector
+from bhfix.errors import SelectorError
 from bhfix.interpret import OmegaSuccessorWitness, embed_bh
 from bhfix.limits import Tower
 from bhfix.syntax import format_bh
@@ -21,8 +22,11 @@ def main() -> int:
     parser.add_argument("--stages", type=natural, default=4)
     parser.add_argument("--budget", type=natural, default=12)
     args = parser.parse_args()
+    try:
+        dilator = parse_selector(args.dilator)
+    except SelectorError as err:
+        parser.error(str(err))
 
-    dilator = parse_selector(args.dilator)
     tower = Tower(dilator)
     listed = tower.enumerate(args.stages, args.budget)
     witness = OmegaSuccessorWitness() if dilator.name == "successor" else None

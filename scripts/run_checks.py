@@ -10,7 +10,8 @@ import sys
 import time
 
 from bhfix.cli import natural, parse_selector
-from bhfix.verify import run_suite
+from bhfix.errors import SelectorError
+from bhfix.verify import SUITES, run_suite
 
 DEFAULT_SELECTORS = [
     "successor",
@@ -25,13 +26,16 @@ DEFAULT_SELECTORS = [
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--budget", type=natural, default=40)
-    parser.add_argument("--suite", default="all")
+    parser.add_argument("--suite", choices=SUITES, default="all")
     parser.add_argument("selectors", nargs="*", default=DEFAULT_SELECTORS)
     args = parser.parse_args()
+    try:
+        dilators = [parse_selector(selector) for selector in args.selectors]
+    except SelectorError as err:
+        parser.error(str(err))
 
     failed = 0
-    for selector in args.selectors:
-        dilator = parse_selector(selector)
+    for dilator in dilators:
         start = time.perf_counter()
         reports = run_suite(dilator, args.suite, args.budget)
         elapsed = time.perf_counter() - start

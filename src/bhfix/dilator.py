@@ -232,13 +232,16 @@ def compare_coded(dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement
     """Linear comparison of two coded elements over the same carrier.
 
     Both tokens are pushed into the merge of the two supports and compared
-    there; the verdict does not depend on the choice of common carrier.
+    there; the verdict does not depend on the choice of common carrier.  A
+    side whose support is the whole merge keeps its token unmapped: that is
+    the identity law (``map_token`` along an identity returns the token),
+    which the ``dilator-laws`` check tests.
     """
     if e1 == e2:
         return EQ
     p1, p2, n = merged_positions(e1.support, e2.support, cmp)
-    t1 = dilator.map_token(Embedding.trusted(p1, n), e1.token)
-    t2 = dilator.map_token(Embedding.trusted(p2, n), e2.token)
+    t1 = e1.token if len(p1) == n else dilator.map_token(Embedding.trusted(p1, n), e1.token)
+    t2 = e2.token if len(p2) == n else dilator.map_token(Embedding.trusted(p2, n), e2.token)
     verdict = dilator.compare_at(n, t1, t2)
     if verdict == EQ:
         raise DilatorLawError(

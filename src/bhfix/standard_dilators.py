@@ -150,20 +150,17 @@ class OmegaPowerDilator(Dilator):
     """Finite weakly descending sequences over the input order.
 
     Ordered lexicographically with the normal-form convention that a proper
-    extension is greater (so the empty sequence is least).  The support of a
-    sequence is the set of its entries.
+    extension is greater (so the empty sequence is least), which is Python's
+    tuple order.  The support of a sequence is the set of its entries.
     """
 
     name = "omega"
 
     def compare_at(self, n, s, t):
-        for a, b in zip(s, t):
-            if a != b:
-                return sgn(a - b)
-        return sgn(len(s) - len(t))
+        return (s > t) - (s < t)
 
     def map_token(self, f, tok):
-        return tuple(f.images[x] for x in tok)
+        return tuple(map(f.images.__getitem__, tok))
 
     def supp_at(self, n, tok):
         return tuple(sorted(set(tok)))

@@ -155,34 +155,39 @@ def check_dilator_laws(
                     lambda n=n, s=s, t=t: f"token order broken on {fmt(n, s)}, {fmt(n, t)}",
                 )
 
+    # the strict order of each sample as index pairs, once per arity
+    below = {
+        m: [(i, j) for i, s in enumerate(toks) for j, t in enumerate(toks)
+            if dilator.compare_at(m, s, t) == LT]
+        for m, toks in samples.items()
+    }
     for (m, n), fs in embeddings.items():
+        toks = samples[m]
         for f in fs:
-            for tok in samples[m]:
-                mapped = dilator.map_token(f, tok)
+            mapped = [dilator.map_token(f, tok) for tok in toks]
+            for tok, image in zip(toks, mapped):
                 # naturality of supports
                 report.check(
-                    dilator.supp_at(n, mapped) == finset_map(f, dilator.supp_at(m, tok)),
+                    dilator.supp_at(n, image) == finset_map(f, dilator.supp_at(m, tok)),
                     lambda m=m, n=n, f=f, tok=tok: (
                         f"support not natural for {fmt(m, tok)} along {f.images}->{n}"
                     ),
                 )
             # strict monotonicity
-            for s in samples[m]:
-                for t in samples[m]:
-                    if dilator.compare_at(m, s, t) == LT:
-                        report.check(
-                            dilator.compare_at(n, dilator.map_token(f, s), dilator.map_token(f, t)) == LT,
-                            lambda m=m, n=n, f=f, s=s, t=t: (
-                                f"monotonicity broken: {fmt(m, s)} < {fmt(m, t)} "
-                                f"but not after mapping along {f.images}->{n}"
-                            ),
-                        )
+            for i, j in below[m]:
+                report.check(
+                    dilator.compare_at(n, mapped[i], mapped[j]) == LT,
+                    lambda m=m, n=n, f=f, s=toks[i], t=toks[j]: (
+                        f"monotonicity broken: {fmt(m, s)} < {fmt(m, t)} "
+                        f"but not after mapping along {f.images}->{n}"
+                    ),
+                )
             # composition law against every composable partner
             for p in range(n, max_n + 1):
                 for g in embeddings[(n, p)]:
                     fg = compose(f, g)
-                    for tok in samples[m]:
-                        via = dilator.map_token(g, dilator.map_token(f, tok))
+                    for tok, image in zip(toks, mapped):
+                        via = dilator.map_token(g, image)
                         direct = dilator.map_token(fg, tok)
                         report.check(
                             dilator.compare_at(p, direct, via) == EQ,

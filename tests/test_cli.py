@@ -248,6 +248,29 @@ def test_scripts_reject_negative_counts(script, argv):
     assert "invalid natural value" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "script, argv, message",
+    [
+        ("run_checks.py", ["--suite", "bogus", "omega"], "argument --suite: invalid choice"),
+        ("run_checks.py", ["bogus"], "unknown dilator selector 'bogus'"),
+        ("run_checks.py", ["successor", "sum(omega)"], "needs exactly two components"),
+        ("explore_limit.py", ["--dilator", "bogus"], "unknown dilator selector 'bogus'"),
+    ],
+    ids=["run-checks-suite", "run-checks-selector", "run-checks-later-selector",
+         "explore-limit-selector"],
+)
+def test_scripts_report_usage_errors(script, argv, message):
+    # exit 2 is a usage error; run_checks.py keeps exit 1 for a failed check
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_checks_script_matches_verify_golden():
     # the script and `verify --budget 40` derive the same caps from one budget
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -9,7 +9,7 @@ order type visible at a glance.
 import argparse
 import sys
 
-from bhfix.cli import natural, parse_selector
+from bhfix.cli import check_stages, natural, parse_selector
 from bhfix.errors import SelectorError
 from bhfix.interpret import OmegaSuccessorWitness, embed_bh
 from bhfix.limits import Tower
@@ -24,6 +24,7 @@ def main() -> int:
     args = parser.parse_args()
     try:
         dilator = parse_selector(args.dilator)
+        check_stages(args.stages)
     except SelectorError as err:
         parser.error(str(err))
 

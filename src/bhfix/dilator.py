@@ -178,13 +178,20 @@ def make_coded(dilator: Dilator, support: Sequence, token: Token) -> CodedElemen
 def normal_form(dilator: Dilator, n: int, tok: Token) -> CodedElement:
     """Factor a raw token through the inclusion of its support.
 
-    Returns the coded element over the carrier 0..n-1.  Failure to factor,
-    or a factor that is not full-support, indicates a law-violating dilator
-    and raises :class:`DilatorLawError`.
+    Returns the coded element over the carrier 0..n-1.  A support that is
+    not strictly increasing within 0..n-1, failure to factor, or a factor
+    that is not full-support indicates a law-violating dilator and raises
+    :class:`DilatorLawError`.
     """
     supp = dilator.supp_at(n, tok)
+    try:
+        incl = Embedding(supp, n)
+    except ValueError:
+        raise DilatorLawError(
+            f"{dilator.name}: support {supp} of {dilator.format_token(n, tok)} is not "
+            f"strictly increasing within 0..{n - 1}"
+        ) from None
     full = dilator.restrict_token(n, tok, supp)
-    incl = Embedding(supp, n)
     if dilator.compare_at(n, dilator.map_token(incl, full), tok) != EQ:
         raise DilatorLawError(
             f"{dilator.name}: restriction of {dilator.format_token(n, tok)} does not "

@@ -28,8 +28,8 @@ from .limits import Tower
 from .standard_dilators import TOP
 from .systems import ThetaTerm
 
-# Stage bound of the limit samples: the self witness's order sample and the
-# limit checks of :mod:`bhfix.verify`.
+# How many stages the samples cover (X_1..X_3): the self witness's order
+# sample and every check of :mod:`bhfix.verify` that walks the stages.
 LIMIT_STAGES = 3
 
 

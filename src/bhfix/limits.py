@@ -36,7 +36,11 @@ from .dilator import (
     map_coded,
 )
 from .finite_orders import is_strictly_sorted
-from .systems import BASE_SAMPLE_CAP, System, ThetaTerm
+from .systems import System, ThetaTerm
+
+# Base samples feeding a listing are capped so that the subset lattice over
+# the sample stays at desk scale even for generous budgets.
+BASE_SAMPLE_CAP = 12
 
 
 def birth_stage(e: ThetaTerm) -> int:

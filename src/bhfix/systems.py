@@ -43,10 +43,6 @@ from .dilator import CodedElement, Dilator, Enumeration, compare_coded, map_code
 from .errors import SystemDefectError
 from .finite_orders import EQ, GT, LT
 
-# Base samples feeding a listing are capped so that the subset lattice over
-# the sample stays at desk scale even for generous budgets.
-BASE_SAMPLE_CAP = 12
-
 
 @dataclass(frozen=True, eq=False)
 class ThetaTerm:

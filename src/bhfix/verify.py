@@ -33,14 +33,13 @@ from .interpret import (
     extend_interpretation,
     interpretation_at,
 )
-from .limits import Tower, birth_stage
+from .limits import BASE_SAMPLE_CAP, Tower, birth_stage
 from .syntax import format_bh, format_term
-from .systems import BASE_SAMPLE_CAP, System, ThetaTerm
+from .systems import System, ThetaTerm
 
 _MAX_RECORDED_FAILURES = 12
 
 MAX_ORDER = 4    # largest finite order for the dilator-law checks
-STAGES = 3       # how many stage iterations the theta checks cover
 TERMS_CAP = 40   # cap on the per-stage term budget of a suite
 SAMPLE_CAP = 30  # cap on the coded-element samples feeding pair loops
 
@@ -227,21 +226,21 @@ def _clause_less(system: System, s: ThetaTerm, t: ThetaTerm) -> bool:
     return False
 
 
-def check_theta_linear(system: System, budget: int, name: str = "theta-linear") -> CheckReport:
+def check_theta_linear(system: System, budget: int) -> CheckReport:
     """The term order over the system's carrier is linear: trichotomy and
     antisymmetry on all pairs (clause-level cross check included) and
     transitivity on all triples of the sample."""
     terms = system.iterate().carrier_listing(budget)
-    report = CheckReport(name, terms.exhaustive)
+    report = CheckReport(f"theta-linear:X{system.n + 1}", terms.exhaustive)
     items = terms.items
     size = len(items)
     matrix = [[system.compare(s, t) for t in items] for s in items]
+    less = [[s is not t and _clause_less(system, s, t) for t in items] for s in items]
     for i in range(size):
         for j in range(size):
             if i == j:
                 continue
-            forward = _clause_less(system, items[i], items[j])
-            backward = _clause_less(system, items[j], items[i])
+            forward, backward = less[i][j], less[j][i]
             agreed = (matrix[i][j] == LT) == forward and (matrix[i][j] == GT) == backward
             report.check(
                 forward != backward and agreed,
@@ -252,20 +251,19 @@ def check_theta_linear(system: System, budget: int, name: str = "theta-linear") 
                 ),
             )
     below = [[j for j in range(size) if matrix[i][j] == LT] for i in range(size)]
-    triples = 0
     for i in range(size):
         row = matrix[i]
         for j in below[i]:
-            triples += len(below[j])
             for k in below[j]:
-                if row[k] != LT:
-                    report.fail(
+                report.check(
+                    row[k] == LT,
+                    lambda i=i, j=j, k=k: (
                         "transitivity broken on "
                         f"{format_term(system.dilator, items[i])} < "
                         f"{format_term(system.dilator, items[j])} < "
                         f"{format_term(system.dilator, items[k])}"
-                    )
-    report.instances += triples
+                    ),
+                )
     return report
 
 
@@ -282,13 +280,11 @@ def _coded_sample(system: System, budget: int) -> Enumeration:
     return _least_coded(system.dilator, base, budget, budget, system.carrier_compare)
 
 
-def check_collapse_admissible(
-    system: System, budget: int, name: str = "collapse-admissible"
-) -> CheckReport:
+def check_collapse_admissible(system: System, budget: int) -> CheckReport:
     """The stage collapse satisfies both collapse conditions, the subterm
     bound, and the redundancy of the order test in the second clause."""
     coded = _coded_sample(system, budget)
-    report = CheckReport(name, coded.exhaustive)
+    report = CheckReport(f"collapse-admissible:X{system.n + 1}", coded.exhaustive)
     terms = [system.collapse(c) for c in coded]
     show = partial(format_term, system.dilator)
     _collapse_conditions(report, coded, terms, system.compare, system.embed, show)
@@ -314,11 +310,11 @@ def check_collapse_admissible(
     return report
 
 
-def check_goodness(system: System, budget: int, name: str = "goodness") -> CheckReport:
+def check_goodness(system: System, budget: int) -> CheckReport:
     """The carrier embedding preserves lengths (the system equation) and the
     order (goodness)."""
     xs = system.carrier_listing(budget)
-    report = CheckReport(name, xs.exhaustive)
+    report = CheckReport(f"goodness:X{system.n}", xs.exhaustive)
     fmt = lambda t: format_term(system.dilator, t)  # noqa: E731
     try:
         for x in xs:
@@ -343,13 +339,11 @@ def check_goodness(system: System, budget: int, name: str = "goodness") -> Check
     return report
 
 
-def check_commuting_square(
-    system: System, budget: int, name: str = "commuting-square"
-) -> CheckReport:
+def check_commuting_square(system: System, budget: int) -> CheckReport:
     """Embedding after collapsing equals collapsing the relabelled element,
     as syntactic identity of interned terms."""
     coded = _coded_sample(system, budget)
-    report = CheckReport(name, coded.exhaustive)
+    report = CheckReport(f"commuting-square:X{system.n + 1}", coded.exhaustive)
     nxt = system.iterate()
     for sigma in coded:
         left = nxt.embed(system.collapse(sigma))
@@ -374,14 +368,13 @@ def check_fixed_point(
     stage_bound: int = LIMIT_STAGES,
     sample_cap: int = SAMPLE_CAP,
     carrier_cap: int = BASE_SAMPLE_CAP,
-    name: str = "fixed-point",
 ) -> CheckReport:
     """The glued collapse satisfies both collapse conditions over the limit
     order, is independent of the stage it is computed at, and every sampled
     element of T over the limit comes from a finite stage."""
     carried = least(tower.enumerate(stage_bound, budget), carrier_cap, tower.compare)
     coded = _least_coded(tower.dilator, carried, budget, sample_cap, tower.compare)
-    report = CheckReport(name, coded.exhaustive)
+    report = CheckReport("fixed-point", coded.exhaustive)
     values = []
     for sigma in coded:
         value = tower.collapse(sigma)
@@ -402,17 +395,15 @@ def check_fixed_point(
     return report
 
 
-def check_limit_order(
-    tower: Tower, budget: int, stage_bound: int = LIMIT_STAGES, name: str = "limit-order"
-) -> CheckReport:
+def check_limit_order(tower: Tower, budget: int) -> CheckReport:
     """The limit order is the stage order of lifts: on every pair of sampled
     limit elements it agrees with the comparison of their representatives at
     the least common stage, and flattening a lift gives the element back."""
-    elements = tower.enumerate(stage_bound, budget)
-    report = CheckReport(name, elements.exhaustive)
+    elements = tower.enumerate(LIMIT_STAGES, budget)
+    report = CheckReport("limit-order", elements.exhaustive)
     dil = tower.dilator
     for e in elements:
-        for m in range(birth_stage(e), stage_bound):
+        for m in range(birth_stage(e), LIMIT_STAGES):
             report.check(
                 tower.flatten(tower.lift(e, m)) is e,
                 lambda e=e, m=m: f"flatten after lift to X{m + 1} moved {format_bh(dil, e)}",
@@ -432,17 +423,13 @@ def check_limit_order(
 
 
 def check_witness(
-    witness: Witness,
-    dilator: Dilator,
-    budget: int,
-    carrier_cap: int = BASE_SAMPLE_CAP,
-    name: str = "witness",
+    witness: Witness, dilator: Dilator, budget: int, carrier_cap: int = BASE_SAMPLE_CAP
 ) -> CheckReport:
     """Both collapse conditions for an external witness, on a sample of
     coded elements over the witness order."""
     carried = least(witness.enumerate(budget), carrier_cap, witness.compare)
     items = _least_coded(dilator, carried, budget, budget, witness.compare)
-    report = CheckReport(name, items.exhaustive)
+    report = CheckReport("witness", items.exhaustive)
     try:
         values = [witness.collapse(sigma) for sigma in items]
     except WitnessLawError as err:
@@ -452,20 +439,14 @@ def check_witness(
     return report
 
 
-def check_minimality(
-    tower: Tower,
-    witness: Witness,
-    budget: int,
-    stages: int = LIMIT_STAGES,
-    name: str = "minimality",
-) -> CheckReport:
+def check_minimality(tower: Tower, witness: Witness, budget: int) -> CheckReport:
     """Interpretations extend stage by stage (defining equation, embedding
     property) and glue to an order embedding of the limit into the witness."""
-    report = CheckReport(name)
+    report = CheckReport("minimality")
     dil = tower.dilator
     try:
         ip = interpretation_at(witness, 0)
-        for n in range(stages):
+        for n in range(LIMIT_STAGES):
             nxt = extend_interpretation(witness, ip)
             xs = tower.stage(n).carrier_listing(budget)
             report.exhaustive &= xs.exhaustive
@@ -486,7 +467,7 @@ def check_minimality(
                         ),
                     )
             ip = nxt
-        elements = tower.enumerate(stages, budget)
+        elements = tower.enumerate(LIMIT_STAGES, budget)
         report.exhaustive &= elements.exhaustive
         images = [embed_bh(witness, tower, e) for e in elements]
         for i in range(len(elements)):
@@ -551,44 +532,33 @@ def erase_supports(dilator: Dilator) -> Dilator:
 SUITES = ("all", "laws", "theta", "fixedpoint", "minimality")
 
 
-def default_witness(dilator: Dilator, tower: Tower) -> Witness:
-    if dilator.name == "successor":
-        return OmegaSuccessorWitness()
-    return SelfWitness(tower)
-
-
-def run_suite(
-    dilator: Dilator,
-    suite: str = "all",
-    budget: int = 50,
-    witness: Witness | None = None,
-    tower: Tower | None = None,
-) -> list[CheckReport]:
+def run_suite(dilator: Dilator, suite: str = "all", budget: int = 50) -> list[CheckReport]:
     """Run one of the named suites; reports come back sorted by check name.
 
     ``budget`` is the token budget per arity; the term budget per stage and
-    the coded samples are capped at ``TERMS_CAP`` and ``SAMPLE_CAP``.
+    the coded samples are capped at ``TERMS_CAP`` and ``SAMPLE_CAP``.  The
+    stage checks cover X_1..X_LIMIT_STAGES, and the successor dilator is
+    witnessed by the naturals, every other dilator by its own limit.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     terms, sample_cap = min(budget, TERMS_CAP), min(budget, SAMPLE_CAP)
-    tower = tower or Tower(dilator)
+    tower = Tower(dilator)
     reports: list[CheckReport] = []
     if suite in ("all", "laws"):
         reports.append(check_dilator_laws(dilator, budget=budget))
     if suite in ("all", "theta"):
-        for n in range(STAGES):
-            sysn, x = tower.stage(n), f"X{n + 1}"
-            reports.append(check_theta_linear(sysn, terms, name=f"theta-linear:{x}"))
-            reports.append(check_collapse_admissible(sysn, terms, name=f"collapse-admissible:{x}"))
-            reports.append(check_commuting_square(sysn, terms, name=f"commuting-square:{x}"))
-        for n in range(1, STAGES + 1):
-            reports.append(check_goodness(tower.stage(n), terms, name=f"goodness:X{n}"))
+        for n in range(LIMIT_STAGES):
+            stage = tower.stage(n)
+            reports.append(check_theta_linear(stage, terms))
+            reports.append(check_collapse_admissible(stage, terms))
+            reports.append(check_commuting_square(stage, terms))
+            reports.append(check_goodness(stage.iterate(), terms))
     if suite in ("all", "fixedpoint"):
         reports.append(check_fixed_point(tower, terms, sample_cap=sample_cap))
         reports.append(check_limit_order(tower, terms))
     if suite in ("all", "minimality"):
-        w = witness or default_witness(dilator, tower)
+        w = OmegaSuccessorWitness() if dilator.name == "successor" else SelfWitness(tower)
         reports.append(check_witness(w, dilator, sample_cap))
         reports.append(check_minimality(tower, w, terms))
     reports.sort(key=lambda r: r.name)

@@ -255,9 +255,10 @@ def test_scripts_reject_negative_counts(script, argv):
         ("run_checks.py", ["bogus"], "unknown dilator selector 'bogus'"),
         ("run_checks.py", ["successor", "sum(omega)"], "needs exactly two components"),
         ("explore_limit.py", ["--dilator", "bogus"], "unknown dilator selector 'bogus'"),
+        ("explore_limit.py", ["--stages", "10001"], "10000"),
     ],
     ids=["run-checks-suite", "run-checks-selector", "run-checks-later-selector",
-         "explore-limit-selector"],
+         "explore-limit-selector", "explore-limit-stages"],
 )
 def test_scripts_report_usage_errors(script, argv, message):
     # exit 2 is a usage error; run_checks.py keeps exit 1 for a failed check

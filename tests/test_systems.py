@@ -9,9 +9,9 @@ from bhfix.cli import parse_selector
 from bhfix.dilator import CodedElement, full_support_tokens
 from bhfix.errors import SystemDefectError
 from bhfix.finite_orders import EQ, GT, LT
-from bhfix.limits import Tower
+from bhfix.limits import BASE_SAMPLE_CAP, Tower
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
-from bhfix.systems import BASE_SAMPLE_CAP, System
+from bhfix.systems import System
 
 # the default battery of scripts/run_checks.py
 SELECTORS = [

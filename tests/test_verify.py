@@ -6,6 +6,7 @@ import pytest
 
 from bhfix.dilator import CodedElement
 from bhfix.finite_orders import EQ
+from bhfix.interpret import SelfWitness
 from bhfix.limits import Tower
 from bhfix.standard_dilators import (
     ConstantDilator,
@@ -22,6 +23,7 @@ from bhfix.verify import (
     check_fixed_point,
     check_goodness,
     check_limit_order,
+    check_minimality,
     check_theta_linear,
     erase_supports,
     run_suite,
@@ -116,6 +118,14 @@ class _DoubledHead(OmegaPowerDilator):
         return mapped[:1] + mapped if mapped and not _is_identity(f) else mapped
 
 
+class _ReversedSupport(OmegaPowerDilator):
+    """Supports are listed in decreasing order, which is no support at all;
+    the naturality law compares the reversed lists and passes."""
+
+    def supp_at(self, n, tok):
+        return super().supp_at(n, tok)[::-1]
+
+
 @pytest.mark.parametrize(
     "mutant,instances,exhaustive,first,alone",
     [
@@ -131,10 +141,14 @@ class _DoubledHead(OmegaPowerDilator):
             "monotonicity broken: w[0] < w[0,0] but not after mapping along (0,)->2", False,
         ),
         (_DoubledHead, 483, False, "composition law broken on w[0] at arity 3", False),
+        (
+            _ReversedSupport, 483, False,
+            "omega: support (1, 0) of w[1,0] is not strictly increasing within 0..1", True,
+        ),
     ],
     ids=[
         "identity", "token-order", "naturality", "order-monotonicity", "map-monotonicity",
-        "composition",
+        "composition", "support-order",
     ],
 )
 def test_dilator_laws_report_each_broken_law(mutant, instances, exhaustive, first, alone):
@@ -224,7 +238,7 @@ def test_limit_order_catches_a_perturbed_comparison():
     tower = _FlippedTower(SuccessorDilator())
     listed = tower.enumerate(3, 10)
     tower.flipped = frozenset(listed[:2])
-    report = check_limit_order(tower, 10, stage_bound=3)
+    report = check_limit_order(tower, 10)
     assert not report.passed
     assert any("stage-1 order" in line for line in report.failures), report.format()
 
@@ -263,3 +277,47 @@ def test_fixed_point_catches_a_perturbed_limit_order():
         line.startswith("condition (ii) broken: @0:th(top) not below @1:th(")
         for line in report.failures
     ), report.format()
+
+
+def test_theta_linear_counts_each_instance_once():
+    # stage 1 of omega with the verdict on its first and third listed terms
+    # reversed: 6 terms give 30 ordered pairs, and the flipped order (a
+    # 3-cycle below three more terms) 22 triples.  The stage is the tower's
+    # own, so the listed terms are its terms, and its memo holds the true
+    # order first, so no other verdict recurses through the flipped one.
+    tower = Tower(OmegaPowerDilator())
+    items = tower.stage(2).carrier_listing(6).items
+    bad = tower.stage(1)
+    for s in items:
+        for t in items:
+            bad.compare(s, t)
+    bad.__class__ = _FlippedSystem
+    bad.flipped = frozenset({items[0], items[2]})
+    report = check_theta_linear(bad, 6)
+    assert report.instances == 52, report.format()
+    transitivity = [line for line in report.failures if line.startswith("transitivity")]
+    assert transitivity[0] == (
+        "transitivity broken on th(w[]) < th(w[0];th(w[])) < th(w[0,0];th(w[]))"
+    ), report.format()
+
+
+def test_stage_checks_name_themselves_after_the_stage():
+    tower = Tower(SuccessorDilator())
+    for n in range(3):
+        stage = tower.stage(n)
+        assert check_theta_linear(stage, 5).name == f"theta-linear:X{n + 1}"
+        assert check_collapse_admissible(stage, 5).name == f"collapse-admissible:X{n + 1}"
+        assert check_commuting_square(stage, 5).name == f"commuting-square:X{n + 1}"
+        assert check_goodness(tower.stage(n + 1), 5).name == f"goodness:X{n + 1}"
+    names = {r.name for r in run_suite(SuccessorDilator(), "theta", 5)}
+    assert names == {
+        f"{check}:X{n}" for n in (1, 2, 3)
+        for check in ("theta-linear", "collapse-admissible", "commuting-square", "goodness")
+    }
+
+
+def test_limit_checks_cover_the_shared_stage_count():
+    # the omega counts of `verify --suite all --budget 40` (tests/golden)
+    tower = Tower(OmegaPowerDilator())
+    assert check_limit_order(tower, 40).instances == 861
+    assert check_minimality(tower, SelfWitness(tower), 40).instances == 2421

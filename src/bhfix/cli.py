@@ -185,11 +185,7 @@ def _cmd_interpret(args) -> int:
     else:
         witness = SelfWitness(tower)
     element = parse_bh(tower, args.term)
-    value = embed_bh(witness, tower, element)
-    if args.witness == "bh-self":
-        print(format_bh(dilator, value))
-    else:
-        print(value)
+    print(witness.format(embed_bh(witness, tower, element)))
     return EXIT_OK
 
 

@@ -26,6 +26,7 @@ from .errors import WitnessLawError
 from .finite_orders import sgn
 from .limits import Tower
 from .standard_dilators import TOP
+from .syntax import format_bh
 from .systems import ThetaTerm
 
 # How many stages the samples cover (X_1..X_3): the self witness's order
@@ -46,6 +47,10 @@ class Witness:
 
     def enumerate(self, budget: int) -> Enumeration:
         raise NotImplementedError
+
+    def format(self, value: Any) -> str:
+        """A witness value as printed by the CLI and in failure lines."""
+        return str(value)
 
 
 class OmegaSuccessorWitness(Witness):
@@ -94,6 +99,9 @@ class SelfWitness(Witness):
     def enumerate(self, budget):
         listed = self.tower.enumerate(LIMIT_STAGES, budget)
         return least(listed, budget, self.compare)
+
+    def format(self, value):
+        return format_bh(self.tower.dilator, value)
 
 
 def extend_interpretation(witness: Witness, h: Callable) -> Callable:

@@ -109,19 +109,9 @@ class Tower:
             raise ValueError("support must be strictly increasing in the limit order")
         return self.limit.collapse(make_coded(self.dilator, coded.support, coded.token))
 
-    def least_stage(self, coded: CodedElement) -> int:
-        """The least stage whose carrier contains the whole support."""
-        return max((e.length for e in coded.support), default=0)
-
     def pull_back(self, coded: CodedElement, n: int) -> CodedElement:
         """Write a coded element over the limit as one over X_n."""
         return CodedElement(tuple(self.lift(e, n - 1) for e in coded.support), coded.token)
-
-    def collapse_at(self, coded: CodedElement, n: int) -> ThetaTerm:
-        """The stage-n collapse of a coded element, flattened into the limit."""
-        if n < self.least_stage(coded):
-            raise ValueError(f"stage {n} does not contain the whole support")
-        return self.flatten(self.stage(n).collapse(self.pull_back(coded, n)))
 
     # -- enumeration -------------------------------------------------------------
 

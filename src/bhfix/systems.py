@@ -32,7 +32,8 @@ its carrier listing per budget.  All three caches are append-only and
 idempotent; systems are immutable once built and safe to share.  Stages
 generate nothing: the tower lists limit elements
 (:meth:`bhfix.limits.Tower.listing`), and a carrier listing is that listing
-lifted to the stage.
+pulled back and collapsed in the base, so a system reads nothing of the
+tower's stages but what its base gives it.
 """
 
 from __future__ import annotations
@@ -80,12 +81,14 @@ class System:
         return self.base.compare(x, y)
 
     def carrier_listing(self, budget: int) -> Enumeration:
-        """The tower's listing of X_n at this budget, as terms of X_n."""
+        """The tower's listing of X_n at this budget, collapsed in the base."""
         listing = self._listings.get(budget)
         if listing is None:
             listed = self.tower.listing(self.n, budget)
-            lifted = tuple(self.tower.lift(e, self.n - 1) for e in listed)
-            listing = self._listings[budget] = Enumeration(lifted, listed.exhaustive)
+            terms = tuple(
+                self.base.collapse(self.tower.pull_back(e.body, self.n - 1)) for e in listed
+            )
+            listing = self._listings[budget] = Enumeration(terms, listed.exhaustive)
         return listing
 
     def length_of(self, x: ThetaTerm) -> int:
@@ -159,10 +162,3 @@ class System:
                 )
             out |= self.subterm_closure(ix)
         return frozenset(out)
-
-    # -- iteration ---------------------------------------------------------
-
-    def iterate(self) -> "System":
-        """The next stage system, X_{n+1}: the tower's one cached copy, so
-        term interning is shared by everyone walking the same stage chain."""
-        return self.tower.stage(self.n + 1)

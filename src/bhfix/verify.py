@@ -230,7 +230,7 @@ def check_theta_linear(system: System, budget: int) -> CheckReport:
     """The term order over the system's carrier is linear: trichotomy and
     antisymmetry on all pairs (clause-level cross check included) and
     transitivity on all triples of the sample."""
-    terms = system.iterate().carrier_listing(budget)
+    terms = System(system.tower, system).carrier_listing(budget)
     report = CheckReport(f"theta-linear:X{system.n + 1}", terms.exhaustive)
     items = terms.items
     size = len(items)
@@ -321,7 +321,7 @@ def check_goodness(system: System, budget: int) -> CheckReport:
             report.check(
                 system.embed(x).length == system.length_of(x),
                 lambda x=x: (
-                    f"length equation broken at {x!r}: "
+                    f"length equation broken at {fmt(x)}: "
                     f"L(iota(x)) = {system.embed(x).length} != {system.length_of(x)}"
                 ),
             )
@@ -341,10 +341,12 @@ def check_goodness(system: System, budget: int) -> CheckReport:
 
 def check_commuting_square(system: System, budget: int) -> CheckReport:
     """Embedding after collapsing equals collapsing the relabelled element,
-    as syntactic identity of interned terms."""
+    as syntactic identity of interned terms.  ``embed`` is defined by the
+    square, so this tests that ``collapse`` interns one term per body; it
+    stays as the paper's law."""
     coded = _coded_sample(system, budget)
     report = CheckReport(f"commuting-square:X{system.n + 1}", coded.exhaustive)
-    nxt = system.iterate()
+    nxt = System(system.tower, system)
     for sigma in coded:
         left = nxt.embed(system.collapse(sigma))
         right = nxt.collapse(map_coded(system.embed, sigma))
@@ -375,22 +377,21 @@ def check_fixed_point(
     carried = least(tower.enumerate(stage_bound, budget), carrier_cap, tower.compare)
     coded = _least_coded(tower.dilator, carried, budget, sample_cap, tower.compare)
     report = CheckReport("fixed-point", coded.exhaustive)
+    show = partial(format_bh, tower.dilator)
     values = []
     for sigma in coded:
         value = tower.collapse(sigma)
         values.append(value)
-        first = tower.least_stage(sigma)
+        first = birth_stage(value)
         report.check(
-            tower.collapse_at(sigma, first) is value
-            and tower.collapse_at(sigma, first + 1) is value,
-            lambda sigma=sigma: f"collapse depends on the stage for {sigma!r}",
+            all(tower.flatten(tower.lift(value, m)) is value for m in (first, first + 1)),
+            lambda value=value: f"collapse depends on the stage for {show(value)}",
         )
         # finite-stage absorption round trip
         report.check(
             map_coded(tower.flatten, tower.pull_back(sigma, first)) == sigma,
-            lambda sigma=sigma: f"stage absorption broken for {sigma!r}",
+            lambda value=value: f"stage absorption broken for {show(value)}",
         )
-    show = partial(format_bh, tower.dilator)
     _collapse_conditions(report, coded, values, tower.compare, _identity, show)
     return report
 
@@ -435,7 +436,7 @@ def check_witness(
     except WitnessLawError as err:
         report.fail(f"collapse undefined on a sampled element: {err}")
         return report
-    _collapse_conditions(report, items, values, witness.compare, _identity, repr)
+    _collapse_conditions(report, items, values, witness.compare, _identity, witness.format)
     return report
 
 
@@ -453,7 +454,7 @@ def check_minimality(tower: Tower, witness: Witness, budget: int) -> CheckReport
             for x in xs:
                 report.check(
                     witness.compare(nxt(tower.stage(n).embed(x)), ip(x)) == 0,
-                    lambda x=x: f"extension equation broken at {x!r}",
+                    lambda x=x: f"extension equation broken at {format_term(dil, x)}",
                 )
             xs1 = tower.stage(n + 1).carrier_listing(budget)
             report.exhaustive &= xs1.exhaustive
@@ -553,7 +554,7 @@ def run_suite(dilator: Dilator, suite: str = "all", budget: int = 50) -> list[Ch
             reports.append(check_theta_linear(stage, terms))
             reports.append(check_collapse_admissible(stage, terms))
             reports.append(check_commuting_square(stage, terms))
-            reports.append(check_goodness(stage.iterate(), terms))
+            reports.append(check_goodness(tower.stage(n + 1), terms))
     if suite in ("all", "fixedpoint"):
         reports.append(check_fixed_point(tower, terms, sample_cap=sample_cap))
         reports.append(check_limit_order(tower, terms))

@@ -162,9 +162,11 @@ def test_glued_collapse_least_elements(succ_tower):
 def test_glued_collapse_stage_independence(succ_tower):
     es = succ_tower.enumerate(3, 10)
     sigma = CodedElement((es[1],), 0)
-    n = succ_tower.least_stage(sigma)
-    assert succ_tower.collapse_at(sigma, n) == succ_tower.collapse_at(sigma, n + 1)
-    assert succ_tower.collapse_at(sigma, n) == succ_tower.collapse(sigma)
+    value = succ_tower.collapse(sigma)
+    n = birth_stage(value)
+    at_n = succ_tower.flatten(succ_tower.lift(value, n))
+    assert at_n == succ_tower.flatten(succ_tower.lift(value, n + 1))
+    assert at_n == value
 
 
 def test_glued_collapse_rejects_misordered_support(succ_tower):
@@ -184,7 +186,7 @@ def test_push_pull_round_trip(omega_tower):
     # pull back to a stage, then push forward along flatten
     es = omega_tower.enumerate(2, 6)
     sigma = CodedElement((es[0], es[2]), (1, 0))
-    n = omega_tower.least_stage(sigma)
+    n = birth_stage(omega_tower.collapse(sigma))
     for m in (n, n + 1):
         assert map_coded(omega_tower.flatten, omega_tower.pull_back(sigma, m)) == sigma
 

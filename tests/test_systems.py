@@ -96,7 +96,7 @@ def test_theta_compare_omega_empty_below_singleton(omega_tower):
 def test_embed_next_keeps_empty_support_and_length(succ_tower):
     sys0 = succ_tower.stage(0)
     top0 = sys0.collapse(CodedElement((), TOP))
-    lifted = sys0.iterate().embed(top0)
+    lifted = succ_tower.stage(1).embed(top0)
     assert lifted.body == CodedElement((), TOP)
     assert lifted.length == top0.length == 1
 
@@ -106,16 +106,16 @@ def test_embed_next_relabels_omega_support(omega_tower):
     sys2 = omega_tower.stage(2)
     a = sys1.carrier_listing(5)[0]
     term = sys1.collapse(CodedElement((a,), (0,)))
-    lifted = sys1.iterate().embed(term)
+    lifted = sys2.embed(term)
     assert lifted.body.token == (0,)
     assert lifted.body.support == (sys1.embed(a),)
     assert lifted.body.support[0] in sys2.carrier_listing(5).items
 
 
 def test_embed_next_preserves_length_on_samples(omega_tower):
-    sys1 = omega_tower.stage(1)
-    for term in sys1.iterate().carrier_listing(15):
-        assert sys1.iterate().embed(term).length == term.length
+    sys2 = omega_tower.stage(2)
+    for term in sys2.carrier_listing(15):
+        assert sys2.embed(term).length == term.length
 
 
 def test_iterate_carrier_sizes_successor(succ_tower):
@@ -125,9 +125,8 @@ def test_iterate_carrier_sizes_successor(succ_tower):
 
 
 def test_iterate_is_idempotent(succ_tower):
-    sys1 = succ_tower.stage(1)
-    assert sys1.iterate() is sys1.iterate()
-    assert sys1.iterate() is succ_tower.stage(2)
+    assert succ_tower.stage(2) is succ_tower.stage(2)
+    assert succ_tower.stage(2).base is succ_tower.stage(1)
 
 
 def test_iterate_omega_budgeted_chain(omega_tower):
@@ -151,7 +150,7 @@ def test_subterm_closure_cases(succ_tower):
 
 def test_subterm_closure_is_closed_and_bounded(omega_tower):
     sys2 = omega_tower.stage(2)
-    for term in sys2.iterate().carrier_listing(12):
+    for term in omega_tower.stage(3).carrier_listing(12):
         closure = sys2.subterm_closure(term)
         for r in closure:
             assert sys2.compare(r, term) in (LT, EQ)
@@ -184,7 +183,7 @@ def test_corrupted_length_function_trips_the_recursion_guard():
 
 def test_compare_is_memoized_deterministically(omega_tower):
     sys1 = omega_tower.stage(1)
-    terms = sys1.iterate().carrier_listing(20).items
+    terms = omega_tower.stage(2).carrier_listing(20).items
     first = [[sys1.compare(s, t) for t in terms] for s in terms]
     again = [[sys1.compare(s, t) for t in terms] for s in terms]
     assert first == again

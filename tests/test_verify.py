@@ -25,6 +25,7 @@ from bhfix.verify import (
     check_limit_order,
     check_minimality,
     check_theta_linear,
+    check_witness,
     erase_supports,
     run_suite,
 )
@@ -207,13 +208,30 @@ def test_unknown_suite_rejected():
         run_suite(SuccessorDilator(), "bogus")
 
 
+class _ReversedSelfWitness(SelfWitness):
+    """The limit witnessing itself with its order reversed."""
+
+    def compare(self, a, b):
+        return -super().compare(a, b)
+
+
 def test_failure_lines_use_term_grammar():
-    # a corrupted stage system reports counterexamples as serialized terms
+    # a corrupted stage system and a corrupted witness report
+    # counterexamples as serialized terms
     tower = Tower(SuccessorDilator())
-    bad = _ZeroLengthSystem(tower, tower.stage(0))
-    report = check_goodness(bad, 10)
-    assert not report.passed
-    assert any("th(" in line or "length" in line for line in report.failures)
+    for report in (
+        check_goodness(_ZeroLengthSystem(tower, tower.stage(0)), 10),
+        check_witness(_ReversedSelfWitness(tower), tower.dilator, 10),
+    ):
+        assert not report.passed
+        assert any("th(" in line for line in report.failures), report.format()
+        assert not any(
+            "ThetaTerm(" in line or "CodedElement(" in line for line in report.failures
+        ), report.format()
+    assert report.failures[0] == (
+        "condition (ii) broken: @2:th(v0;th(v0;th(top))) not below "
+        "@3:th(v0;th(v0;th(v0;th(top))))"
+    )
 
 
 def test_failure_overflow_is_capped():
@@ -279,19 +297,12 @@ def test_fixed_point_catches_a_perturbed_limit_order():
     ), report.format()
 
 
-def test_theta_linear_counts_each_instance_once():
-    # stage 1 of omega with the verdict on its first and third listed terms
-    # reversed: 6 terms give 30 ordered pairs, and the flipped order (a
-    # 3-cycle below three more terms) 22 triples.  The stage is the tower's
-    # own, so the listed terms are its terms, and its memo holds the true
-    # order first, so no other verdict recurses through the flipped one.
-    tower = Tower(OmegaPowerDilator())
-    items = tower.stage(2).carrier_listing(6).items
-    bad = tower.stage(1)
+def _assert_flipped_theta_linear(bad, items):
+    # prime the memo with the true order, so that no other verdict
+    # recurses through the flipped one
     for s in items:
         for t in items:
             bad.compare(s, t)
-    bad.__class__ = _FlippedSystem
     bad.flipped = frozenset({items[0], items[2]})
     report = check_theta_linear(bad, 6)
     assert report.instances == 52, report.format()
@@ -299,6 +310,76 @@ def test_theta_linear_counts_each_instance_once():
     assert transitivity[0] == (
         "transitivity broken on th(w[]) < th(w[0];th(w[])) < th(w[0,0];th(w[]))"
     ), report.format()
+
+
+def test_theta_linear_counts_each_instance_once():
+    # stage 1 of omega with the verdict on its first and third listed terms
+    # reversed: 6 terms give 30 ordered pairs, and the flipped order (a
+    # 3-cycle below three more terms) 22 triples.
+    tower = Tower(OmegaPowerDilator())
+    # the tower's own stage, whose listed terms are its terms
+    bad = tower.stage(1)
+    items = tower.stage(2).carrier_listing(6).items
+    bad.__class__ = _FlippedSystem
+    _assert_flipped_theta_linear(bad, items)
+    # a copy of that stage over the same base, whose next system lists the
+    # copy's own terms
+    bad = _FlippedSystem(tower, tower.stage(0))
+    items = System(tower, bad).carrier_listing(6).items
+    assert all(bad.collapse(t.body) is t for t in items)
+    _assert_flipped_theta_linear(bad, items)
+
+
+_STAGE_CHECKS = (
+    check_theta_linear, check_collapse_admissible, check_commuting_square, check_goodness,
+)
+
+
+@pytest.mark.parametrize(
+    "dilator", [SuccessorDilator, OmegaPowerDilator], ids=["successor", "omega"]
+)
+def test_stage_checks_read_only_the_given_system(dilator):
+    # a copy of stage n+1 over the tower's stage n checks like that stage
+    tower = Tower(dilator())
+    for n in range(3):
+        copy = System(tower, tower.stage(n))
+        for check in _STAGE_CHECKS:
+            assert check(copy, 8) == check(tower.stage(n + 1), 8), (check.__name__, n)
+
+
+class _StageTwoMoved(Tower):
+    """A tower whose flatten sends every term of stage 2 (that is, of X_3)
+    to the least limit element."""
+
+    def flatten(self, s):
+        if self.stage(2)._intern.get(s.body) is s:
+            return self.listing(1, 1)[0]
+        return super().flatten(s)
+
+
+@pytest.mark.parametrize(
+    "dilator,instances,exhaustive,first",
+    [
+        (SuccessorDilator, 23, True, "collapse depends on the stage for @1:th(v0;th(top))"),
+        (
+            OmegaPowerDilator, 968, False,
+            "collapse depends on the stage for @1:th(w[0];th(w[]))",
+        ),
+    ],
+    ids=["successor", "omega"],
+)
+def test_fixed_point_catches_a_stage_dependent_flatten(dilator, instances, exhaustive, first):
+    report = check_fixed_point(_StageTwoMoved(dilator()), 10)
+    assert (report.instances, report.exhaustive) == (instances, exhaustive)
+    assert report.failures[0] == first, report.format()
+
+
+def test_limit_order_catches_a_stage_dependent_flatten():
+    report = check_limit_order(_StageTwoMoved(SuccessorDilator()), 10)
+    assert report.instances == 9
+    assert report.failures[0] == "flatten after lift to X3 moved @1:th(v0;th(top))", (
+        report.format()
+    )
 
 
 def test_stage_checks_name_themselves_after_the_stage():

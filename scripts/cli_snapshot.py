@@ -8,7 +8,9 @@ request of the three perfbench workloads at seeds 401 and 7, ``enumerate``
 on 9 selectors x stages 0-6 x 9 budgets, and ``verify --suite all`` on 7
 selectors x budgets 0-7, with and without ``--break-naturality``.  The
 program is imported from ``CHECKOUT/src`` (default: this checkout), so two
-checkouts can be compared with ``diff`` on their snapshots.
+checkouts can be compared with ``diff`` on their snapshots.  A CHECKOUT
+without ``src/bhfix`` is an error (exit 2), never a silent fallback to
+whatever ``bhfix`` is importable.
 """
 
 import contextlib
@@ -18,7 +20,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(Path(sys.argv[1] if len(sys.argv) > 1 else ROOT) / "src"))
+CHECKOUT = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT
+if not (CHECKOUT / "src" / "bhfix").is_dir():
+    print(f"error: {CHECKOUT} has no src/bhfix to import the program from", file=sys.stderr)
+    sys.exit(2)
+sys.path.insert(0, str(CHECKOUT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 from bhfix.cli import main  # noqa: E402

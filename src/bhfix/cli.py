@@ -86,12 +86,6 @@ def natural(text: str, what: str = "a count") -> int:
     return parse_nat(text, what, SelectorError)
 
 
-def check_stages(stages: int) -> None:
-    """A ``--stages`` count above ``MAX_STAGE`` is a usage error."""
-    if stages > MAX_STAGE:
-        raise SelectorError(f"--stages {stages} exceeds the supported bound {MAX_STAGE}")
-
-
 def _default_budget() -> int:
     raw = os.environ.get("BH_BUDGET_DEFAULT")
     return 50 if raw is None else natural(raw, "BH_BUDGET_DEFAULT")
@@ -137,7 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_enumerate(args) -> int:
     dilator = parse_selector(args.dilator)
-    check_stages(args.stages)
+    if args.stages > MAX_STAGE:
+        raise SelectorError(f"--stages {args.stages} exceeds the supported bound {MAX_STAGE}")
     budget = args.budget if args.budget is not None else _default_budget()
     tower = Tower(dilator)
     listed = tower.enumerate(args.stages, budget)

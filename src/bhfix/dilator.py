@@ -7,7 +7,8 @@ through the inclusion of its support.  Because of that factorization, an
 element of T_X for an arbitrary linearly ordered carrier X can always be
 stored in *support normal form*: a strictly sorted support tuple over X
 plus a full-support token at arity |support|.  All values in this package
-keep that normal form; raw tokens exist only at module boundaries.
+keep that normal form; raw tokens exist only at module boundaries.  Each
+dilator computes that factorization itself (``restrict_token``).
 
 Token values must be hashable and their ``==`` must agree with
 ``compare_at`` equality at a fixed arity.  All operations are pure;
@@ -27,10 +28,6 @@ from .finite_orders import EQ, Embedding, finset_map, is_strictly_sorted
 
 Token = Any
 Cmp = Callable[[Any, Any], int]
-
-# Bound for the generic normal-form search; concrete dilators override
-# restrict_token and never hit it.
-RESTRICT_SEARCH_BUDGET = 512
 
 # The longest numeral parse_nat reads: Python's default limit of int(str).
 MAX_DIGITS = 4300
@@ -83,7 +80,11 @@ class Dilator:
     * ``map_token`` is functorial and strictly monotone;
     * ``supp_at`` is natural: supp(map(f, s)) = f[supp(s)];
     * every token is map_token(inclusion-of-its-support) of a unique
-      full-support token.
+      full-support token, which ``restrict_token`` returns.
+
+    All seven methods are required.  ``normal_form`` (and through it the
+    ``dilator-laws`` check) verifies each ``restrict_token`` answer by
+    mapping it back and testing that it has full support.
 
     ``sample_at`` is the one token listing: a deterministic finite subset
     of Tok_n of at most ``budget`` tokens, flagged exhaustive only when it
@@ -107,24 +108,7 @@ class Dilator:
         raise NotImplementedError
 
     def restrict_token(self, n: int, tok: Token, positions: Sequence[int]) -> Token:
-        """Preimage of tok under the inclusion of ``positions`` into 0..n-1.
-
-        Generic fallback: search the sample at the lower arity.  Only
-        guaranteed to succeed when that sample reaches the preimage; fails
-        loudly otherwise.
-        """
-        k = len(positions)
-        incl = Embedding(tuple(positions), n)
-        candidates = self.sample_at(k, RESTRICT_SEARCH_BUDGET)
-        for cand in candidates:
-            if self.compare_at(n, self.map_token(incl, cand), tok) == EQ:
-                return cand
-        detail = "" if candidates.exhaustive else " within the search budget"
-        raise DilatorLawError(
-            f"{self.name}: no preimage of {self.format_token(n, tok)} under the "
-            f"inclusion of {tuple(positions)} into 0..{n - 1}{detail}; "
-            "support factorization failed"
-        )
+        raise NotImplementedError
 
     def format_token(self, n: int, tok: Token) -> str:
         raise NotImplementedError

@@ -498,7 +498,8 @@ def check_minimality(tower: Tower, witness: Witness, budget: int) -> CheckReport
 
 class _ErasedSupports(Dilator):
     """Deliberately broken wrapper: forgets every support, which destroys the
-    factorization condition.  Test hook for the failure paths."""
+    factorization condition unless the inner supports are already empty.
+    Test hook for the failure paths."""
 
     def __init__(self, inner: Dilator):
         self.inner = inner
@@ -516,8 +517,17 @@ class _ErasedSupports(Dilator):
     def sample_at(self, n, budget):
         return self.inner.sample_at(n, budget)
 
-    # restrict_token intentionally stays the generic search, which fails
-    # loudly when the erased supports make factorization impossible.
+    def restrict_token(self, n, tok, positions):
+        # The erased support is always empty, and by the inner dilator's own
+        # factorization a token factors through the empty inclusion exactly
+        # when its inner support is empty.
+        if self.inner.supp_at(n, tok):
+            raise DilatorLawError(
+                f"{self.name}: no preimage of {self.format_token(n, tok)} under the "
+                f"inclusion of {tuple(positions)} into 0..{n - 1}; "
+                "support factorization failed"
+            )
+        return self.inner.restrict_token(n, tok, positions)
 
     def format_token(self, n, tok):
         return self.inner.format_token(n, tok)

@@ -231,12 +231,8 @@ def test_enumerate_stages_above_the_bound_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize(
     "script, argv",
-    [
-        ("run_checks.py", ["--budget", "-1"]),
-        ("explore_limit.py", ["--budget", "-1"]),
-        ("explore_limit.py", ["--stages", "-2"]),
-    ],
-    ids=["run-checks-budget", "explore-limit-budget", "explore-limit-stages"],
+    [("run_checks.py", ["--budget", "-1"])],
+    ids=["run-checks-budget"],
 )
 def test_scripts_reject_negative_counts(script, argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -254,11 +250,8 @@ def test_scripts_reject_negative_counts(script, argv):
         ("run_checks.py", ["--suite", "bogus", "omega"], "argument --suite: invalid choice"),
         ("run_checks.py", ["bogus"], "unknown dilator selector 'bogus'"),
         ("run_checks.py", ["successor", "sum(omega)"], "needs exactly two components"),
-        ("explore_limit.py", ["--dilator", "bogus"], "unknown dilator selector 'bogus'"),
-        ("explore_limit.py", ["--stages", "10001"], "10000"),
     ],
-    ids=["run-checks-suite", "run-checks-selector", "run-checks-later-selector",
-         "explore-limit-selector", "explore-limit-stages"],
+    ids=["run-checks-suite", "run-checks-selector", "run-checks-later-selector"],
 )
 def test_scripts_report_usage_errors(script, argv, message):
     # exit 2 is a usage error; run_checks.py keeps exit 1 for a failed check
@@ -270,6 +263,19 @@ def test_scripts_report_usage_errors(script, argv, message):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_snapshot_refuses_a_checkout_without_the_program(tmp_path):
+    # with bhfix importable from PYTHONPATH, a mistyped checkout must not
+    # silently snapshot this checkout instead
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cli_snapshot.py"), str(tmp_path / "no-such-dir")],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ")
+    assert "src/bhfix" in proc.stderr
 
 
 def test_run_checks_script_matches_verify_golden():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bhfix.dilator import (
     CodedElement,
-    Dilator,
     Enumeration,
     coded_elements,
     compare_coded,
@@ -50,32 +49,6 @@ def test_normal_form_full_support_is_identity():
     nf = normal_form(omega, 2, (1, 0))
     assert nf.support == (0, 1)
     assert nf.token == (1, 0)
-
-
-class _NoRestrict(Dilator):
-    """Hide the concrete restrict_token so the generic search runs."""
-
-    name = "successor-search"
-
-    def compare_at(self, n, s, t):
-        return succ.compare_at(n, s, t)
-
-    def map_token(self, f, tok):
-        return succ.map_token(f, tok)
-
-    def supp_at(self, n, tok):
-        return succ.supp_at(n, tok)
-
-    def sample_at(self, n, budget):
-        return succ.sample_at(n, budget)
-
-    def format_token(self, n, tok):
-        return succ.format_token(n, tok)
-
-
-def test_generic_restrict_search_fallback():
-    nf = normal_form(_NoRestrict(), 3, 2)
-    assert nf == CodedElement((2,), 0)
 
 
 def test_make_coded_rejects_partial_support():

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from bhfix.cli import parse_selector
 from bhfix.dilator import CodedElement
 from bhfix.finite_orders import EQ
 from bhfix.interpret import SelfWitness
@@ -59,6 +60,30 @@ def test_broken_dilator_fails_with_counterexample():
     report = check_dilator_laws(broken, 3, 10)
     assert not report.passed
     assert any("factorization" in line for line in report.failures)
+
+
+def test_erased_constant_factors_beyond_any_sample_cap():
+    # a constant dilator has no supports to erase, however many tokens it has
+    broken = erase_supports(ConstantDilator(513))
+    assert broken.restrict_token(0, 512, ()) == 512
+    report = check_dilator_laws(broken, 0, 513)
+    assert report.format() == "CHECK dilator-laws pass instances=264708 exhaustive=true"
+
+
+_LEAVES = ["successor", "identity", "constant:0", "constant:2", "omega"]
+_TREES = _LEAVES + [
+    f"{op}({a},{b})" for op in ("sum", "product") for a in _LEAVES for b in _LEAVES
+]
+
+
+@pytest.mark.parametrize("selector", _TREES)
+def test_erased_supports_fail_exactly_when_some_support_is_nonempty(selector):
+    dilator = parse_selector(selector)
+    has_support = any(
+        dilator.supp_at(n, tok) for n in range(4) for tok in dilator.sample_at(n, 6)
+    )
+    report = check_dilator_laws(erase_supports(dilator), 3, 6)
+    assert report.passed != has_support, report.format()
 
 
 def _is_identity(f):

@@ -180,7 +180,7 @@ def _cmd_interpret(args) -> int:
     else:
         witness = SelfWitness(tower)
     element = parse_bh(tower, args.term)
-    print(witness.format(embed_bh(witness, tower, element)))
+    print(witness.format(embed_bh(witness, element)))
     return EXIT_OK
 
 

@@ -122,7 +122,7 @@ def interpretation_at(witness: Witness, n: int) -> Callable:
     return h
 
 
-def embed_bh(witness: Witness, tower: Tower, e: ThetaTerm) -> Any:
+def embed_bh(witness: Witness, e: ThetaTerm) -> Any:
     """Image of a limit element in the witness order, memoized per subterm."""
     images: dict[ThetaTerm, Any] = {}
 

@@ -12,9 +12,12 @@ comparison is one :meth:`System.compare`.
 A term is new at stage n+1 exactly when one of its supports is new at
 stage n, so by induction a limit element of length L is born at stage
 L - 1 and first lives in X_L.  Listings are generated over the limit
-(:meth:`Tower.listing`) and lifted to the stages, which stay as the
-paper's construction and as the oracle the checks compare against;
-``flatten`` and ``lift`` translate between the two.
+(:meth:`Tower.listing`) and embedded into the stages, which stay as the
+paper's construction and as the oracle the checks compare against.
+``flatten`` takes a stage term to the limit; the stage iota
+(:meth:`System.embed`) reads only the structure of its argument, so
+``stage(m).embed(e)`` is the representative in X_{m+1} of a limit element
+e born at stage <= m.
 
 The glued collapse is the limit system's collapse; computing it at any
 stage containing the support and flattening gives the same element.
@@ -69,7 +72,6 @@ class Tower:
         self.dilator = dilator
         self._systems = [System(self)]
         self.limit = LimitSystem(self)
-        self._flat: dict[ThetaTerm, ThetaTerm] = {}
         self._listings: dict[tuple[int, int], Enumeration] = {}
 
     def stage(self, n: int) -> System:
@@ -78,21 +80,9 @@ class Tower:
             self._systems.append(System(self, self._systems[-1]))
         return self._systems[n]
 
-    # -- bridges between the stages and the limit ------------------------------
-
     def flatten(self, s: ThetaTerm) -> ThetaTerm:
         """The limit element of a term in any stage X_n, n >= 1."""
-        e = self._flat.get(s)
-        if e is None:
-            e = self.limit.collapse(map_coded(self.flatten, s.body))
-            self._flat[s] = e
-        return e
-
-    def lift(self, e: ThetaTerm, m: int) -> ThetaTerm:
-        """The representative of e in X_{m+1}, for any m >= its birth stage."""
-        if m < birth_stage(e):
-            raise ValueError(f"cannot lift a stage-{birth_stage(e)} element down to {m}")
-        return self.stage(m).collapse(self.pull_back(e.body, m))
+        return self.limit.collapse(map_coded(self.flatten, s.body))
 
     # -- the limit order and the glued collapse --------------------------------
 
@@ -108,10 +98,6 @@ class Tower:
         if not is_strictly_sorted(coded.support, self.compare):
             raise ValueError("support must be strictly increasing in the limit order")
         return self.limit.collapse(make_coded(self.dilator, coded.support, coded.token))
-
-    def pull_back(self, coded: CodedElement, n: int) -> CodedElement:
-        """Write a coded element over the limit as one over X_n."""
-        return CodedElement(tuple(self.lift(e, n - 1) for e in coded.support), coded.token)
 
     # -- enumeration -------------------------------------------------------------
 

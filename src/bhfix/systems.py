@@ -32,7 +32,7 @@ its carrier listing per budget.  All three caches are append-only and
 idempotent; systems are immutable once built and safe to share.  Stages
 generate nothing: the tower lists limit elements
 (:meth:`bhfix.limits.Tower.listing`), and a carrier listing is that listing
-pulled back and collapsed in the base, so a system reads nothing of the
+embedded into the base by the base's iota, so a system reads nothing of the
 tower's stages but what its base gives it.
 """
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dilator import CodedElement, Dilator, Enumeration, compare_coded, map_coded
+from .dilator import CodedElement, Dilator, Enumeration, compare_coded
 from .errors import SystemDefectError
 from .finite_orders import EQ, GT, LT
 
@@ -81,13 +81,11 @@ class System:
         return self.base.compare(x, y)
 
     def carrier_listing(self, budget: int) -> Enumeration:
-        """The tower's listing of X_n at this budget, collapsed in the base."""
+        """The tower's listing of X_n at this budget, embedded into the base."""
         listing = self._listings.get(budget)
         if listing is None:
             listed = self.tower.listing(self.n, budget)
-            terms = tuple(
-                self.base.collapse(self.tower.pull_back(e.body, self.n - 1)) for e in listed
-            )
+            terms = tuple(self.base.embed(e) for e in listed)
             listing = self._listings[budget] = Enumeration(terms, listed.exhaustive)
         return listing
 
@@ -98,8 +96,14 @@ class System:
     # -- the system data ---------------------------------------------------
 
     def embed(self, x: ThetaTerm) -> ThetaTerm:
-        """iota_X: relabel the supports of x through the base's iota."""
-        return self.collapse(map_coded(self.base.embed, x.body))
+        """iota_X: relabel the supports of x through the base's iota.
+
+        iota reads only the structure of x, and the base only when x has a
+        support, so it also takes a limit element born at stage <= n to its
+        representative in X_{n+1}.
+        """
+        support = tuple(self.base.embed(y) for y in x.body.support)
+        return self.collapse(CodedElement(support, x.body.token))
 
     def theta_length(self, coded: CodedElement) -> int:
         """Term length: one plus the maximal carrier length over the support."""

@@ -384,12 +384,12 @@ def check_fixed_point(
         values.append(value)
         first = birth_stage(value)
         report.check(
-            all(tower.flatten(tower.lift(value, m)) is value for m in (first, first + 1)),
+            all(tower.flatten(tower.stage(m).embed(value)) is value for m in (first, first + 1)),
             lambda value=value: f"collapse depends on the stage for {show(value)}",
         )
         # finite-stage absorption round trip
         report.check(
-            map_coded(tower.flatten, tower.pull_back(sigma, first)) == sigma,
+            map_coded(tower.flatten, tower.stage(first).embed(value).body) == sigma,
             lambda value=value: f"stage absorption broken for {show(value)}",
         )
     _collapse_conditions(report, coded, values, tower.compare, _identity, show)
@@ -397,22 +397,24 @@ def check_fixed_point(
 
 
 def check_limit_order(tower: Tower, budget: int) -> CheckReport:
-    """The limit order is the stage order of lifts: on every pair of sampled
-    limit elements it agrees with the comparison of their representatives at
-    the least common stage, and flattening a lift gives the element back."""
+    """The limit order is the stage order: on every pair of sampled limit
+    elements it agrees with the comparison of their representatives (the
+    stage iota of the element) at the least common stage, and flattening a
+    representative gives the element back."""
     elements = tower.enumerate(LIMIT_STAGES, budget)
     report = CheckReport("limit-order", elements.exhaustive)
     dil = tower.dilator
     for e in elements:
         for m in range(birth_stage(e), LIMIT_STAGES):
             report.check(
-                tower.flatten(tower.lift(e, m)) is e,
+                tower.flatten(tower.stage(m).embed(e)) is e,
                 lambda e=e, m=m: f"flatten after lift to X{m + 1} moved {format_bh(dil, e)}",
             )
     for i, a in enumerate(elements):
         for b in elements[i + 1 :]:
             m = max(birth_stage(a), birth_stage(b))
-            staged = tower.stage(m).compare(tower.lift(a, m), tower.lift(b, m))
+            stage = tower.stage(m)
+            staged = stage.compare(stage.embed(a), stage.embed(b))
             report.check(
                 tower.compare(a, b) == staged,
                 lambda a=a, b=b, m=m: (
@@ -470,7 +472,7 @@ def check_minimality(tower: Tower, witness: Witness, budget: int) -> CheckReport
             ip = nxt
         elements = tower.enumerate(LIMIT_STAGES, budget)
         report.exhaustive &= elements.exhaustive
-        images = [embed_bh(witness, tower, e) for e in elements]
+        images = [embed_bh(witness, e) for e in elements]
         for i in range(len(elements)):
             for j in range(i + 1, len(elements)):
                 report.check(
@@ -484,7 +486,7 @@ def check_minimality(tower: Tower, witness: Witness, budget: int) -> CheckReport
             born = birth_stage(e)
             later = interpretation_at(witness, born + 2)
             report.check(
-                witness.compare(later(tower.lift(e, born + 1)), image) == 0,
+                witness.compare(later(tower.stage(born + 1).embed(e)), image) == 0,
                 lambda e=e: f"gluing inconsistent across stages at {format_bh(dil, e)}",
             )
     except WitnessLawError as err:

@@ -127,7 +127,7 @@ def test_criterion_6_successor_facts():
     for a, b in zip(elements, elements.items[1:]):
         assert tower.compare(a, b) == LT
     witness = OmegaSuccessorWitness()
-    assert [embed_bh(witness, tower, e) for e in elements] == list(range(8))
+    assert [embed_bh(witness, e) for e in elements] == list(range(8))
     assert time.perf_counter() - start < 1.0
 
 

@@ -76,17 +76,17 @@ def test_interpret_term_maps_support_through_h(succ_tower):
 def test_embed_bh_counts_the_naturals(succ_tower):
     w = OmegaSuccessorWitness()
     elements = succ_tower.enumerate(6, 50)
-    assert [embed_bh(w, succ_tower, e) for e in elements] == list(range(6))
+    assert [embed_bh(w, e) for e in elements] == list(range(6))
 
 
 def test_embed_bh_is_order_preserving_and_stage_consistent(succ_tower):
     w = OmegaSuccessorWitness()
     elements = succ_tower.enumerate(5, 50)
-    images = [embed_bh(w, succ_tower, e) for e in elements]
+    images = [embed_bh(w, e) for e in elements]
     assert images == sorted(images)
     for e, img in zip(elements, images):
         later = interpretation_at(w, birth_stage(e) + 2)
-        assert later(succ_tower.lift(e, birth_stage(e) + 1)) == img
+        assert later(succ_tower.stage(birth_stage(e) + 1).embed(e)) == img
 
 
 @pytest.mark.parametrize("dilator", [SuccessorDilator(), OmegaPowerDilator()],
@@ -96,7 +96,7 @@ def test_self_witness_embeds_identically(dilator):
     tower = Tower(dilator)
     w = SelfWitness(tower)
     for e in tower.enumerate(3, 8):
-        assert embed_bh(w, tower, e) is e
+        assert embed_bh(w, e) is e
 
 
 def test_omega_witness_self_check_at_scale(succ_tower):

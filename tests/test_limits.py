@@ -55,7 +55,7 @@ def test_inject_strips_embedded_terms(succ_tower):
     lifted = succ_tower.stage(1).embed(t)             # its image in X_2
     e = succ_tower.flatten(t)
     assert succ_tower.flatten(lifted) is e
-    assert birth_stage(e) == 0 and succ_tower.lift(e, 0) is t
+    assert birth_stage(e) == 0 and succ_tower.stage(0).embed(e) is t
 
 
 def test_inject_detects_new_terms(succ_tower):
@@ -63,14 +63,14 @@ def test_inject_detects_new_terms(succ_tower):
     terms3 = succ_tower.stage(3).carrier_listing(10)
     new = [t for t in terms3 if birth_stage(succ_tower.flatten(t)) == 2]
     assert len(new) == 1 and new[0].length == 3
-    assert succ_tower.lift(succ_tower.flatten(new[0]), 2) is new[0]
+    assert succ_tower.stage(2).embed(succ_tower.flatten(new[0])) is new[0]
 
 
 def test_lift_base_and_single_step(succ_tower):
     e0 = succ_tower.enumerate(1, 10)[0]
-    t0 = succ_tower.lift(e0, 0)
+    t0 = succ_tower.stage(0).embed(e0)
     assert t0 in succ_tower.stage(1).carrier_listing(5).items
-    lifted = succ_tower.lift(e0, 1)
+    lifted = succ_tower.stage(1).embed(e0)
     assert lifted is succ_tower.stage(1).embed(t0)
     assert format_bh(succ_tower.dilator, succ_tower.flatten(lifted)) == "@0:th(top)"
 
@@ -79,21 +79,15 @@ def test_flatten_after_lift_is_identity(succ_tower, omega_tower):
     for tower in (succ_tower, omega_tower):
         for e in tower.enumerate(3, 10):
             for m in range(birth_stage(e), 5):
-                assert tower.flatten(tower.lift(e, m)) is e
+                assert tower.flatten(tower.stage(m).embed(e)) is e
 
 
 def test_lift_commutes_with_stage_embedding(succ_tower):
     for e in succ_tower.enumerate(3, 10):
         for m in range(birth_stage(e), 5):
-            assert succ_tower.lift(e, m + 1) is succ_tower.stage(m + 1).embed(
-                succ_tower.lift(e, m)
+            assert succ_tower.stage(m + 1).embed(e) is succ_tower.stage(m + 1).embed(
+                succ_tower.stage(m).embed(e)
             )
-
-
-def test_lift_below_birth_stage_rejected(succ_tower):
-    es = succ_tower.enumerate(3, 10)
-    with pytest.raises(ValueError):
-        succ_tower.lift(es[2], 1)
 
 
 def _preimage(tower, m, u):
@@ -125,7 +119,7 @@ def test_birth_stage_is_length_minus_one(selector):
             assert _birth_by_preimages(tower, n, t) == birth_stage(e) == e.length - 1
     for e in tower.enumerate(4, 25):
         born = birth_stage(e)
-        assert _birth_by_preimages(tower, born, tower.lift(e, born)) == born
+        assert _birth_by_preimages(tower, born, tower.stage(born).embed(e)) == born
 
 
 def test_compare_reflexive_and_stage_monotone(succ_tower):
@@ -143,11 +137,7 @@ def test_compare_independent_of_lifting_stage(omega_tower):
             expected = omega_tower.compare(a, b)
             for m in range(max(birth_stage(a), birth_stage(b)), 4):
                 sysm = omega_tower.stage(m)
-                got = (
-                    EQ
-                    if a == b
-                    else sysm.compare(omega_tower.lift(a, m), omega_tower.lift(b, m))
-                )
+                got = EQ if a == b else sysm.compare(sysm.embed(a), sysm.embed(b))
                 assert got == expected
 
 
@@ -164,8 +154,8 @@ def test_glued_collapse_stage_independence(succ_tower):
     sigma = CodedElement((es[1],), 0)
     value = succ_tower.collapse(sigma)
     n = birth_stage(value)
-    at_n = succ_tower.flatten(succ_tower.lift(value, n))
-    assert at_n == succ_tower.flatten(succ_tower.lift(value, n + 1))
+    at_n = succ_tower.flatten(succ_tower.stage(n).embed(value))
+    assert at_n == succ_tower.flatten(succ_tower.stage(n + 1).embed(value))
     assert at_n == value
 
 
@@ -186,9 +176,10 @@ def test_push_pull_round_trip(omega_tower):
     # pull back to a stage, then push forward along flatten
     es = omega_tower.enumerate(2, 6)
     sigma = CodedElement((es[0], es[2]), (1, 0))
-    n = birth_stage(omega_tower.collapse(sigma))
+    value = omega_tower.collapse(sigma)
+    n = birth_stage(value)
     for m in (n, n + 1):
-        assert map_coded(omega_tower.flatten, omega_tower.pull_back(sigma, m)) == sigma
+        assert map_coded(omega_tower.flatten, omega_tower.stage(m).embed(value).body) == sigma
 
 
 def test_enumerate_successor_one_birth_per_stage(succ_tower):
@@ -269,4 +260,4 @@ def test_stage_iota_is_the_lift_of_the_flattened_element(selector, n):
     tower = Tower(parse_selector(selector))
     stage = tower.stage(n)
     for x in stage.carrier_listing(40):
-        assert stage.embed(x) is tower.lift(tower.flatten(x), n)
+        assert stage.embed(x) is tower.stage(n).embed(tower.flatten(x))

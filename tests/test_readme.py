@@ -40,7 +40,7 @@ def test_readme_api_snippet_runs():
     formatted = [namespace["format_bh"](tower.dilator, e) for e in elements]
     assert formatted[:2] == ["@0:th(top)", "@1:th(v0;th(top))"]
     witness = namespace["OmegaSuccessorWitness"]()
-    assert namespace["embed_bh"](witness, tower, elements[3]) == 3
+    assert namespace["embed_bh"](witness, elements[3]) == 3
 
 
 def test_top_level_surface_is_the_documented_one():

@@ -10,7 +10,7 @@ from bhfix.syntax import format_bh, format_term, parse_bh
 
 def parse_stage_term(tower, n, text):
     """The representative in X_{n+1} of a term read at stage n."""
-    return tower.lift(parse_bh(tower, f"@{n}:{text}"), n)
+    return tower.stage(n).embed(parse_bh(tower, f"@{n}:{text}"))
 
 
 @pytest.fixture

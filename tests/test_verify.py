@@ -77,6 +77,12 @@ _TREES = _LEAVES + [
 
 
 @pytest.mark.parametrize("selector", _TREES)
+def test_every_check_passes_on_nested_selectors(selector):
+    for report in run_suite(parse_selector(selector), "all", 8):
+        assert report.passed, report.format()
+
+
+@pytest.mark.parametrize("selector", _TREES)
 def test_erased_supports_fail_exactly_when_some_support_is_nonempty(selector):
     dilator = parse_selector(selector)
     has_support = any(
@@ -370,6 +376,11 @@ def test_stage_checks_read_only_the_given_system(dilator):
         copy = System(tower, tower.stage(n))
         for check in _STAGE_CHECKS:
             assert check(copy, 8) == check(tower.stage(n + 1), 8), (check.__name__, n)
+    # and so does a copy two levels deep, whose base is itself a copy
+    for n in range(2):
+        copy = System(tower, System(tower, tower.stage(n)))
+        for check in _STAGE_CHECKS:
+            assert check(copy, 8) == check(tower.stage(n + 2), 8), (check.__name__, n)
 
 
 class _StageTwoMoved(Tower):

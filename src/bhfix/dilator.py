@@ -17,10 +17,12 @@ dilator instances hold no observable state and can be shared freely.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from heapq import nsmallest
 from itertools import combinations
+from math import comb
 from typing import Any, Callable, Iterator, Sequence
 
 from .errors import DilatorLawError
@@ -249,26 +251,68 @@ def full_support_tokens(dilator: Dilator, k: int, budget: int) -> Enumeration:
     return Enumeration(full, sample.exhaustive)
 
 
-def coded_elements(
-    dilator: Dilator, carrier_sample: Enumeration, budget: int, cmp: Cmp
+def least_coded(
+    dilator: Dilator,
+    carrier_sample: Enumeration,
+    budget: int,
+    k: int,
+    cmp: Cmp,
+    value: Callable[[CodedElement], Any],
+    order: Cmp,
 ) -> Enumeration:
-    """All coded elements with support inside the sample and token within
-    the per-arity budget, in generation order (not sorted).
+    """The k least values of the coded elements over a carrier sample, sorted.
 
-    ``carrier_sample`` must be strictly sorted under cmp.  The result is
-    exhaustive for T_X restricted to the sampled carrier only when the
-    sample and every per-arity token enumeration were exhaustive.
+    The coded elements are those with support inside ``carrier_sample``,
+    which must be strictly sorted under cmp, and token among the arity's
+    full-support tokens within ``budget``.  ``value`` maps each one to an
+    item ordered by ``order``.  On one support the value order must be the
+    token order: value(S, t1) < value(S, t2) exactly when t1 < t2 under
+    ``compare_at``.  Two values hold it:
+
+    * the coded element itself under ``compare_coded``, since on one
+      support that is ``compare_at`` on the unmapped tokens;
+    * its collapse th(S, t) under the limit's term order.  Every member of S,
+      and every support of one hereditarily, lies below th(S, t).  By
+      induction on the two lengths: when its body is below (S, t), the first
+      clause asks for its supports below th(S, t); otherwise the second asks
+      for a member of S at or above it: the member itself, or for a deeper
+      support the member it comes from, which lies above it by induction.
+      So on one support, whichever token is less, the deciding clause finds
+      S below the other collapse: th(S, t1) < th(S, t2) exactly when t1 <
+      t2.  This holds for the comparison as computed, whatever the tokens
+      do; sorting them needs only that ``compare_at`` is a linear order.
+
+    The tokens of each arity are sorted once.  Each support walks them in
+    that order, keeps the k least values so far, and stops at its first
+    value that is not below the k-th: no later token of that support can
+    enter.  So values past a support's first miss are never built.
+
+    The result is exhaustive when the sample and every per-arity token
+    listing are, and the sum over arities a of C(|sample|, a) times the
+    number of tokens is at most k; that count builds no element.
     """
+    if k < 0:
+        raise ValueError(f"cannot select {k} items")
     sample = carrier_sample.items
     if not is_strictly_sorted(sample, cmp):
         raise ValueError("carrier sample must be strictly sorted")
-    out: list[CodedElement] = []
+    key = cmp_to_key(order)
+    kept: list = []
+    count = 0
     exhaustive = carrier_sample.exhaustive
-    for k in range(len(sample) + 1):
-        tokens = full_support_tokens(dilator, k, budget)
+    for a in range(len(sample) + 1):
+        tokens = full_support_tokens(dilator, a, budget)
         exhaustive &= tokens.exhaustive
-        if not tokens.items:
+        count += comb(len(sample), a) * len(tokens)
+        if not k or not tokens.items:
             continue
-        for subset in combinations(sample, k):
-            out.extend(CodedElement(subset, tok) for tok in tokens)
-    return Enumeration(tuple(out), exhaustive)
+        ordered = sorted(tokens, key=cmp_to_key(partial(dilator.compare_at, a)))
+        for subset in combinations(sample, a):
+            for tok in ordered:
+                v = value(CodedElement(subset, tok))
+                if len(kept) == k:
+                    if order(v, kept[-1]) >= 0:
+                        break
+                    kept.pop()
+                insort(kept, v, key=key)
+    return Enumeration(tuple(kept), exhaustive and count <= k)

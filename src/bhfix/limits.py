@@ -17,7 +17,16 @@ paper's construction and as the oracle the checks compare against.
 ``flatten`` takes a stage term to the limit; the stage iota
 (:meth:`System.embed`) reads only the structure of its argument, so
 ``stage(m).embed(e)`` is the representative in X_{m+1} of a limit element
-e born at stage <= m.
+e born at stage <= m, and raises ``ValueError`` on a later-born one.
+
+A listing is the least ``budget`` collapses th(S, t) over the listing one
+stage down, chosen by :func:`bhfix.dilator.least_coded` without building
+them all.  On one support S the collapse order is the token order: every
+member of S lies below th(S, t) (by induction on length the first clause
+needs its supports below, and the second finds the member itself in S), so
+the clause that decides th(S, t1) against th(S, t2) always goes the way of
+t1 against t2.  The selector walks each support's tokens in token order and
+leaves the support at its first collapse that cannot enter the cut.
 
 The glued collapse is the limit system's collapse; computing it at any
 stage containing the support and flattening gives the same element.
@@ -33,8 +42,7 @@ from .dilator import (
     CodedElement,
     Dilator,
     Enumeration,
-    coded_elements,
-    least,
+    least_coded,
     make_coded,
     map_coded,
 )
@@ -115,9 +123,9 @@ class Tower:
         cmp = self.limit.compare
         for k in range(m + 1, n + 1):
             b = budget if k == n else cap
-            coded = coded_elements(self.dilator, listing, b, cmp)
-            terms = Enumeration(tuple(map(self.limit.collapse, coded)), coded.exhaustive)
-            listing = self._listings[k, b] = least(terms, b, cmp)
+            listing = self._listings[k, b] = least_coded(
+                self.dilator, listing, b, b, cmp, self.limit.collapse, cmp
+            )
         return listing
 
     def enumerate(self, stage_bound: int, budget: int) -> Enumeration:

@@ -100,8 +100,13 @@ class System:
 
         iota reads only the structure of x, and the base only when x has a
         support, so it also takes a limit element born at stage <= n to its
-        representative in X_{n+1}.
+        representative in X_{n+1}.  A longer element is born above stage n
+        and has none.
         """
+        if x.length > self.n + 1:
+            raise ValueError(
+                f"cannot embed an element born at stage {x.length - 1} at stage {self.n}"
+            )
         support = tuple(self.base.embed(y) for y in x.body.support)
         return self.collapse(CodedElement(support, x.body.token))
 

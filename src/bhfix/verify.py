@@ -16,9 +16,9 @@ from functools import partial
 from .dilator import (
     Dilator,
     Enumeration,
-    coded_elements,
     compare_coded,
     least,
+    least_coded,
     map_coded,
     normal_form,
 )
@@ -271,8 +271,9 @@ def _least_coded(
     dilator: Dilator, carried: Enumeration, budget: int, cap: int, cmp
 ) -> Enumeration:
     """The least ``cap`` coded elements over a carrier sample, sorted."""
-    coded = coded_elements(dilator, carried, budget, cmp)
-    return least(coded, cap, partial(compare_coded, dilator, cmp))
+    return least_coded(
+        dilator, carried, budget, cap, cmp, _identity, partial(compare_coded, dilator, cmp)
+    )
 
 
 def _coded_sample(system: System, budget: int) -> Enumeration:

@@ -8,7 +8,7 @@ tolerances are the stated runtime bounds.
 import functools
 import time
 
-from bhfix.dilator import CodedElement, coded_elements, least
+from bhfix.dilator import CodedElement, least
 from bhfix.finite_orders import LT
 from bhfix.interpret import OmegaSuccessorWitness, embed_bh
 from bhfix.limits import Tower, birth_stage
@@ -21,6 +21,7 @@ from bhfix.standard_dilators import (
 )
 from bhfix.syntax import format_bh, parse_bh
 from bhfix.verify import (
+    _least_coded,
     check_collapse_admissible,
     check_commuting_square,
     check_dilator_laws,
@@ -140,7 +141,7 @@ def test_criterion_7_fixed_point():
     assert report.passed and report.exhaustive, report.format()
     om_tower = Tower(OmegaPowerDilator())
     elements = least(om_tower.enumerate(2, 40), 12, om_tower.compare)
-    coded = coded_elements(om_tower.dilator, elements, 40, om_tower.compare)
+    coded = _least_coded(om_tower.dilator, elements, 40, 40, om_tower.compare)
     pairs = min(len(coded), 40)
     assert pairs * (pairs - 1) >= 100
     report = check_fixed_point(

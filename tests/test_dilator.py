@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from bhfix.dilator import (
     CodedElement,
     Enumeration,
-    coded_elements,
     compare_coded,
     full_support_tokens,
     least,
+    least_coded,
     make_coded,
     map_coded,
     merged_positions,
@@ -93,10 +93,17 @@ def test_support_naturality_at_coded_level():
     assert map_coded(f, e).support == finset_map(f, e.support)
 
 
+def coded_sample(dilator, carried, budget, k):
+    """The k least coded elements over a carrier sample of naturals."""
+    order = partial(compare_coded, dilator, int_cmp)
+    return least_coded(dilator, carried, budget, k, int_cmp, lambda c: c, order)
+
+
 def sorted_coded(dilator, sample, budget):
-    """Every coded element over a sorted sample of naturals, in coded order."""
-    coded = coded_elements(dilator, Enumeration(tuple(sample), True), budget, int_cmp)
-    return least(coded, len(coded), partial(compare_coded, dilator, int_cmp))
+    """Every coded element over a sorted sample of naturals, in coded order:
+    at most ``budget`` tokens per arity make at most budget * 2**|sample|."""
+    carried = Enumeration(tuple(sample), True)
+    return coded_sample(dilator, carried, budget, budget * 2 ** len(sample))
 
 
 def test_enumerate_coded_successor_singleton_sample():
@@ -119,7 +126,7 @@ def test_enumerate_coded_budget_zero():
 
 def test_enumerate_coded_requires_sorted_sample():
     with pytest.raises(ValueError):
-        coded_elements(succ, Enumeration((3, 1), True), 5, int_cmp)
+        coded_sample(succ, Enumeration((3, 1), True), 5, 5)
 
 
 def test_least_selects_sorts_and_flags_the_cut():
@@ -134,8 +141,8 @@ def test_least_selects_sorts_and_flags_the_cut():
 
 
 def test_coded_elements_keeps_the_sample_flag():
-    assert coded_elements(succ, Enumeration((7,), True), 10, int_cmp).exhaustive
-    assert not coded_elements(succ, Enumeration((7,), False), 10, int_cmp).exhaustive
+    assert coded_sample(succ, Enumeration((7,), True), 10, 10).exhaustive
+    assert not coded_sample(succ, Enumeration((7,), False), 10, 10).exhaustive
 
 
 def _verdict_matrix(dilator, items, cmp):

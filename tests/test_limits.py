@@ -90,6 +90,22 @@ def test_lift_commutes_with_stage_embedding(succ_tower):
             )
 
 
+def test_embed_rejects_an_element_born_above_the_stage(succ_tower):
+    # the recursion used to reach stage 0's missing base and raise
+    # AttributeError ('NoneType' object has no attribute 'embed')
+    by_length = {e.length: e for e in succ_tower.enumerate(3, 10)}
+    for m, length in ((1, 3), (0, 2)):
+        with pytest.raises(ValueError, match=f"born at stage {length - 1} at stage {m}"):
+            succ_tower.stage(m).embed(by_length[length])
+
+
+def test_listing_stops_each_support_at_its_first_miss(omega_tower):
+    # building every collapse over the base sample interns 4681 limit terms
+    # here; the pruned selection interns 347
+    assert len(omega_tower.enumerate(3, 50)) == 50
+    assert len(omega_tower.limit._intern) <= 400
+
+
 def _preimage(tower, m, u):
     """The X_m term that the stage embedding maps to u in X_{m+1}, if any."""
     if m == 0:

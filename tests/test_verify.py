@@ -1,14 +1,22 @@
 """The check harness itself: reports, determinism, failure detection."""
 
 import re
+from functools import partial
+from itertools import combinations
 
 import pytest
 
 from bhfix.cli import parse_selector
-from bhfix.dilator import CodedElement
+from bhfix.dilator import (
+    CodedElement,
+    Enumeration,
+    compare_coded,
+    full_support_tokens,
+    least,
+)
 from bhfix.finite_orders import EQ
 from bhfix.interpret import SelfWitness
-from bhfix.limits import Tower
+from bhfix.limits import BASE_SAMPLE_CAP, Tower
 from bhfix.standard_dilators import (
     ConstantDilator,
     IdentityDilator,
@@ -18,6 +26,7 @@ from bhfix.standard_dilators import (
 )
 from bhfix.systems import System
 from bhfix.verify import (
+    _least_coded,
     check_collapse_admissible,
     check_commuting_square,
     check_dilator_laws,
@@ -90,6 +99,36 @@ def test_erased_supports_fail_exactly_when_some_support_is_nonempty(selector):
     )
     report = check_dilator_laws(erase_supports(dilator), 3, 6)
     assert report.passed != has_support, report.format()
+
+
+def coded_elements(dilator, carrier_sample, budget):
+    """Every coded element with support inside the sample and token within
+    the per-arity budget, in generation order: the full generation that the
+    pruned selector ``least_coded`` replaces, kept as its reference."""
+    out = []
+    exhaustive = carrier_sample.exhaustive
+    for k in range(len(carrier_sample) + 1):
+        tokens = full_support_tokens(dilator, k, budget)
+        exhaustive &= tokens.exhaustive
+        for subset in combinations(carrier_sample.items, k):
+            out.extend(CodedElement(subset, tok) for tok in tokens)
+    return Enumeration(tuple(out), exhaustive)
+
+
+@pytest.mark.parametrize("selector", _TREES)
+def test_pruned_selection_is_the_cut_of_full_generation(selector):
+    tower = Tower(parse_selector(selector))
+    cmp = tower.compare
+    for n in (1, 2, 3, 4):
+        for budget in (0, 1, 3, 7, 12, 13, 25):
+            listed = tower.listing(n, budget)
+            base = tower.listing(n - 1, min(budget, BASE_SAMPLE_CAP))
+            coded = coded_elements(tower.dilator, base, budget)
+            terms = Enumeration(tuple(map(tower.limit.collapse, coded)), coded.exhaustive)
+            assert listed == least(terms, budget, cmp), (n, budget)
+            sample = _least_coded(tower.dilator, base, budget, budget, cmp)
+            order = partial(compare_coded, tower.dilator, cmp)
+            assert sample == least(coded, budget, order), (n, budget)
 
 
 def _is_identity(f):

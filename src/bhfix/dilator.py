@@ -230,8 +230,17 @@ def compare_coded(dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement
     the identity law (``map_token`` along an identity returns the token),
     which the ``dilator-laws`` check tests.
     """
+    return compare_merged(dilator, cmp, e1, e2)[0]
+
+
+def compare_merged(
+    dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement
+) -> tuple[int, tuple, tuple]:
+    """The verdict of :func:`compare_coded` together with the positions of
+    both supports inside their merge (:func:`merged_positions`); equal
+    elements are EQ without a merge, with empty positions."""
     if e1 == e2:
-        return EQ
+        return EQ, (), ()
     p1, p2, n = merged_positions(e1.support, e2.support, cmp)
     t1 = e1.token if len(p1) == n else dilator.map_token(Embedding.trusted(p1, n), e1.token)
     t2 = e2.token if len(p2) == n else dilator.map_token(Embedding.trusted(p2, n), e2.token)
@@ -241,7 +250,7 @@ def compare_coded(dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement
             f"{dilator.name}: distinct coded elements compare equal "
             f"(token {dilator.format_token(n, t1)})"
         )
-    return verdict
+    return verdict, p1, p2
 
 
 def full_support_tokens(dilator: Dilator, k: int, budget: int) -> Enumeration:
@@ -271,16 +280,10 @@ def least_coded(
 
     * the coded element itself under ``compare_coded``, since on one
       support that is ``compare_at`` on the unmapped tokens;
-    * its collapse th(S, t) under the limit's term order.  Every member of S,
-      and every support of one hereditarily, lies below th(S, t).  By
-      induction on the two lengths: when its body is below (S, t), the first
-      clause asks for its supports below th(S, t); otherwise the second asks
-      for a member of S at or above it: the member itself, or for a deeper
-      support the member it comes from, which lies above it by induction.
-      So on one support, whichever token is less, the deciding clause finds
-      S below the other collapse: th(S, t1) < th(S, t2) exactly when t1 <
-      t2.  This holds for the comparison as computed, whatever the tokens
-      do; sorting them needs only that ``compare_at`` is a linear order.
+    * its collapse th(S, t) under the limit's term order: on one support
+      the deciding clause finds S below the other collapse, by the support
+      lemma (:mod:`bhfix.limits`).  Sorting the tokens needs only that
+      ``compare_at`` is a linear order.
 
     The tokens of each arity are sorted once.  Each support walks them in
     that order, keeps the k least values so far, and stops at its first

@@ -5,7 +5,8 @@ is ``System(tower, stage(n - 1))``, whose carrier is the order of collapse
 terms over X_{n-1}.  The direct limit of the stages is itself a system over
 its own carrier (:class:`LimitSystem`): its elements are collapse terms
 whose supports are limit elements, iota is the identity, and the order is
-the same two-clause recursion as at every stage.  Limit elements are the
+the same two-clause recursion as at every stage, less the support checks
+that its merge already settles (below).  Limit elements are the
 interned terms of that one system, so equality is identity and every
 comparison is one :meth:`System.compare`.
 
@@ -19,14 +20,36 @@ paper's construction and as the oracle the checks compare against.
 ``stage(m).embed(e)`` is the representative in X_{m+1} of a limit element
 e born at stage <= m, and raises ``ValueError`` on a later-born one.
 
-A listing is the least ``budget`` collapses th(S, t) over the listing one
-stage down, chosen by :func:`bhfix.dilator.least_coded` without building
-them all.  On one support S the collapse order is the token order: every
-member of S lies below th(S, t) (by induction on length the first clause
-needs its supports below, and the second finds the member itself in S), so
-the clause that decides th(S, t1) against th(S, t2) always goes the way of
-t1 against t2.  The selector walks each support's tokens in token order and
-leaves the support at its first collapse that cannot enter the cut.
+The support lemma: every support of a limit element, and every support of
+one hereditarily, lies below it under the two-clause recursion as
+computed, whatever the tokens do.  By induction on the two lengths, for x
+hereditarily in the support S of th(S, t): when the body of x is below
+(S, t), the first clause asks for the supports of x below th(S, t), which
+they are by induction; otherwise the second asks for a member of S at or
+above x: x itself, or for a deeper support the member it comes from, which
+lies above it by induction.  Two rules rest on the lemma.
+
+* The limit comparison settles supports through the merge.  When the body
+  of s is below that of t, the first clause asks for every support x of s
+  below t; the body comparison has already merged the two supports, and an
+  x merged at or before the last support y of t has x <= y < t.  So only
+  the supports of s merged after all of t's are compared; the second
+  clause is the same with s and t swapped.  The step uses transitivity, so
+  it is exact when the limit order is linear, as it is for every lawful
+  dilator, and so is the lemma for the comparison with the step.  A
+  compare along chains is then linear in the height instead of quadratic.
+  The stages keep every clause check: their merge runs in the base order,
+  and that iota carries it into the stage's own is the goodness law, which
+  is checked, not assumed.  So ``check_limit_order`` compares the limit
+  against a full recursion.
+* A listing is the least ``budget`` collapses th(S, t) over the listing
+  one stage down, chosen by :func:`bhfix.dilator.least_coded` without
+  building them all.  On one support S the collapse order is the token
+  order: by the lemma, whichever of t1, t2 is less, the clause that
+  decides finds S below the other collapse, so th(S, t1) < th(S, t2)
+  exactly when t1 < t2.  The selector walks each support's tokens in token
+  order and leaves the support at its first collapse that cannot enter
+  the cut.
 
 The glued collapse is the limit system's collapse; computing it at any
 stage containing the support and flattening gives the same element.
@@ -36,6 +59,7 @@ All caches are append-only; elements are immutable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cmp_to_key
 
 from .dilator import (
@@ -71,6 +95,12 @@ class LimitSystem(System):
 
     def embed(self, x: ThetaTerm) -> ThetaTerm:
         return x
+
+    def _settled(self, ps: tuple, pt: tuple) -> int:
+        # A support x of s merged at or before the last support y of t has
+        # x <= y < t by the support lemma (module docstring), so only the
+        # supports merged after all of t's need a compare.
+        return bisect_right(ps, pt[-1]) if pt else 0
 
 
 class Tower:

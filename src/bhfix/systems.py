@@ -20,7 +20,10 @@ and th(tau) recurses on the sum of their lengths:
 Each recursive step replaces a term by a translated support element, whose
 length is strictly smaller, so the recursion terminates on well-formed
 systems; a violated length law raises :class:`SystemDefectError` instead
-of looping.
+of looping.  The body comparison and the clause checks share one merge of
+the two supports (:func:`bhfix.dilator.compare_merged`); a stage checks
+every support, the limit system only those the merge leaves open
+(:mod:`bhfix.limits`).
 
 A stage system is fixed by the stage below it, its *base*: its carrier
 X_{n+1} is the base's term order, L is the term length, and iota relabels
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dilator import CodedElement, Dilator, Enumeration, compare_coded
+from .dilator import CodedElement, Dilator, Enumeration, compare_merged
 from .errors import SystemDefectError
 from .finite_orders import EQ, GT, LT
 
@@ -130,26 +133,33 @@ class System:
         key = (id(s), id(t))
         verdict = self._memo.get(key)
         if verdict is None:
-            verdict = self._compare_terms(s, t)
+            body, ps, pt = compare_merged(self.dilator, self.carrier_compare, s.body, t.body)
+            if body == EQ:
+                raise SystemDefectError(
+                    f"{self!r}: two distinct interned terms have equal bodies"
+                )
+            if body == LT:
+                verdict = LT if self._support_below(s, t, self._settled(ps, pt)) else GT
+            else:
+                verdict = GT if self._support_below(t, s, self._settled(pt, ps)) else LT
             self._memo[key] = verdict
             self._memo[(id(t), id(s))] = -verdict
         return verdict
 
-    def _compare_terms(self, s: ThetaTerm, t: ThetaTerm) -> int:
-        body = compare_coded(self.dilator, self.carrier_compare, s.body, t.body)
-        if body == EQ:
-            raise SystemDefectError(
-                f"{self!r}: two distinct interned terms have equal bodies"
-            )
-        if body == LT:
-            return LT if self._support_below(s, t) else GT
-        return GT if self._support_below(t, s) else LT
+    def _settled(self, ps: tuple, pt: tuple) -> int:
+        """How many leading supports of s the merge of the two supports
+        (``ps`` and ``pt``, their positions in it) already places below t.
+        A stage settles none: its merge runs in the base order, and that
+        iota carries that order into its own is the goodness law, which is
+        checked, not assumed."""
+        return 0
 
-    def _support_below(self, s: ThetaTerm, t: ThetaTerm) -> bool:
-        # Does the translated support of s lie strictly below t?  When it
-        # does not, the witnessing element is >= t by trichotomy at smaller
-        # length, which is exactly the other comparison clause for t < s.
-        for x in s.body.support:
+    def _support_below(self, s: ThetaTerm, t: ThetaTerm, settled: int) -> bool:
+        # Does the translated support of s, past its first ``settled``
+        # members, lie strictly below t?  When it does not, the witnessing
+        # element is >= t by trichotomy at smaller length, which is exactly
+        # the other comparison clause for t < s.
+        for x in s.body.support[settled:]:
             ix = self.embed(x)
             if ix.length >= s.length:
                 raise SystemDefectError(

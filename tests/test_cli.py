@@ -321,6 +321,20 @@ def test_compare_successor_heights_150_and_160(capsys):
     assert (code, out) == (0, "LT\n")
 
 
+@pytest.mark.parametrize(
+    "a, b, verdict",
+    [(220, 219, "GT"), (219, 220, "LT"), (220, 1, "GT"), (1, 220, "LT"), (220, 220, "EQ")],
+)
+def test_compare_successor_in_the_former_ceiling_band(capsys, a, b, verdict):
+    # heights 200-220 exited 2 ("nested too deeply") while each level of
+    # the limit comparison's merge recursion took five call frames
+    def element(height):
+        return f"@{height - 1}:" + "th(v0;" * (height - 1) + "th(top)" + ")" * (height - 1)
+
+    code, out, _ = run_cli(capsys, "compare", "--dilator", "successor", element(a), element(b))
+    assert (code, out) == (0, verdict + "\n")
+
+
 def test_deeply_nested_input_fails_cleanly(capsys):
     depth = 5000
     term = "th(v0;" * depth + "th(top)" + ")" * depth

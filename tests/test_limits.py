@@ -11,6 +11,7 @@ from bhfix.finite_orders import EQ, LT
 from bhfix.limits import Tower, birth_stage
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
 from bhfix.syntax import format_bh
+from test_verify import _TREES
 
 BATTERY = [
     "successor",
@@ -106,6 +107,31 @@ def test_listing_stops_each_support_at_its_first_miss(omega_tower):
     assert len(omega_tower.limit._intern) <= 400
 
 
+def _chain(tower, bottom, token, height):
+    """The limit element th(token; th(token; ... th(bottom))) of the given height."""
+    e = tower.limit.collapse(CodedElement((), bottom))
+    for _ in range(height - 1):
+        e = tower.limit.collapse(CodedElement((e,), token))
+    return e
+
+
+@pytest.mark.parametrize(
+    "make, a, b",
+    [
+        (SuccessorDilator, (TOP, 0, 150), (TOP, 0, 149)),
+        (OmegaPowerDilator, ((), (0,), 120), ((), (0, 0), 119)),
+    ],
+)
+def test_limit_compare_is_linear_along_chains(make, a, b):
+    # checking every support against the other term as well as merging
+    # visits every pair of heights: 22350 memo entries for the successor
+    # pair and 14280 for the omega pair; settling the supports the merge
+    # already places below leaves one compare per level
+    tower = Tower(make())
+    tower.compare(_chain(tower, *a), _chain(tower, *b))
+    assert len(tower.limit._memo) <= 4 * a[2]
+
+
 def _preimage(tower, m, u):
     """The X_m term that the stage embedding maps to u in X_{m+1}, if any."""
     if m == 0:
@@ -155,6 +181,21 @@ def test_compare_independent_of_lifting_stage(omega_tower):
                 sysm = omega_tower.stage(m)
                 got = EQ if a == b else sysm.compare(sysm.embed(a), sysm.embed(b))
                 assert got == expected
+
+
+@pytest.mark.parametrize("selector", _TREES)
+def test_limit_order_is_the_stage_order(selector):
+    # the limit settles supports through the merge; a stage checks every
+    # clause, so it is the oracle
+    tower = Tower(parse_selector(selector))
+    es = tower.enumerate(4, 25)
+    for a in es:
+        for b in es:
+            stage = tower.stage(max(birth_stage(a), birth_stage(b)))
+            assert tower.compare(a, b) == stage.compare(stage.embed(a), stage.embed(b)), (
+                format_bh(tower.dilator, a),
+                format_bh(tower.dilator, b),
+            )
 
 
 def test_glued_collapse_least_elements(succ_tower):

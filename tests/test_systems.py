@@ -189,15 +189,18 @@ def test_compare_is_memoized_deterministically(omega_tower):
     assert first == again
 
 
-def _sorted_then_cut(tower, n, budget):
+def _sorted_then_cut(tower, n, budget, refs):
     """Reference listing of X_n, built without any carrier listing: take
     this same reference one stage down as the base sample, collapse every
     coded element over it in the stage system, sort all of the terms by the
-    stage order, and cut the sorted list to the budget."""
+    stage order, and cut the sorted list to the budget.  ``refs`` keeps the
+    references already built for this tower, keyed by (n, budget)."""
     if n == 0:
         return (), True
+    if (n, budget) in refs:
+        return refs[n, budget]
     system = tower.stage(n - 1)
-    sample, exhaustive = _sorted_then_cut(tower, n - 1, min(budget, BASE_SAMPLE_CAP))
+    sample, exhaustive = _sorted_then_cut(tower, n - 1, min(budget, BASE_SAMPLE_CAP), refs)
     terms = []
     for k in range(len(sample) + 1):
         tokens = full_support_tokens(system.dilator, k, budget)
@@ -205,17 +208,19 @@ def _sorted_then_cut(tower, n, budget):
         for subset in combinations(sample, k):
             terms.extend(system.collapse(CodedElement(subset, tok)) for tok in tokens)
     terms.sort(key=cmp_to_key(system.compare))
-    return tuple(terms[:budget]), exhaustive and len(terms) <= budget
+    ref = refs[n, budget] = tuple(terms[:budget]), exhaustive and len(terms) <= budget
+    return ref
 
 
 @pytest.mark.parametrize("selector", SELECTORS)
 def test_stage_listing_is_the_sorted_cut(selector):
     tower = Tower(parse_selector(selector))
+    refs = {}
     for n in (1, 2, 3, 4):
         stage = tower.stage(n)
         for budget in (0, 1, 5, 12, 13, 40, 60):
             listed = stage.carrier_listing(budget)
             assert (listed.items, listed.exhaustive) == _sorted_then_cut(
-                tower, n, budget
+                tower, n, budget, refs
             ), (selector, n, budget)
             assert stage.carrier_listing(budget) is listed

@@ -13,6 +13,7 @@ Exit codes: 0 success or all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -91,7 +92,10 @@ def _default_budget() -> int:
     return 50 if raw is None else natural(raw, "BH_BUDGET_DEFAULT")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first ``main`` call and reused by later in-process calls;
+    # ``parse_args`` leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="bhfix",
         description="Enumerate, compare, verify and interpret minimal "

@@ -106,8 +106,16 @@ class SelfWitness(Witness):
 
 def extend_interpretation(witness: Witness, h: Callable) -> Callable:
     """The extension of an interpretation h of X_n to X_{n+1}:
-    th(sigma) |-> collapse_Y(h[sigma])."""
-    return lambda term: witness.collapse(map_coded(h, term.body))
+    th(sigma) |-> collapse_Y(h[sigma]), memoized per term, so a chain of
+    extensions maps each distinct term once at every level."""
+    images: dict[ThetaTerm, Any] = {}
+
+    def h_next(term: ThetaTerm) -> Any:
+        if term not in images:
+            images[term] = witness.collapse(map_coded(h, term.body))
+        return images[term]
+
+    return h_next
 
 
 def interpretation_at(witness: Witness, n: int) -> Callable:

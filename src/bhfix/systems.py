@@ -31,12 +31,13 @@ supports through the base's iota.  X_0 has no base and is empty.
 
 Terms are interned per system (one object per body), so term equality is
 object identity, and comparison verdicts are memoized.  A stage also keeps
-its carrier listing per budget.  All three caches are append-only and
-idempotent; systems are immutable once built and safe to share.  Stages
-generate nothing: the tower lists limit elements
-(:meth:`bhfix.limits.Tower.listing`), and a carrier listing is that listing
-embedded into the base by the base's iota, so a system reads nothing of the
-tower's stages but what its base gives it.
+its carrier listing per budget and the image under iota of each term it
+has embedded, so each distinct term is relabelled once.  All four caches
+are append-only and idempotent, filled on demand in call order; systems are
+immutable once built and safe to share.  Stages generate nothing: the
+tower lists limit elements (:meth:`bhfix.limits.Tower.listing`), and a
+carrier listing is that listing embedded into the base by the base's iota,
+so a system reads nothing of the tower's stages but what its base gives it.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ class System:
         self._intern: dict[CodedElement, ThetaTerm] = {}
         self._memo: dict[tuple[int, int], int] = {}
         self._listings: dict[int, Enumeration] = {}
+        self._iota: dict[ThetaTerm, ThetaTerm] = {}
 
     def __repr__(self) -> str:
         return f"X{self.n}"
@@ -104,14 +106,17 @@ class System:
         iota reads only the structure of x, and the base only when x has a
         support, so it also takes a limit element born at stage <= n to its
         representative in X_{n+1}.  A longer element is born above stage n
-        and has none.
+        and has none.  Memoized per term.
         """
-        if x.length > self.n + 1:
-            raise ValueError(
-                f"cannot embed an element born at stage {x.length - 1} at stage {self.n}"
-            )
-        support = tuple(self.base.embed(y) for y in x.body.support)
-        return self.collapse(CodedElement(support, x.body.token))
+        image = self._iota.get(x)
+        if image is None:
+            if x.length > self.n + 1:
+                raise ValueError(
+                    f"cannot embed an element born at stage {x.length - 1} at stage {self.n}"
+                )
+            support = tuple(self.base.embed(y) for y in x.body.support)
+            image = self._iota[x] = self.collapse(CodedElement(support, x.body.token))
+        return image
 
     def theta_length(self, coded: CodedElement) -> int:
         """Term length: one plus the maximal carrier length over the support."""
@@ -171,13 +176,22 @@ class System:
         return True
 
     def subterm_closure(self, t: ThetaTerm) -> frozenset[ThetaTerm]:
-        """All terms reachable through supports and iota; every member is <= t."""
+        """All terms reachable through supports and iota; every member is <= t.
+
+        A depth-first walk on an explicit stack that expands each shared
+        subterm once, in the order of the plain recursion, so the first
+        length-law violation it meets is that recursion's first."""
         out = {t}
-        for x in t.body.support:
+        stack = [(t, x) for x in reversed(t.body.support)]
+        while stack:
+            s, x = stack.pop()
             ix = self.embed(x)
-            if ix.length >= t.length:
+            if ix.length >= s.length:
                 raise SystemDefectError(
-                    f"{self!r}: length law violated below {t!r}"
+                    f"{self!r}: length law violated in the support of {s!r}: "
+                    f"L(iota(x)) = {ix.length} >= {s.length} = L(term)"
                 )
-            out |= self.subterm_closure(ix)
+            if ix not in out:
+                out.add(ix)
+                stack.extend((ix, y) for y in reversed(ix.body.support))
         return frozenset(out)

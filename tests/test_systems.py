@@ -1,5 +1,6 @@
 """The collapse-term order over one stage: lengths, comparison, iteration."""
 
+import re
 from functools import cmp_to_key
 from itertools import combinations
 
@@ -158,6 +159,30 @@ def test_subterm_closure_is_closed_and_bounded(omega_tower):
             assert sys2.subterm_closure(r) <= closure
 
 
+def test_stage_iota_maps_each_term_once(omega_tower, monkeypatch):
+    # iota is memoized per term: a second embedding returns the same object,
+    # interns nothing new at any stage and does not collapse again
+    stage = omega_tower.stage(3)
+    elements = omega_tower.enumerate(3, 20)
+    first = [stage.embed(x) for x in elements]
+    interned = [len(omega_tower.stage(n)._intern) for n in range(4)]
+    collapsed = []
+    monkeypatch.setattr(stage, "collapse", lambda coded: collapsed.append(coded))
+    assert all(stage.embed(x) is y for x, y in zip(elements, first))
+    assert [len(omega_tower.stage(n)._intern) for n in range(4)] == interned
+    assert collapsed == []
+
+
+def test_subterm_closure_of_a_deep_limit_element(succ_tower):
+    # the walk keeps its own stack, so the closure of a successor chain far
+    # above the recursion limit is every term of the chain
+    e = succ_tower.limit.collapse(CodedElement((), TOP))
+    for _ in range(2999):
+        e = succ_tower.limit.collapse(CodedElement((e,), 0))
+    closure = succ_tower.limit.subterm_closure(e)
+    assert sorted(r.length for r in closure) == list(range(1, 3001))
+
+
 class _SelfEmbeddingSystem(System):
     """A copy of X1 whose iota sends x to th(v0; x) and whose lengths are
     all 5, so that th(v0; x) translates its own support back to itself."""
@@ -179,6 +204,15 @@ def test_corrupted_length_function_trips_the_recursion_guard():
     t = bad.collapse(CodedElement((), TOP))
     with pytest.raises(SystemDefectError):
         bad.compare(s, t)
+
+
+def test_subterm_closure_names_the_term_whose_support_breaks_the_length_law():
+    tower = Tower(SuccessorDilator())
+    x = tower.stage(1).carrier_listing(5)[0]
+    bad = _SelfEmbeddingSystem(tower, tower.stage(0))
+    s = bad.collapse(CodedElement((x,), 0))
+    with pytest.raises(SystemDefectError, match=re.escape(f"in the support of {s!r}")):
+        bad.subterm_closure(s)
 
 
 def test_compare_is_memoized_deterministically(omega_tower):

@@ -14,9 +14,10 @@ from bhfix.dilator import (
     full_support_tokens,
     least,
 )
+from bhfix.errors import WitnessLawError
 from bhfix.finite_orders import EQ
 from bhfix.interpret import SelfWitness
-from bhfix.limits import BASE_SAMPLE_CAP, Tower
+from bhfix.limits import BASE_SAMPLE_CAP, Tower, birth_stage
 from bhfix.standard_dilators import (
     ConstantDilator,
     IdentityDilator,
@@ -477,3 +478,42 @@ def test_limit_checks_cover_the_shared_stage_count():
     tower = Tower(OmegaPowerDilator())
     assert check_limit_order(tower, 40).instances == 861
     assert check_minimality(tower, SelfWitness(tower), 40).instances == 2421
+
+
+class _CountingSelfWitness(SelfWitness):
+    """The limit witnessing itself, counting its collapses."""
+
+    collapses = 0
+
+    def collapse(self, coded):
+        self.collapses += 1
+        return super().collapse(coded)
+
+
+def test_minimality_maps_each_term_once():
+    # each extension of an interpretation maps a term once: 239 witness
+    # collapses here, where mapping again for every pair made 6480
+    tower = Tower(OmegaPowerDilator())
+    w = _CountingSelfWitness(tower)
+    assert check_minimality(tower, w, 40).instances == 2421
+    assert w.collapses <= 300
+
+
+class _RefusingSelfWitness(SelfWitness):
+    """The limit witnessing itself, with no collapse for values born at
+    stage 2 or later."""
+
+    def collapse(self, coded):
+        value = super().collapse(coded)
+        if birth_stage(value) >= 2:
+            raise WitnessLawError(f"refused {value.length}")
+        return value
+
+
+def test_minimality_fails_at_the_first_refused_collapse():
+    # the memoized maps are filled in call order, so the first refusal and
+    # the instances counted before it stay those of mapping every time
+    tower = Tower(parse_selector("sum(successor,omega)"))
+    report = check_minimality(tower, _RefusingSelfWitness(tower), 40)
+    assert (report.passed, report.instances) == (False, 825)
+    assert report.failures == ["witness law violation: refused 3"]

@@ -2,16 +2,19 @@
 
 Every check enumerates a finite sample (exhaustive where the underlying
 sets are finite and fit the budget, flagged otherwise), tests the law on
-each instance, and returns a :class:`CheckReport`.  Counterexamples are
-serialized in the external term grammar so they can be replayed with the
-CLI ``compare`` command.  Checks are independent and deterministic given
-(dilator, budget): same inputs, same instance counts, same verdicts.
+each instance, and returns a :class:`CheckReport`.  A check counts its
+instances one at a time or a whole loop at once, and records failures in
+instance order either way.  Counterexamples are serialized in the external
+term grammar so they can be replayed with the CLI ``compare`` command.
+Checks are independent and deterministic given (dilator, budget): same
+inputs, same instance counts, same verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from weakref import WeakKeyDictionary
 
 from .dilator import (
     Dilator,
@@ -46,7 +49,9 @@ SAMPLE_CAP = 30  # cap on the coded-element samples feeding pair loops
 
 @dataclass
 class CheckReport:
-    """Outcome of one law check, filled in instance by instance.
+    """Outcome of one law check, counted instance by instance (``check``)
+    or a loop at a time (``tally``); failures are recorded in instance
+    order either way.
 
     ``exhaustive`` is True only when every enumeration feeding the check
     reported completeness, i.e. the law was verified on *all* instances at
@@ -66,8 +71,17 @@ class CheckReport:
 
     def check(self, ok: bool, describe) -> None:
         """Count one instance; on failure record ``describe`` (or its call)."""
-        self.instances += 1
-        if not ok:
+        if ok:
+            self.instances += 1
+        else:
+            self.tally(1, (describe,))
+
+    def tally(self, count: int, failing) -> None:
+        """Count ``count`` instances at once.  ``failing`` yields, in
+        instance order, a description (or a callable building it) for each
+        failing instance; only the recorded ones are built."""
+        self.instances += count
+        for describe in failing:
             if len(self.failures) < _MAX_RECORDED_FAILURES:
                 self.failures.append(describe() if callable(describe) else describe)
             else:
@@ -97,26 +111,19 @@ def _collapse_conditions(report: CheckReport, coded, values, compare, embed, sho
     is sorted: (ii) every embedded support element lies below its collapse,
     and (i) sigma < tau with the embedded support of sigma below theta(tau)
     gives theta(sigma) < theta(tau)."""
-    for sigma, value in zip(coded, values):
-        for x in sigma.support:
-            report.check(
-                compare(embed(x), value) < 0,
-                lambda x=x, value=value: (
-                    f"condition (ii) broken: {show(embed(x))} not below {show(value)}"
-                ),
-            )
-    for i, sigma in enumerate(coded):
-        for j, value in enumerate(values):
-            if i == j:
-                continue
-            # the sample is sorted, so sigma < tau iff i < j
-            premise = i < j and all(compare(embed(x), value) < 0 for x in sigma.support)
-            report.check(
-                not premise or compare(values[i], value) < 0,
-                lambda i=i, j=j: (
-                    f"condition (i) broken: {show(values[i])} vs {show(values[j])}"
-                ),
-            )
+    lifted = [[embed(x) for x in sigma.support] for sigma in coded]
+    report.tally(sum(map(len, lifted)), (
+        lambda x=x, value=value: f"condition (ii) broken: {show(x)} not below {show(value)}"
+        for xs, value in zip(lifted, values) for x in xs if compare(x, value) >= 0
+    ))
+    # One instance per ordered pair i != j.  The sample is sorted, so sigma
+    # < tau iff i < j, and a pair with j < i holds for want of a premise.
+    size = len(coded)
+    report.tally(size * (size - 1), (
+        lambda i=i, j=j: f"condition (i) broken: {show(values[i])} vs {show(values[j])}"
+        for i, xs in enumerate(lifted) for j in range(i + 1, size)
+        if all(compare(x, values[j]) < 0 for x in xs) and compare(values[i], values[j]) >= 0
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -134,66 +141,65 @@ def check_dilator_laws(
     embeddings = {
         (m, n): all_embeddings(m, n) for m in range(max_n + 1) for n in range(m, max_n + 1)
     }
+    fmt = dilator.format_token
+    # The images of each arity's sample along each embedding, mapped once
+    # and filled on demand.  The codomain belongs to the key: (0,)->1 and
+    # (0,)->2 have the same images.
+    table: dict[tuple, list] = {}
 
-    def fmt(n, tok):
-        return dilator.format_token(n, tok)
+    def mapped(f):
+        key = (f.codomain_size, f.images)
+        images = table.get(key)
+        if images is None:
+            images = table[key] = [dilator.map_token(f, tok) for tok in samples[f.domain_size]]
+        return images
 
+    below = {}
     for n, toks in samples.items():
-        idn = identity_embedding(n)
-        for tok in toks:
-            report.check(
-                dilator.compare_at(n, dilator.map_token(idn, tok), tok) == EQ,
-                lambda n=n, tok=tok: f"identity action changed {fmt(n, tok)}",
-            )
-        # order sanity at each arity: trichotomy and antisymmetry of compare_at
-        for i, s in enumerate(toks):
-            for t in toks[i + 1 :]:
-                v, w = dilator.compare_at(n, s, t), dilator.compare_at(n, t, s)
-                report.check(
-                    v != EQ and v == -w,
-                    lambda n=n, s=s, t=t: f"token order broken on {fmt(n, s)}, {fmt(n, t)}",
-                )
+        size = len(toks)
+        report.tally(size, (
+            lambda tok=tok: f"identity action changed {fmt(n, tok)}"
+            for tok, image in zip(toks, mapped(identity_embedding(n)))
+            if dilator.compare_at(n, image, tok) != EQ
+        ))
+        # Order sanity at each arity: trichotomy and antisymmetry of
+        # compare_at, from one matrix that also gives the strict order as
+        # index pairs.  The diagonal stays, so a token below itself shows.
+        order = [[dilator.compare_at(n, s, t) for t in toks] for s in toks]
+        report.tally(size * (size - 1) // 2, (
+            lambda s=toks[i], t=toks[j]: f"token order broken on {fmt(n, s)}, {fmt(n, t)}"
+            for i in range(size) for j in range(i + 1, size)
+            if order[i][j] == EQ or order[i][j] != -order[j][i]
+        ))
+        below[n] = [(i, j) for i, row in enumerate(order) for j, v in enumerate(row) if v == LT]
 
-    # the strict order of each sample as index pairs, once per arity
-    below = {
-        m: [(i, j) for i, s in enumerate(toks) for j, t in enumerate(toks)
-            if dilator.compare_at(m, s, t) == LT]
-        for m, toks in samples.items()
-    }
+    supports = {m: [dilator.supp_at(m, tok) for tok in toks] for m, toks in samples.items()}
     for (m, n), fs in embeddings.items():
         toks = samples[m]
         for f in fs:
-            mapped = [dilator.map_token(f, tok) for tok in toks]
-            for tok, image in zip(toks, mapped):
-                # naturality of supports
-                report.check(
-                    dilator.supp_at(n, image) == finset_map(f, dilator.supp_at(m, tok)),
-                    lambda m=m, n=n, f=f, tok=tok: (
-                        f"support not natural for {fmt(m, tok)} along {f.images}->{n}"
-                    ),
-                )
+            images = mapped(f)
+            # naturality of supports
+            report.tally(len(toks), (
+                lambda tok=tok: f"support not natural for {fmt(m, tok)} along {f.images}->{n}"
+                for tok, image, supp in zip(toks, images, supports[m])
+                if dilator.supp_at(n, image) != finset_map(f, supp)
+            ))
             # strict monotonicity
-            for i, j in below[m]:
-                report.check(
-                    dilator.compare_at(n, mapped[i], mapped[j]) == LT,
-                    lambda m=m, n=n, f=f, s=toks[i], t=toks[j]: (
-                        f"monotonicity broken: {fmt(m, s)} < {fmt(m, t)} "
-                        f"but not after mapping along {f.images}->{n}"
-                    ),
+            report.tally(len(below[m]), (
+                lambda s=toks[i], t=toks[j]: (
+                    f"monotonicity broken: {fmt(m, s)} < {fmt(m, t)} "
+                    f"but not after mapping along {f.images}->{n}"
                 )
+                for i, j in below[m] if dilator.compare_at(n, images[i], images[j]) != LT
+            ))
             # composition law against every composable partner
             for p in range(n, max_n + 1):
                 for g in embeddings[(n, p)]:
-                    fg = compose(f, g)
-                    for tok, image in zip(toks, mapped):
-                        via = dilator.map_token(g, image)
-                        direct = dilator.map_token(fg, tok)
-                        report.check(
-                            dilator.compare_at(p, direct, via) == EQ,
-                            lambda m=m, p=p, tok=tok: (
-                                f"composition law broken on {fmt(m, tok)} at arity {p}"
-                            ),
-                        )
+                    report.tally(len(toks), (
+                        lambda tok=tok: f"composition law broken on {fmt(m, tok)} at arity {p}"
+                        for tok, image, direct in zip(toks, images, mapped(compose(f, g)))
+                        if dilator.compare_at(p, direct, dilator.map_token(g, image)) != EQ
+                    ))
 
     # support factorization: every token is the image of a unique
     # full-support token under the inclusion of its support
@@ -236,34 +242,26 @@ def check_theta_linear(system: System, budget: int) -> CheckReport:
     size = len(items)
     matrix = [[system.compare(s, t) for t in items] for s in items]
     less = [[s is not t and _clause_less(system, s, t) for t in items] for s in items]
-    for i in range(size):
-        for j in range(size):
-            if i == j:
-                continue
-            forward, backward = less[i][j], less[j][i]
-            agreed = (matrix[i][j] == LT) == forward and (matrix[i][j] == GT) == backward
-            report.check(
-                forward != backward and agreed,
-                lambda i=i, j=j: (
-                    "trichotomy/antisymmetry broken between "
-                    f"{format_term(system.dilator, items[i])} and "
-                    f"{format_term(system.dilator, items[j])}"
-                ),
-            )
-    below = [[j for j in range(size) if matrix[i][j] == LT] for i in range(size)]
-    for i in range(size):
-        row = matrix[i]
-        for j in below[i]:
-            for k in below[j]:
-                report.check(
-                    row[k] == LT,
-                    lambda i=i, j=j, k=k: (
-                        "transitivity broken on "
-                        f"{format_term(system.dilator, items[i])} < "
-                        f"{format_term(system.dilator, items[j])} < "
-                        f"{format_term(system.dilator, items[k])}"
-                    ),
-                )
+    show = partial(format_term, system.dilator)
+
+    def broken(i, j):
+        forward, backward = less[i][j], less[j][i]
+        verdict = matrix[i][j]
+        return forward == backward or (verdict == LT) != forward or (verdict == GT) != backward
+
+    report.tally(size * (size - 1), (
+        lambda i=i, j=j: (
+            f"trichotomy/antisymmetry broken between {show(items[i])} and {show(items[j])}"
+        )
+        for i in range(size) for j in range(size) if i != j and broken(i, j)
+    ))
+    below = [[j for j in range(size) if row[j] == LT] for row in matrix]
+    report.tally(sum(len(below[j]) for js in below for j in js), (
+        lambda i=i, j=j, k=k: (
+            f"transitivity broken on {show(items[i])} < {show(items[j])} < {show(items[k])}"
+        )
+        for i, row in enumerate(matrix) for j in below[i] for k in below[j] if row[k] != LT
+    ))
     return report
 
 
@@ -276,9 +274,20 @@ def _least_coded(
     )
 
 
+# Each stage's coded samples by budget, shared by the stage checks.  Weakly
+# keyed, so that the samples die with their tower.
+_SAMPLES: WeakKeyDictionary[System, dict[int, Enumeration]] = WeakKeyDictionary()
+
+
 def _coded_sample(system: System, budget: int) -> Enumeration:
-    base = system.carrier_listing(min(budget, BASE_SAMPLE_CAP))
-    return _least_coded(system.dilator, base, budget, budget, system.carrier_compare)
+    samples = _SAMPLES.setdefault(system, {})
+    sample = samples.get(budget)
+    if sample is None:
+        base = system.carrier_listing(min(budget, BASE_SAMPLE_CAP))
+        sample = samples[budget] = _least_coded(
+            system.dilator, base, budget, budget, system.carrier_compare
+        )
+    return sample
 
 
 def check_collapse_admissible(system: System, budget: int) -> CheckReport:

@@ -22,6 +22,7 @@ from bhfix.errors import DilatorLawError
 from bhfix.finite_orders import EQ, GT, LT, Embedding, all_embeddings, compose, finset_map, sgn
 from bhfix.standard_dilators import (
     TOP,
+    ConstantDilator,
     LexProductDilator,
     OmegaPowerDilator,
     SuccessorDilator,
@@ -127,6 +128,14 @@ def test_enumerate_coded_budget_zero():
 def test_enumerate_coded_requires_sorted_sample():
     with pytest.raises(ValueError):
         coded_sample(succ, Enumeration((3, 1), True), 5, 5)
+
+
+def test_least_coded_is_exhaustive_exactly_when_nothing_is_cut():
+    # constant:3 over the empty sample has three coded elements
+    empty = Enumeration((), True)
+    for k, exhaustive in ((4, True), (3, True), (2, False)):
+        out = coded_sample(ConstantDilator(3), empty, 50, k)
+        assert (len(out), out.exhaustive) == (min(k, 3), exhaustive), k
 
 
 def test_least_selects_sorts_and_flags_the_cut():

@@ -10,7 +10,7 @@ from bhfix.errors import DilatorLawError
 from bhfix.finite_orders import EQ, LT
 from bhfix.limits import Tower, birth_stage
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
-from bhfix.syntax import format_bh
+from bhfix.syntax import format_bh, parse_bh
 from test_verify import _TREES
 
 BATTERY = [
@@ -130,6 +130,21 @@ def test_limit_compare_is_linear_along_chains(make, a, b):
     tower = Tower(make())
     tower.compare(_chain(tower, *a), _chain(tower, *b))
     assert len(tower.limit._memo) <= 4 * a[2]
+
+
+def test_limit_compare_settles_the_supports_merged_below_the_last():
+    # two supports each, the same on both sides: the merge places both
+    # supports of s at or before the last support of t, so no support
+    # compare is left and one verdict (two entries) is memoized.  Settling
+    # only those merged at or before t's first support leaves one to
+    # compare, and memoizes its verdict too.
+    tower = Tower(OmegaPowerDilator())
+    s = parse_bh(tower, "@2:th(w[1,0];th(w[]),th(w[0];th(w[])))")
+    t = parse_bh(tower, "@2:th(w[1,1,0];th(w[]),th(w[0];th(w[])))")
+    # parsing compares the supports too, so count from here
+    before = len(tower.limit._memo)
+    assert tower.compare(s, t) == LT
+    assert len(tower.limit._memo) - before == 2
 
 
 def _preimage(tower, m, u):

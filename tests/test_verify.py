@@ -1,11 +1,13 @@
 """The check harness itself: reports, determinism, failure detection."""
 
+import gc
 import re
 from functools import partial
 from itertools import combinations
 
 import pytest
 
+from bhfix import verify
 from bhfix.cli import parse_selector
 from bhfix.dilator import (
     CodedElement,
@@ -13,6 +15,7 @@ from bhfix.dilator import (
     compare_coded,
     full_support_tokens,
     least,
+    least_coded,
 )
 from bhfix.errors import WitnessLawError
 from bhfix.finite_orders import EQ
@@ -27,6 +30,7 @@ from bhfix.standard_dilators import (
 )
 from bhfix.systems import System
 from bhfix.verify import (
+    CheckReport,
     _least_coded,
     check_collapse_admissible,
     check_commuting_square,
@@ -517,3 +521,71 @@ def test_minimality_fails_at_the_first_refused_collapse():
     report = check_minimality(tower, _RefusingSelfWitness(tower), 40)
     assert (report.passed, report.instances) == (False, 825)
     assert report.failures == ["witness law violation: refused 3"]
+
+
+def test_tally_records_like_one_check_per_instance():
+    # 17 failures over 50 instances, counted in one call and in two:
+    # the same 12 lines in order, the same overflow and count
+    verdicts = [i % 3 != 0 for i in range(50)]
+    one_by_one = CheckReport("r")
+    for i, ok in enumerate(verdicts):
+        one_by_one.check(ok, lambda i=i: f"instance {i}")
+    in_bulk = CheckReport("r")
+    in_bulk.tally(50, (lambda i=i: f"instance {i}" for i, ok in enumerate(verdicts) if not ok))
+    in_parts = CheckReport("r")
+    in_parts.tally(20, (f"instance {i}" for i, ok in enumerate(verdicts[:20]) if not ok))
+    in_parts.tally(30, (f"instance {i}" for i, ok in enumerate(verdicts) if i >= 20 and not ok))
+    assert one_by_one.failures == [f"instance {i}" for i in range(0, 34, 3)]
+    assert (one_by_one.instances, one_by_one.overflow) == (50, 5)
+    assert in_bulk == one_by_one == in_parts
+
+
+def test_tally_builds_only_the_recorded_descriptions():
+    built = []
+    report = CheckReport("r")
+    report.tally(20, (lambda i=i: built.append(i) or f"instance {i}" for i in range(20)))
+    assert built == list(range(12)) and report.overflow == 8
+
+
+class _CountingOmega(OmegaPowerDilator):
+    """omega, counting its token maps and token compares."""
+
+    def __init__(self):
+        self.maps = self.compares = 0
+
+    def map_token(self, f, tok):
+        self.maps += 1
+        return super().map_token(f, tok)
+
+    def compare_at(self, n, s, t):
+        self.compares += 1
+        return super().compare_at(n, s, t)
+
+
+def test_dilator_laws_map_each_token_once_per_embedding():
+    # mapping again for every instance and comparing every token pair
+    # twice made 8629 token maps and 36874 token compares here
+    omega = _CountingOmega()
+    assert check_dilator_laws(omega, budget=40).instances == 28398
+    assert omega.maps <= 5100 and omega.compares <= 31000, (omega.maps, omega.compares)
+
+
+def test_stage_checks_share_each_coded_sample(monkeypatch):
+    # one sample per stage for collapse-admissible and commuting-square,
+    # plus fixed-point and witness: 5 selections, where selecting per
+    # check made 8
+    calls = []
+    monkeypatch.setattr(verify, "least_coded", lambda *a: calls.append(a) or least_coded(*a))
+    run_suite(OmegaPowerDilator(), "all", 40)
+    assert len(calls) == 5
+
+
+def test_coded_samples_die_with_their_tower():
+    gc.collect()
+    held = len(verify._SAMPLES)
+    tower = Tower(OmegaPowerDilator())
+    check_commuting_square(tower.stage(1), 8)
+    assert len(verify._SAMPLES) == held + 1
+    del tower
+    gc.collect()
+    assert len(verify._SAMPLES) == held

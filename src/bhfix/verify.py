@@ -143,15 +143,13 @@ def check_dilator_laws(
     }
     fmt = dilator.format_token
     # The images of each arity's sample along each embedding, mapped once
-    # and filled on demand.  The codomain belongs to the key: (0,)->1 and
-    # (0,)->2 have the same images.
-    table: dict[tuple, list] = {}
+    # and filled on demand.
+    table: dict = {}
 
     def mapped(f):
-        key = (f.codomain_size, f.images)
-        images = table.get(key)
+        images = table.get(f)
         if images is None:
-            images = table[key] = [dilator.map_token(f, tok) for tok in samples[f.domain_size]]
+            images = table[f] = [dilator.map_token(f, tok) for tok in samples[f.domain_size]]
         return images
 
     below = {}

@@ -58,6 +58,18 @@ MUTANTS = [
         "= WeakKeyDictionary()",
         "= {}",
     ),
+    (
+        "stage-merges-in-limit",
+        "src/bhfix/systems.py",
+        "return self.base.compare(x, y)",
+        "return self.tower.limit.compare(x, y)",
+    ),
+    (
+        "birth-guard-off-by-one",
+        "src/bhfix/systems.py",
+        "x.length > self.n + 1",
+        "x.length > self.n + 2",
+    ),
 ]
 
 

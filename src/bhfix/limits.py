@@ -10,15 +10,16 @@ that its merge already settles (below).  Limit elements are the
 interned terms of that one system, so equality is identity and every
 comparison is one :meth:`System.compare`.
 
+The stage iota reads only the structure of a term, so the stages and the
+limit intern into the tower's one table: a term of X_{n+1} is the limit
+element it stands for, and the stage iota (:meth:`System.embed`) returns
+its argument, raising ``ValueError`` on an element born above its stage.
 A term is new at stage n+1 exactly when one of its supports is new at
 stage n, so by induction a limit element of length L is born at stage
 L - 1 and first lives in X_L.  Listings are generated over the limit
-(:meth:`Tower.listing`) and embedded into the stages, which stay as the
-paper's construction and as the oracle the checks compare against.
-``flatten`` takes a stage term to the limit; the stage iota
-(:meth:`System.embed`) reads only the structure of its argument, so
-``stage(m).embed(e)`` is the representative in X_{m+1} of a limit element
-e born at stage <= m, and raises ``ValueError`` on a later-born one.
+(:meth:`Tower.listing`).  The stages keep their own memos and every
+clause check, as the paper's construction and as the oracle the checks
+compare against.
 
 The support lemma: every support of a limit element, and every support of
 one hereditarily, lies below it under the two-clause recursion as
@@ -51,8 +52,8 @@ lies above it by induction.  Two rules rest on the lemma.
   order and leaves the support at its first collapse that cannot enter
   the cut.
 
-The glued collapse is the limit system's collapse; computing it at any
-stage containing the support and flattening gives the same element.
+The glued collapse is the limit system's collapse; a stage containing the
+support collapses to the same element.
 
 All caches are append-only; elements are immutable.
 """
@@ -68,7 +69,6 @@ from .dilator import (
     Enumeration,
     least_coded,
     make_coded,
-    map_coded,
 )
 from .finite_orders import is_strictly_sorted
 from .systems import System, ThetaTerm
@@ -108,6 +108,8 @@ class Tower:
 
     def __init__(self, dilator: Dilator):
         self.dilator = dilator
+        # the one intern table of the stages and the limit
+        self.terms: dict[CodedElement, ThetaTerm] = {}
         self._systems = [System(self)]
         self.limit = LimitSystem(self)
         self._listings: dict[tuple[int, int], Enumeration] = {}
@@ -117,10 +119,6 @@ class Tower:
         while len(self._systems) <= n:
             self._systems.append(System(self, self._systems[-1]))
         return self._systems[n]
-
-    def flatten(self, s: ThetaTerm) -> ThetaTerm:
-        """The limit element of a term in any stage X_n, n >= 1."""
-        return self.limit.collapse(map_coded(self.flatten, s.body))
 
     # -- the limit order and the glued collapse --------------------------------
 

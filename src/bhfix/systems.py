@@ -26,18 +26,15 @@ every support, the limit system only those the merge leaves open
 (:mod:`bhfix.limits`).
 
 A stage system is fixed by the stage below it, its *base*: its carrier
-X_{n+1} is the base's term order, L is the term length, and iota relabels
-supports through the base's iota.  X_0 has no base and is empty.
+X_{n+1} is the base's term order, L is the term length, and iota is the
+inclusion.  X_0 has no base and is empty.
 
-Terms are interned per system (one object per body), so term equality is
-object identity, and comparison verdicts are memoized.  A stage also keeps
-its carrier listing per budget and the image under iota of each term it
-has embedded, so each distinct term is relabelled once.  All four caches
-are append-only and idempotent, filled on demand in call order; systems are
-immutable once built and safe to share.  Stages generate nothing: the
-tower lists limit elements (:meth:`bhfix.limits.Tower.listing`), and a
-carrier listing is that listing embedded into the base by the base's iota,
-so a system reads nothing of the tower's stages but what its base gives it.
+All systems of a tower intern their terms into the tower's one table (one
+object per body), so term equality is object identity and X_n is a subset
+of X_{n+1} and of the limit.  Each system memoizes its own comparison
+verdicts.  Both caches are append-only and idempotent; systems are
+immutable once built and safe to share.  Stages generate nothing: a
+carrier listing is the tower's (:meth:`bhfix.limits.Tower.listing`).
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from .finite_orders import EQ, GT, LT
 
 @dataclass(frozen=True, eq=False)
 class ThetaTerm:
-    """A formal collapse term; unique per body within its owning system."""
+    """A formal collapse term; unique per body within its tower."""
 
     body: CodedElement
     length: int
@@ -72,10 +69,8 @@ class System:
         self.base = base
         self.n = 0 if base is None else base.n + 1
         self.dilator: Dilator = tower.dilator
-        self._intern: dict[CodedElement, ThetaTerm] = {}
+        self._intern: dict[CodedElement, ThetaTerm] = tower.terms
         self._memo: dict[tuple[int, int], int] = {}
-        self._listings: dict[int, Enumeration] = {}
-        self._iota: dict[ThetaTerm, ThetaTerm] = {}
 
     def __repr__(self) -> str:
         return f"X{self.n}"
@@ -86,13 +81,8 @@ class System:
         return self.base.compare(x, y)
 
     def carrier_listing(self, budget: int) -> Enumeration:
-        """The tower's listing of X_n at this budget, embedded into the base."""
-        listing = self._listings.get(budget)
-        if listing is None:
-            listed = self.tower.listing(self.n, budget)
-            terms = tuple(self.base.embed(e) for e in listed)
-            listing = self._listings[budget] = Enumeration(terms, listed.exhaustive)
-        return listing
+        """The tower's listing of X_n at this budget."""
+        return self.tower.listing(self.n, budget)
 
     def length_of(self, x: ThetaTerm) -> int:
         """L_X: the term length of a carrier element."""
@@ -101,22 +91,17 @@ class System:
     # -- the system data ---------------------------------------------------
 
     def embed(self, x: ThetaTerm) -> ThetaTerm:
-        """iota_X: relabel the supports of x through the base's iota.
+        """iota_X: the inclusion of X_n into X_{n+1}.
 
-        iota reads only the structure of x, and the base only when x has a
-        support, so it also takes a limit element born at stage <= n to its
-        representative in X_{n+1}.  A longer element is born above stage n
-        and has none.  Memoized per term.
+        The terms are shared, so a limit element born at stage <= n is
+        already its own representative in X_{n+1}.  A longer element is
+        born above stage n and is not in X_{n+1}.
         """
-        image = self._iota.get(x)
-        if image is None:
-            if x.length > self.n + 1:
-                raise ValueError(
-                    f"cannot embed an element born at stage {x.length - 1} at stage {self.n}"
-                )
-            support = tuple(self.base.embed(y) for y in x.body.support)
-            image = self._iota[x] = self.collapse(CodedElement(support, x.body.token))
-        return image
+        if x.length > self.n + 1:
+            raise ValueError(
+                f"cannot embed an element born at stage {x.length - 1} at stage {self.n}"
+            )
+        return x
 
     def theta_length(self, coded: CodedElement) -> int:
         """Term length: one plus the maximal carrier length over the support."""
@@ -175,13 +160,14 @@ class System:
                 return False
         return True
 
-    def subterm_closure(self, t: ThetaTerm) -> frozenset[ThetaTerm]:
-        """All terms reachable through supports and iota; every member is <= t.
+    def subterm_closure(self, t: ThetaTerm) -> tuple[ThetaTerm, ...]:
+        """All terms reachable through supports and iota, t first, each once
+        in the order the walk first reaches it; every member is <= t.
 
         A depth-first walk on an explicit stack that expands each shared
         subterm once, in the order of the plain recursion, so the first
         length-law violation it meets is that recursion's first."""
-        out = {t}
+        out = {t: None}
         stack = [(t, x) for x in reversed(t.body.support)]
         while stack:
             s, x = stack.pop()
@@ -192,6 +178,6 @@ class System:
                     f"L(iota(x)) = {ix.length} >= {s.length} = L(term)"
                 )
             if ix not in out:
-                out.add(ix)
+                out[ix] = None
                 stack.extend((ix, y) for y in reversed(ix.body.support))
-        return frozenset(out)
+        return tuple(out)

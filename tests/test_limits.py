@@ -5,13 +5,13 @@ from functools import cmp_to_key
 import pytest
 
 from bhfix.cli import parse_selector
-from bhfix.dilator import CodedElement, map_coded
+from bhfix.dilator import CodedElement
 from bhfix.errors import DilatorLawError
 from bhfix.finite_orders import EQ, LT
-from bhfix.limits import Tower, birth_stage
+from bhfix.limits import LimitSystem, Tower, birth_stage
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
 from bhfix.syntax import format_bh, parse_bh
-from test_verify import _TREES
+from test_verify import _TREES, _FlippedSystem
 
 BATTERY = [
     "successor",
@@ -48,39 +48,40 @@ def test_stage_one_omega_is_th_empty(omega_tower):
     assert listed[0].body == CodedElement((), ())
 
 
-# flatten is the injection of each stage into the limit (the colimit map).
+# The stages and the limit share one intern table: a stage term is the
+# limit element it stands for, and the stage iota is the inclusion.
 
 
-def test_inject_strips_embedded_terms(succ_tower):
+def test_stage_term_is_its_limit_element(succ_tower):
     t = succ_tower.stage(1).carrier_listing(5)[0]   # th(top) in X_1
-    lifted = succ_tower.stage(1).embed(t)             # its image in X_2
-    e = succ_tower.flatten(t)
-    assert succ_tower.flatten(lifted) is e
-    assert birth_stage(e) == 0 and succ_tower.stage(0).embed(e) is t
+    assert succ_tower.stage(1).embed(t) is t          # and in X_2
+    assert succ_tower.limit._intern[t.body] is t
+    assert birth_stage(t) == 0 and succ_tower.stage(0).embed(t) is t
 
 
-def test_inject_detects_new_terms(succ_tower):
+def test_new_terms_are_born_at_their_stage(succ_tower):
     # exactly one X_3 term is new at stage 2: the one of length 3
     terms3 = succ_tower.stage(3).carrier_listing(10)
-    new = [t for t in terms3 if birth_stage(succ_tower.flatten(t)) == 2]
+    new = [t for t in terms3 if birth_stage(t) == 2]
     assert len(new) == 1 and new[0].length == 3
-    assert succ_tower.stage(2).embed(succ_tower.flatten(new[0])) is new[0]
+    assert succ_tower.stage(2).embed(new[0]) is new[0]
+    with pytest.raises(ValueError):
+        succ_tower.stage(1).embed(new[0])
 
 
 def test_lift_base_and_single_step(succ_tower):
     e0 = succ_tower.enumerate(1, 10)[0]
-    t0 = succ_tower.stage(0).embed(e0)
-    assert t0 in succ_tower.stage(1).carrier_listing(5).items
-    lifted = succ_tower.stage(1).embed(e0)
-    assert lifted is succ_tower.stage(1).embed(t0)
-    assert format_bh(succ_tower.dilator, succ_tower.flatten(lifted)) == "@0:th(top)"
+    assert succ_tower.stage(0).embed(e0) is e0
+    assert e0 in succ_tower.stage(1).carrier_listing(5).items
+    assert succ_tower.stage(1).embed(e0) is e0
+    assert format_bh(succ_tower.dilator, e0) == "@0:th(top)"
 
 
-def test_flatten_after_lift_is_identity(succ_tower, omega_tower):
+def test_lift_is_the_identity(succ_tower, omega_tower):
     for tower in (succ_tower, omega_tower):
         for e in tower.enumerate(3, 10):
             for m in range(birth_stage(e), 5):
-                assert tower.flatten(tower.stage(m).embed(e)) is e
+                assert tower.stage(m).embed(e) is e
 
 
 def test_lift_commutes_with_stage_embedding(succ_tower):
@@ -147,24 +148,17 @@ def test_limit_compare_settles_the_supports_merged_below_the_last():
     assert len(tower.limit._memo) - before == 2
 
 
-def _preimage(tower, m, u):
-    """The X_m term that the stage embedding maps to u in X_{m+1}, if any."""
-    if m == 0:
-        return None
-    stripped = [_preimage(tower, m - 1, v) for v in u.body.support]
-    if None in stripped:
-        return None
-    p = tower.stage(m - 1).collapse(CodedElement(tuple(stripped), u.body.token))
-    assert tower.stage(m).embed(p) is u
-    return p
+def _in_stage(m, u):
+    """Is u a term of X_m, built in m collapse steps from the empty X_0?"""
+    return m > 0 and all(_in_stage(m - 1, v) for v in u.body.support)
 
 
-def _birth_by_preimages(tower, n, t):
-    """The least m such that t in X_{n+1} comes from X_{m+1} along the
-    stage embeddings."""
-    while (p := _preimage(tower, n, t)) is not None:
-        t, n = p, n - 1
-    return n
+def _birth_by_construction(t):
+    """The least m such that t is a term of X_{m+1}."""
+    m = 0
+    while not _in_stage(m + 1, t):
+        m += 1
+    return m
 
 
 @pytest.mark.parametrize("selector", BATTERY)
@@ -172,11 +166,16 @@ def test_birth_stage_is_length_minus_one(selector):
     tower = Tower(parse_selector(selector))
     for n in range(4):
         for t in tower.stage(n + 1).carrier_listing(25):
-            e = tower.flatten(t)
-            assert _birth_by_preimages(tower, n, t) == birth_stage(e) == e.length - 1
+            assert tower.limit._intern[t.body] is t
+            assert _in_stage(n + 1, t)
+            assert _birth_by_construction(t) == birth_stage(t) == t.length - 1
     for e in tower.enumerate(4, 25):
         born = birth_stage(e)
-        assert _birth_by_preimages(tower, born, tower.stage(born).embed(e)) == born
+        assert _birth_by_construction(e) == born
+        assert tower.stage(born).embed(e) is e
+        if born:
+            with pytest.raises(ValueError):
+                tower.stage(born - 1).embed(e)
 
 
 def test_compare_reflexive_and_stage_monotone(succ_tower):
@@ -213,6 +212,32 @@ def test_limit_order_is_the_stage_order(selector):
             )
 
 
+class _FlippedLimit(_FlippedSystem, LimitSystem):
+    """A limit order with the verdict on one pair of elements reversed."""
+
+
+def _stage_verdicts(tower, n, items):
+    stage = tower.stage(n)
+    return [[stage.compare(s, t) for t in items] for s in items]
+
+
+def test_stage_order_does_not_read_the_limit():
+    # the stages share the limit's terms but not its order: a stage merges
+    # supports in its base's order, so a limit order with one verdict
+    # reversed leaves every stage verdict as it is on a clean tower
+    towers = [Tower(parse_selector("product(successor,constant:2)")) for _ in range(2)]
+    clean, tower = towers
+    items, firsts = [], []
+    for t in towers:
+        items.append(t.listing(3, 30).items)
+        supports = dict.fromkeys(x for term in items[-1] for x in term.body.support)
+        firsts.append(list(supports)[:2])
+    tower.limit.__class__ = _FlippedLimit
+    tower.limit.flipped = frozenset(firsts[1])
+    assert tower.compare(*firsts[1]) == -clean.compare(*firsts[0])
+    assert _stage_verdicts(tower, 2, items[1]) == _stage_verdicts(clean, 2, items[0])
+
+
 def test_glued_collapse_least_elements(succ_tower):
     least = succ_tower.collapse(CodedElement((), TOP))
     assert least == succ_tower.enumerate(1, 5)[0]
@@ -226,9 +251,10 @@ def test_glued_collapse_stage_independence(succ_tower):
     sigma = CodedElement((es[1],), 0)
     value = succ_tower.collapse(sigma)
     n = birth_stage(value)
-    at_n = succ_tower.flatten(succ_tower.stage(n).embed(value))
-    assert at_n == succ_tower.flatten(succ_tower.stage(n + 1).embed(value))
-    assert at_n == value
+    for m in (n, n + 1):
+        assert succ_tower.stage(m).embed(value) is value
+        # collapsing at the stage gives the limit's element
+        assert succ_tower.stage(m).collapse(sigma) is value
 
 
 def test_glued_collapse_rejects_misordered_support(succ_tower):
@@ -245,13 +271,15 @@ def test_glued_collapse_rejects_partial_support(succ_tower):
 
 
 def test_push_pull_round_trip(omega_tower):
-    # pull back to a stage, then push forward along flatten
+    # pull back to a stage and collapse there: the limit's element again
     es = omega_tower.enumerate(2, 6)
     sigma = CodedElement((es[0], es[2]), (1, 0))
     value = omega_tower.collapse(sigma)
     n = birth_stage(value)
     for m in (n, n + 1):
-        assert map_coded(omega_tower.flatten, omega_tower.stage(m).embed(value).body) == sigma
+        staged = omega_tower.stage(m).embed(value)
+        assert staged.body == sigma
+        assert omega_tower.stage(m).collapse(staged.body) is value
 
 
 def test_enumerate_successor_one_birth_per_stage(succ_tower):
@@ -290,11 +318,13 @@ def test_limit_order_is_linear_on_enumeration(make):
 
 
 def test_cocone_law(succ_tower, omega_tower):
-    # flattening an embedded term gives the element of the term one stage down
+    # the maps into the limit commute with the stage iota: every stage term
+    # is a limit element, and iota keeps it
     for tower in (succ_tower, omega_tower):
         for n in (1, 2, 3):
             for s in tower.stage(n).carrier_listing(10):
-                assert tower.flatten(tower.stage(n).embed(s)) is tower.flatten(s)
+                assert tower.stage(n).embed(s) is s
+                assert tower.limit._intern[s.body] is s
 
 
 @pytest.mark.parametrize("selector", BATTERY)
@@ -326,10 +356,14 @@ def test_deep_listing_is_built_without_recursion(omega_tower):
 
 @pytest.mark.parametrize("selector", BATTERY)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_stage_iota_is_the_lift_of_the_flattened_element(selector, n):
-    # iota of X_n relabels through the stage below; through the limit it is
-    # the element's own representative one stage up
+def test_stage_iota_is_the_inclusion(selector, n):
+    # the listed terms of X_n are limit elements, and iota of X_n keeps
+    # each one, interning nothing
     tower = Tower(parse_selector(selector))
     stage = tower.stage(n)
-    for x in stage.carrier_listing(40):
-        assert stage.embed(x) is tower.stage(n).embed(tower.flatten(x))
+    listed = stage.carrier_listing(40)
+    interned = len(tower.terms)
+    for x in listed:
+        assert tower.limit._intern[x.body] is x
+        assert stage.embed(x) is x
+    assert len(tower.terms) == interned

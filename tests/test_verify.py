@@ -360,6 +360,23 @@ def test_collapse_admissible_catches_a_perturbed_stage_order():
     )
 
 
+def test_collapse_admissible_lists_subterms_in_walk_order():
+    # a copy of the successor stage X2 with the verdict on its first and
+    # third listed terms reversed: the subterms of th(v0;th(v0;th(top)))
+    # that exceed it are reported in the order the closure walk reaches
+    # them, the same on every run
+    for _ in range(3):
+        tower = Tower(SuccessorDilator())
+        bad = _FlippedSystem(tower, tower.stage(1))
+        items = tower.listing(3, 25).items
+        bad.flipped = frozenset({items[0], items[2]})
+        report = check_collapse_admissible(bad, 25)
+        assert [line for line in report.failures if line.startswith("subterm")] == [
+            "subterm th(v0;th(top)) exceeds th(v0;th(v0;th(top)))",
+            "subterm th(top) exceeds th(v0;th(v0;th(top)))",
+        ], report.format()
+
+
 def test_fixed_point_catches_a_perturbed_limit_order():
     tower = _FlippedTower(SuccessorDilator())
     listed = tower.enumerate(3, 10)
@@ -397,8 +414,8 @@ def test_theta_linear_counts_each_instance_once():
     items = tower.stage(2).carrier_listing(6).items
     bad.__class__ = _FlippedSystem
     _assert_flipped_theta_linear(bad, items)
-    # a copy of that stage over the same base, whose next system lists the
-    # copy's own terms
+    # a copy of that stage over the same base, which shares the tower's
+    # terms
     bad = _FlippedSystem(tower, tower.stage(0))
     items = System(tower, bad).carrier_listing(6).items
     assert all(bad.collapse(t.body) is t for t in items)
@@ -427,14 +444,22 @@ def test_stage_checks_read_only_the_given_system(dilator):
             assert check(copy, 8) == check(tower.stage(n + 2), 8), (check.__name__, n)
 
 
-class _StageTwoMoved(Tower):
-    """A tower whose flatten sends every term of stage 2 (that is, of X_3)
-    to the least limit element."""
+class _MovingSystem(System):
+    """A stage whose iota sends every term of length >= 2 to the least
+    limit element."""
 
-    def flatten(self, s):
-        if self.stage(2)._intern.get(s.body) is s:
-            return self.listing(1, 1)[0]
-        return super().flatten(s)
+    def embed(self, x):
+        x = super().embed(x)
+        return self.tower.listing(1, 1)[0] if x.length >= 2 else x
+
+
+class _StageTwoMoved(Tower):
+    """A tower whose stage 2 (the iota of X_2 into X_3) moves every term
+    of length >= 2 to the least limit element."""
+
+    def __init__(self, dilator):
+        super().__init__(dilator)
+        self.stage(2).__class__ = _MovingSystem
 
 
 @pytest.mark.parametrize(
@@ -448,16 +473,16 @@ class _StageTwoMoved(Tower):
     ],
     ids=["successor", "omega"],
 )
-def test_fixed_point_catches_a_stage_dependent_flatten(dilator, instances, exhaustive, first):
+def test_fixed_point_catches_a_stage_dependent_lift(dilator, instances, exhaustive, first):
     report = check_fixed_point(_StageTwoMoved(dilator()), 10)
     assert (report.instances, report.exhaustive) == (instances, exhaustive)
     assert report.failures[0] == first, report.format()
 
 
-def test_limit_order_catches_a_stage_dependent_flatten():
+def test_limit_order_catches_a_stage_dependent_lift():
     report = check_limit_order(_StageTwoMoved(SuccessorDilator()), 10)
     assert report.instances == 9
-    assert report.failures[0] == "flatten after lift to X3 moved @1:th(v0;th(top))", (
+    assert report.failures[0] == "lift to X3 moved @1:th(v0;th(top))", (
         report.format()
     )
 

@@ -70,6 +70,18 @@ MUTANTS = [
         "x.length > self.n + 1",
         "x.length > self.n + 2",
     ),
+    (
+        "minimality-fresh-map-per-element",
+        "src/bhfix/verify.py",
+        "images = [h(e) for e in elements]",
+        "images = [interpretation(witness)(e) for e in elements]",
+    ),
+    (
+        "omega-successor-any-arity-one",
+        "src/bhfix/interpret.py",
+        "coded.token == 0 and len(coded.support) == 1",
+        "len(coded.support) == 1",
+    ),
 ]
 
 

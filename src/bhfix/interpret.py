@@ -6,15 +6,16 @@ conditions; validity is only ever *sampled* (see
 :func:`bhfix.verify.check_witness`), never proven, since the conditions
 quantify over all of T_Y.
 
-An interpretation of a stage X into a witness is an order map h : X -> Y,
-represented as a plain function.  It extends along stage iteration by
+The interpretation of the limit into a witness is the order map h : lim -> Y
+given by the recursion
 
-    h'(th(sigma)) = collapse_Y(h[sigma])
+    h(th(sigma)) = collapse_Y(h[sigma])
 
-and a valid extension satisfies h' o iota_X = h; gluing the extensions over
-the stage tower embeds the whole limit order into Y.  On the limit itself,
-whose iota is the identity, the glued map is the recursion
-h(th(sigma)) = collapse_Y(h[sigma]) (see :func:`embed_bh`).
+(see :func:`interpretation`).  The stages intern into the limit's terms, so
+X_n is a subset of X_{n+1} and of the limit, and the interpretation of X_n
+that the paper builds stage by stage is this one h restricted to X_n: the
+extension equation h_{n+1} o iota_n = h_n and the gluing of the h_n hold by
+construction.
 """
 
 from __future__ import annotations
@@ -104,39 +105,20 @@ class SelfWitness(Witness):
         return format_bh(self.tower.dilator, value)
 
 
-def extend_interpretation(witness: Witness, h: Callable) -> Callable:
-    """The extension of an interpretation h of X_n to X_{n+1}:
-    th(sigma) |-> collapse_Y(h[sigma]), memoized per term, so a chain of
-    extensions maps each distinct term once at every level."""
+def interpretation(witness: Witness) -> Callable[[ThetaTerm], Any]:
+    """The interpretation h of the limit into the witness,
+    th(sigma) |-> collapse_Y(h[sigma]), memoized per term and filled on
+    demand in call order, so each distinct term is collapsed once."""
     images: dict[ThetaTerm, Any] = {}
 
-    def h_next(term: ThetaTerm) -> Any:
+    def h(term: ThetaTerm) -> Any:
         if term not in images:
             images[term] = witness.collapse(map_coded(h, term.body))
         return images[term]
 
-    return h_next
-
-
-def interpretation_at(witness: Witness, n: int) -> Callable:
-    """The glued interpretation of X_n, built by iterated extension from the
-    empty map on X_0."""
-
-    def h(x):
-        raise WitnessLawError("the empty system has no elements to interpret")
-
-    for _ in range(n):
-        h = extend_interpretation(witness, h)
     return h
 
 
 def embed_bh(witness: Witness, e: ThetaTerm) -> Any:
-    """Image of a limit element in the witness order, memoized per subterm."""
-    images: dict[ThetaTerm, Any] = {}
-
-    def h(t: ThetaTerm) -> Any:
-        if t not in images:
-            images[t] = witness.collapse(map_coded(h, t.body))
-        return images[t]
-
-    return h(e)
+    """Image of a limit element in the witness order."""
+    return interpretation(witness)(e)

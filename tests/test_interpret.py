@@ -9,8 +9,7 @@ from bhfix.interpret import (
     SelfWitness,
     Witness,
     embed_bh,
-    extend_interpretation,
-    interpretation_at,
+    interpretation,
 )
 from bhfix.limits import Tower, birth_stage
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
@@ -29,9 +28,9 @@ def test_omega_witness_base_values(succ_tower):
     w = OmegaSuccessorWitness()
     assert w.collapse(CodedElement((), TOP)) == 0
     assert w.collapse(CodedElement((7,), 0)) == 8
-    h1 = interpretation_at(w, 1)
+    h = interpretation(w)
     first = succ_tower.stage(1).carrier_listing(5)[0]
-    assert h1(first) == 0
+    assert h(first) == 0
 
 
 def test_omega_witness_rejects_foreign_elements():
@@ -40,33 +39,28 @@ def test_omega_witness_rejects_foreign_elements():
         w.collapse(CodedElement((1, 2), (1, 0)))
 
 
-def test_empty_interpretation_is_vacuous():
-    ip = interpretation_at(OmegaSuccessorWitness(), 0)
+def test_omega_witness_rejects_other_arity_one_tokens():
+    # only the successor token 0 has a one-element support
     with pytest.raises(WitnessLawError):
-        ip(object())
+        OmegaSuccessorWitness().collapse(CodedElement((7,), (0,)))
 
 
-def test_iterated_interpretation_enumerates_naturals(succ_tower):
-    w = OmegaSuccessorWitness()
+def test_interpretation_restricted_to_stages_enumerates_naturals(succ_tower):
+    h = interpretation(OmegaSuccessorWitness())
     for n in range(1, 6):
-        ip = interpretation_at(w, n)
-        values = [ip(t) for t in succ_tower.stage(n).carrier_listing(20)]
+        values = [h(t) for t in succ_tower.stage(n).carrier_listing(20)]
         assert values == list(range(n))
 
 
 def test_extension_equation_on_samples(succ_tower):
-    w = OmegaSuccessorWitness()
-    ip = interpretation_at(w, 0)
+    h = interpretation(OmegaSuccessorWitness())
     for n in range(4):
-        nxt = extend_interpretation(w, ip)
         for x in succ_tower.stage(n).carrier_listing(10):
-            assert nxt(succ_tower.stage(n).embed(x)) == ip(x)
-        ip = nxt
+            assert h(succ_tower.stage(n).embed(x)) == h(x)
 
 
 def test_interpret_term_maps_support_through_h(succ_tower):
-    w = OmegaSuccessorWitness()
-    h = extend_interpretation(w, interpretation_at(w, 1))
+    h = interpretation(OmegaSuccessorWitness())
     sys1 = succ_tower.stage(1)
     x = sys1.carrier_listing(5)[0]
     assert h(sys1.collapse(CodedElement((x,), 0))) == 1
@@ -84,9 +78,9 @@ def test_embed_bh_is_order_preserving_and_stage_consistent(succ_tower):
     elements = succ_tower.enumerate(5, 50)
     images = [embed_bh(w, e) for e in elements]
     assert images == sorted(images)
+    h = interpretation(w)
     for e, img in zip(elements, images):
-        later = interpretation_at(w, birth_stage(e) + 2)
-        assert later(succ_tower.stage(birth_stage(e) + 1).embed(e)) == img
+        assert h(succ_tower.stage(birth_stage(e) + 1).embed(e)) == img
 
 
 @pytest.mark.parametrize("dilator", [SuccessorDilator(), OmegaPowerDilator()],

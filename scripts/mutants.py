@@ -82,6 +82,12 @@ MUTANTS = [
         "coded.token == 0 and len(coded.support) == 1",
         "len(coded.support) == 1",
     ),
+    (
+        "verify-imported-eagerly",
+        "src/bhfix/__init__.py",
+        "from .syntax import format_bh, parse_bh\n",
+        "from .syntax import format_bh, parse_bh\nfrom .verify import run_suite\n",
+    ),
 ]
 
 

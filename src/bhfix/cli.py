@@ -17,6 +17,7 @@ import functools
 import os
 import sys
 
+from . import SUITES
 from .dilator import Dilator, parse_nat
 from .errors import (
     DilatorLawError,
@@ -38,7 +39,6 @@ from .standard_dilators import (
     _split_args,
 )
 from .syntax import MAX_STAGE, format_bh, parse_bh
-from .verify import SUITES, erase_supports, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -158,6 +158,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Imported here, not at module level, so that the other commands never
+    # load the checks.
+    from .verify import erase_supports, run_suite
+
     dilator = parse_selector(args.dilator)
     if args.break_naturality:
         dilator = erase_supports(dilator)

@@ -18,7 +18,6 @@ dilator instances hold no observable state and can be shared freely.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from functools import cmp_to_key, partial
 from heapq import nsmallest
 from itertools import combinations
@@ -26,7 +25,7 @@ from math import comb
 from typing import Any, Callable, Iterator, Sequence
 
 from .errors import DilatorLawError
-from .finite_orders import EQ, Embedding, finset_map, is_strictly_sorted
+from .finite_orders import EQ, Embedding, Frozen, finset_map, is_strictly_sorted
 
 Token = Any
 Cmp = Callable[[Any, Any], int]
@@ -35,17 +34,31 @@ Cmp = Callable[[Any, Any], int]
 MAX_DIGITS = 4300
 
 
-@dataclass(frozen=True)
-class Enumeration:
+class Enumeration(Frozen):
     """A finite listing plus an honest claim about its completeness.
 
     ``exhaustive`` is True only when the listing provably contains every
     value in question; property checks propagate the flag so that a report
-    can distinguish "verified on all" from "verified on a sample".
+    can distinguish "verified on all" from "verified on a sample".  Equal
+    exactly when both fields are.
     """
 
-    items: tuple
-    exhaustive: bool
+    __slots__ = ("items", "exhaustive")
+
+    def __init__(self, items: tuple, exhaustive: bool) -> None:
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "exhaustive", exhaustive)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items and self.exhaustive == other.exhaustive
+
+    def __hash__(self) -> int:
+        return hash((self.items, self.exhaustive))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(items={self.items!r}, exhaustive={self.exhaustive!r})"
 
     def __iter__(self) -> Iterator:
         return iter(self.items)
@@ -133,16 +146,30 @@ def parse_nat(text: str, what: str, error: type[ValueError]) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class CodedElement:
+class CodedElement(Frozen):
     """An element of T_X in support normal form.
 
     ``support`` is strictly sorted in the carrier order and ``token`` has
-    full support at arity len(support).  Equality is syntactic.
+    full support at arity len(support).  Equality is syntactic: equal
+    exactly when support and token are, which makes it the intern key.
     """
 
-    support: tuple
-    token: Token
+    __slots__ = ("support", "token")
+
+    def __init__(self, support: tuple, token: Token) -> None:
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "token", token)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.support == other.support and self.token == other.token
+
+    def __hash__(self) -> int:
+        return hash((self.support, self.token))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(support={self.support!r}, token={self.token!r})"
 
     @property
     def arity(self) -> int:

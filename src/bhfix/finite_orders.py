@@ -9,7 +9,6 @@ tuples; there is deliberately no wrapper class around them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
 E = TypeVar("E")
@@ -22,14 +21,53 @@ def sgn(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Strictly increasing map {0..m-1} -> {0..n-1} with m = len(images)."""
+class Frozen:
+    """Base of the package's immutable value classes: a field is set once,
+    in ``__init__`` through ``object.__setattr__``, and never again."""
 
-    images: tuple[int, ...]
-    codomain_size: int
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a value through its constructor, which
+        # takes the fields in slot order
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Embedding(Frozen):
+    """Strictly increasing map {0..m-1} -> {0..n-1} with m = len(images).
+
+    Equal exactly when images and codomain size are."""
+
+    __slots__ = ("images", "codomain_size")
+
+    def __init__(self, images: tuple[int, ...], codomain_size: int) -> None:
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "codomain_size", codomain_size)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images and self.codomain_size == other.codomain_size
+
+    def __hash__(self) -> int:
+        return hash((self.images, self.codomain_size))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(images={self.images!r}, "
+            f"codomain_size={self.codomain_size!r})"
+        )
 
     def __post_init__(self) -> None:
+        # The constructor's validation; ``trusted`` skips it.  ``__init__``
+        # calls it through the class, so perfbench's tracer can wrap it.
         prev = -1
         for i in self.images:
             if not isinstance(i, int) or i <= prev:

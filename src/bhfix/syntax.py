@@ -13,8 +13,6 @@ serialized element round-trips to the identical element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dilator import CodedElement, Dilator, parse_nat
 from .errors import TermSyntaxError, TermTypeError
 from .limits import Tower, birth_stage
@@ -38,10 +36,12 @@ def format_bh(dilator: Dilator, e: ThetaTerm) -> str:
     return f"@{birth_stage(e)}:{format_term(dilator, e)}"
 
 
-@dataclass
 class _Tree:
-    token_text: str
-    subs: list
+    __slots__ = ("token_text", "subs")
+
+    def __init__(self, token_text: str, subs: list) -> None:
+        self.token_text = token_text
+        self.subs = subs
 
 
 class _Cursor:

@@ -39,22 +39,26 @@ carrier listing is the tower's (:meth:`bhfix.limits.Tower.listing`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dilator import CodedElement, Dilator, Enumeration, compare_merged
 from .errors import SystemDefectError
-from .finite_orders import EQ, GT, LT
+from .finite_orders import EQ, GT, LT, Frozen
 
 
-@dataclass(frozen=True, eq=False)
-class ThetaTerm:
-    """A formal collapse term; unique per body within its tower."""
+class ThetaTerm(Frozen):
+    """A formal collapse term; unique per body within its tower, so
+    equality is identity."""
 
-    body: CodedElement
-    length: int
+    __slots__ = ("body", "length")
+
+    def __init__(self, body: CodedElement, length: int) -> None:
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "length", length)
 
     def __repr__(self) -> str:
-        return f"ThetaTerm(L={self.length}, token={self.body.token!r}, supp={len(self.body.support)})"
+        return (
+            f"ThetaTerm(L={self.length}, token={self.body.token!r}, "
+            f"supp={len(self.body.support)})"
+        )
 
 
 class System:

@@ -12,10 +12,10 @@ inputs, same instance counts, same verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from weakref import WeakKeyDictionary
 
+from . import SUITES
 from .dilator import (
     Dilator,
     Enumeration,
@@ -45,7 +45,6 @@ TERMS_CAP = 40   # cap on the per-stage term budget of a suite
 SAMPLE_CAP = 30  # cap on the coded-element samples feeding pair loops
 
 
-@dataclass
 class CheckReport:
     """Outcome of one law check, counted instance by instance (``check``)
     or a loop at a time (``tally``); failures are recorded in instance
@@ -54,14 +53,42 @@ class CheckReport:
     ``exhaustive`` is True only when every enumeration feeding the check
     reported completeness, i.e. the law was verified on *all* instances at
     this scale rather than on a sample.  At most ``_MAX_RECORDED_FAILURES``
-    failures are recorded; ``overflow`` counts the rest.
+    failures are recorded; ``overflow`` counts the rest.  Two reports are
+    equal when all five fields are.
     """
 
-    name: str
-    exhaustive: bool = True
-    instances: int = 0
-    failures: list[str] = field(default_factory=list)
-    overflow: int = 0
+    __slots__ = ("name", "exhaustive", "instances", "failures", "overflow")
+
+    def __init__(
+        self,
+        name: str,
+        exhaustive: bool = True,
+        instances: int = 0,
+        failures: list[str] | None = None,
+        overflow: int = 0,
+    ) -> None:
+        self.name = name
+        self.exhaustive = exhaustive
+        self.instances = instances
+        self.failures = [] if failures is None else failures
+        self.overflow = overflow
+
+    def _fields(self) -> tuple:
+        return (self.name, self.exhaustive, self.instances, self.failures, self.overflow)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(name={self.name!r}, exhaustive={self.exhaustive!r}, "
+            f"instances={self.instances!r}, failures={self.failures!r}, "
+            f"overflow={self.overflow!r})"
+        )
 
     @property
     def passed(self) -> bool:
@@ -554,9 +581,6 @@ class _ErasedSupports(Dilator):
 
 def erase_supports(dilator: Dilator) -> Dilator:
     return _ErasedSupports(dilator)
-
-
-SUITES = ("all", "laws", "theta", "fixedpoint", "minimality")
 
 
 def run_suite(dilator: Dilator, suite: str = "all", budget: int = 50) -> list[CheckReport]:

@@ -1,5 +1,6 @@
 """Command-line contract: outputs, exit codes, environment knobs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -343,6 +344,44 @@ def test_deeply_nested_input_fails_cleanly(capsys):
     )
     assert code in (2, 3)
     assert err.startswith("error:")
+
+
+_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import bhfix.cli
+added = sorted(set(sys.modules) - before)
+import bhfix
+listed = [name for name in bhfix.__all__ if name in dir(bhfix)]
+namespace = {}
+exec("from bhfix import *", namespace)
+bound = [name for name in bhfix.__all__ if name in namespace]
+print(json.dumps({"added": added, "listed": listed, "bound": bound,
+                  "run_suite": bhfix.run_suite.__module__}))
+"""
+
+
+def test_cli_import_leaves_out_the_checks_and_dataclasses():
+    # only `verify` needs bhfix.verify, and dataclasses pulls in inspect,
+    # ast, dis and tokenize; modules the interpreter loaded before the
+    # import (e.g. through site) do not count
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert "bhfix.cli" in probe["added"]
+    assert not {"bhfix.verify", "dataclasses", "inspect"} & set(probe["added"])
+    import bhfix
+
+    assert probe["listed"] == probe["bound"] == bhfix.__all__
+    assert probe["run_suite"] == "bhfix.verify"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bhfix", "verify", "--dilator", "successor", "--budget", "8"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_module_entry_point():

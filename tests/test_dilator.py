@@ -1,5 +1,7 @@
 """Coded-element operations against the successor and omega dilators."""
 
+import copy
+import pickle
 from functools import lru_cache, partial
 
 import pytest
@@ -28,6 +30,7 @@ from bhfix.standard_dilators import (
     SuccessorDilator,
     SumDilator,
 )
+from bhfix.systems import ThetaTerm
 
 int_cmp = lambda a, b: sgn(a - b)  # noqa: E731
 succ = SuccessorDilator()
@@ -147,6 +150,42 @@ def test_least_selects_sorts_and_flags_the_cut():
     assert least(Enumeration((2, 1), False), 2, int_cmp) == Enumeration((1, 2), False)
     with pytest.raises(ValueError):
         least(listing, -1, int_cmp)
+
+
+def test_value_classes_keep_their_value_semantics():
+    # equal coded elements hash alike and are one intern key
+    a, b = CodedElement((1, 2), (0,)), CodedElement((1, 2), (0,))
+    assert a is not b and a == b and hash(a) == hash(b)
+    interned = {a: "term"}
+    assert interned[b] == "term" and len({a, b}) == 1
+    assert a != CodedElement((1, 2), (1,)) and a != CodedElement((1,), (0,))
+    # the codomain is part of an embedding, as the token table needs
+    assert Embedding((0,), 1) == Embedding((0,), 1)
+    assert hash(Embedding((0,), 1)) == hash(Embedding((0,), 1))
+    assert Embedding((0,), 1) != Embedding((0,), 2)
+    assert Embedding.trusted((0,), 2) == Embedding((0,), 2)
+    assert Enumeration((1,), True) == Enumeration((1,), True)
+    assert Enumeration((1,), True) != Enumeration((1,), False)
+    assert Enumeration((1,), True) != Enumeration((2,), True)
+    # a term is equal only to itself: terms are interned
+    term = ThetaTerm(CodedElement((), TOP), 1)
+    assert term == term and term != ThetaTerm(term.body, 1)
+    # frozen, and printed as the field-wise text
+    for value, field in [(a, "support"), (a, "token"), (Embedding((0,), 1), "images"),
+                         (Embedding((0,), 1), "codomain_size"),
+                         (Enumeration((), True), "items"), (Enumeration((), True), "exhaustive"),
+                         (term, "body"), (term, "length")]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert repr(CodedElement((), "top")) == "CodedElement(support=(), token='top')"
+    assert repr(Embedding((0, 2), 3)) == "Embedding(images=(0, 2), codomain_size=3)"
+    assert repr(Enumeration((1,), False)) == "Enumeration(items=(1,), exhaustive=False)"
+    with pytest.raises(ValueError):
+        Embedding((1, 0), 2)
+    for value in (a, Embedding((0, 2), 3), Enumeration((1,), False)):
+        assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
 
 
 def test_coded_elements_keeps_the_sample_flag():

@@ -2,12 +2,15 @@
 """Mutation gate: does tier-1 catch each of a fixed list of one-line faults?
 
 Each mutant replaces one exact piece of text, found exactly once, in one
-source file.  The script copies the checkout to a temporary directory,
-checks that tier-1 passes there unmutated, then applies one mutant at a time
-and runs tier-1 with ``-x``.  A mutant is killed when pytest fails.  It
-prints one row per mutant and exits 1 when a mutant survives or no longer
-applies, 2 when tier-1 fails without a mutant.  A mutant that makes tier-1
-run past its timeout counts as killed.  Standard library only.
+source file, and states its expected verdict: ``killed``, or ``equivalent``
+with a one-line reason why no test can tell it from the program.  The
+script copies the checkout to a temporary directory, checks that tier-1
+passes there unmutated, then applies one mutant at a time and runs tier-1
+with ``-x``.  A mutant is killed when pytest fails.  It prints one row per
+mutant and exits 1 when a verdict differs from the expected one (a
+``killed`` mutant survives or an ``equivalent`` one is killed) or a mutant
+no longer applies, 2 when tier-1 fails without a mutant.  A mutant that
+makes tier-1 run past its timeout counts as killed.  Standard library only.
 
     python scripts/mutants.py
 """
@@ -26,67 +29,93 @@ ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 TIMEOUT_S = 900
 
-# (name, file, old text, new text)
+# (name, file, old text, new text, expected verdict: "killed", or
+# "equivalent: <reason>")
 MUTANTS = [
     (
         "least-coded-exhaustive-off-by-one",
         "src/bhfix/dilator.py",
         "exhaustive and count <= k)",
         "exhaustive and count <= k + 1)",
+        "killed",
     ),
     (
         "settled-bisects-at-first-support",
         "src/bhfix/limits.py",
         "bisect_right(ps, pt[-1]) if pt else 0",
         "bisect_right(ps, pt[0]) if pt else 0",
+        "killed",
     ),
     (
         "token-table-never-hit",
         "src/bhfix/verify.py",
         "images = table.get(f)",
         "images = table.get(f.images)",
+        "killed",
     ),
     (
         "tally-without-overflow",
         "src/bhfix/verify.py",
         "self.overflow += 1",
         "pass",
+        "killed",
     ),
     (
         "sample-cache-as-plain-dict",
         "src/bhfix/verify.py",
         "= WeakKeyDictionary()",
         "= {}",
+        "killed",
     ),
     (
         "stage-merges-in-limit",
         "src/bhfix/systems.py",
         "return self.base.compare(x, y)",
-        "return self.tower.limit.compare(x, y)",
+        "return self.tower.compare(x, y)",
+        "killed",
     ),
     (
         "birth-guard-off-by-one",
         "src/bhfix/systems.py",
         "x.length > self.n + 1",
         "x.length > self.n + 2",
+        "killed",
     ),
     (
         "minimality-fresh-map-per-element",
         "src/bhfix/verify.py",
         "images = [h(e) for e in elements]",
         "images = [interpretation(witness)(e) for e in elements]",
+        "killed",
     ),
     (
         "omega-successor-any-arity-one",
         "src/bhfix/interpret.py",
         "coded.token == 0 and len(coded.support) == 1",
         "len(coded.support) == 1",
+        "killed",
     ),
     (
         "verify-imported-eagerly",
         "src/bhfix/__init__.py",
         "from .syntax import format_bh, parse_bh\n",
         "from .syntax import format_bh, parse_bh\nfrom .verify import run_suite\n",
+        "killed",
+    ),
+    (
+        "tower-collapse-unchecked",
+        "src/bhfix/limits.py",
+        "if not is_strictly_sorted(coded.support, self.compare):",
+        "if False:",
+        "killed",
+    ),
+    (
+        "minimality-drops-xs1-flag",
+        "src/bhfix/verify.py",
+        "            report.exhaustive &= xs1.exhaustive\n",
+        "",
+        "equivalent: tower.enumerate(3, b) folds listing(3, b) unless the capped "
+        "listings repeat, and then listing(3, b) equals a listing already folded",
     ),
 ]
 
@@ -129,8 +158,9 @@ def main() -> int:
             print(f"  {first}")
             return 2
         bad = 0
-        print(f"{'mutant':36} {'verdict':10} {'seconds':>7}  first failure")
-        for name, file, old, new in MUTANTS:
+        print(f"{'mutant':36} {'expected':10} {'verdict':10} {'seconds':>7}  first failure or reason")
+        for name, file, old, new, expected in MUTANTS:
+            expect, _, reason = expected.partition(": ")
             path = copy / file
             original = path.read_text()
             if original.count(old) != 1:
@@ -141,12 +171,15 @@ def main() -> int:
                     survived, elapsed, first = run_tier1(copy)
                 finally:
                     path.write_text(original)
-                verdict = "SURVIVED" if survived else "killed"
-            bad += verdict != "killed"
-            print(f"{name:36} {verdict:10} {elapsed:7.1f}  {first}", flush=True)
-    print(f"{len(MUTANTS) - bad}/{len(MUTANTS)} mutants killed")
+                verdict = "survived" if survived else "killed"
+            wanted = "survived" if expect == "equivalent" else "killed"
+            if verdict != wanted:
+                bad += 1
+                verdict = verdict.upper()
+            row = f"{name:36} {expect:10} {verdict:10} {elapsed:7.1f}  {first or reason}"
+            print(row, flush=True)
+    print(f"{len(MUTANTS) - bad}/{len(MUTANTS)} mutants as expected")
     return 1 if bad else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

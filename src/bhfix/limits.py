@@ -3,7 +3,7 @@
 Stages iterate from the empty order: X_0 is empty and the system over X_n
 is ``System(tower, stage(n - 1))``, whose carrier is the order of collapse
 terms over X_{n-1}.  The direct limit of the stages is itself a system over
-its own carrier (:class:`LimitSystem`): its elements are collapse terms
+its own carrier, the :class:`Tower` itself: its elements are collapse terms
 whose supports are limit elements, iota is the identity, and the order is
 the same two-clause recursion as at every stage, less the support checks
 that its merge already settles (below).  Limit elements are the
@@ -16,8 +16,8 @@ element it stands for, and the stage iota (:meth:`System.embed`) returns
 its argument, raising ``ValueError`` on an element born above its stage.
 A term is new at stage n+1 exactly when one of its supports is new at
 stage n, so by induction a limit element of length L is born at stage
-L - 1 and first lives in X_L.  Listings are generated over the limit
-(:meth:`Tower.listing`).  The stages keep their own memos and every
+L - 1 and first lives in X_L.  Every stage is listed over the limit, by
+:meth:`Tower.listing`.  The stages keep their own memos and every
 clause check, as the paper's construction and as the oracle the checks
 compare against.
 
@@ -83,12 +83,29 @@ def birth_stage(e: ThetaTerm) -> int:
     return e.length - 1
 
 
-class LimitSystem(System):
-    """The direct limit as a system over its own elements: the carrier order
-    is the limit order itself and iota is the identity."""
+class Tower(System):
+    """The stage sequence of a prae-dilator; the tower itself is the limit
+    system over its own elements: the carrier order is the limit order
+    itself and iota is the identity."""
+
+    def __init__(self, dilator: Dilator):
+        self.dilator = dilator
+        # the one intern table of the stages and the limit
+        self._intern: dict[CodedElement, ThetaTerm] = {}
+        System.__init__(self, self)
+        self._systems = [System(self)]
+        self._listings: dict[tuple[int, int], Enumeration] = {}
 
     def __repr__(self) -> str:
         return "lim"
+
+    def stage(self, n: int) -> System:
+        """The system whose carrier is X_n (cached; stage 0 is empty)."""
+        while len(self._systems) <= n:
+            self._systems.append(System(self, self._systems[-1]))
+        return self._systems[n]
+
+    # -- the limit order and the glued collapse --------------------------------
 
     def carrier_compare(self, x: ThetaTerm, y: ThetaTerm) -> int:
         return self.compare(x, y)
@@ -102,29 +119,6 @@ class LimitSystem(System):
         # supports merged after all of t's need a compare.
         return bisect_right(ps, pt[-1]) if pt else 0
 
-
-class Tower:
-    """The stage sequence of a prae-dilator together with its limit system."""
-
-    def __init__(self, dilator: Dilator):
-        self.dilator = dilator
-        # the one intern table of the stages and the limit
-        self.terms: dict[CodedElement, ThetaTerm] = {}
-        self._systems = [System(self)]
-        self.limit = LimitSystem(self)
-        self._listings: dict[tuple[int, int], Enumeration] = {}
-
-    def stage(self, n: int) -> System:
-        """The system whose carrier is X_n (cached; stage 0 is empty)."""
-        while len(self._systems) <= n:
-            self._systems.append(System(self, self._systems[-1]))
-        return self._systems[n]
-
-    # -- the limit order and the glued collapse --------------------------------
-
-    def compare(self, e1: ThetaTerm, e2: ThetaTerm) -> int:
-        return self.limit.compare(e1, e2)
-
     def collapse(self, coded: CodedElement) -> ThetaTerm:
         """Collapse a coded element over the limit order.
 
@@ -133,7 +127,7 @@ class Tower:
         """
         if not is_strictly_sorted(coded.support, self.compare):
             raise ValueError("support must be strictly increasing in the limit order")
-        return self.limit.collapse(make_coded(self.dilator, coded.support, coded.token))
+        return super().collapse(make_coded(self.dilator, coded.support, coded.token))
 
     # -- enumeration -------------------------------------------------------------
 
@@ -148,11 +142,11 @@ class Tower:
         while m and (m, cap) not in self._listings:
             m -= 1
         listing = self._listings[m, cap] if m else Enumeration((), True)
-        cmp = self.limit.compare
+        cmp, collapse = self.compare, super().collapse
         for k in range(m + 1, n + 1):
             b = budget if k == n else cap
             listing = self._listings[k, b] = least_coded(
-                self.dilator, listing, b, b, cmp, self.limit.collapse, cmp
+                self.dilator, listing, b, b, cmp, collapse, cmp
             )
         return listing
 

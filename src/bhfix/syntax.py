@@ -16,7 +16,7 @@ from __future__ import annotations
 from .dilator import CodedElement, Dilator, parse_nat
 from .errors import TermSyntaxError, TermTypeError
 from .limits import Tower, birth_stage
-from .systems import ThetaTerm
+from .systems import System, ThetaTerm
 
 # The largest stage index the grammar accepts; an absurd index in the input
 # is rejected up front.
@@ -132,7 +132,8 @@ def _build_term(tower: Tower, tree: _Tree, n: int) -> ThetaTerm:
     for a, b in zip(subs, subs[1:]):
         if tower.compare(a, b) >= 0:
             raise TermTypeError("support terms must be strictly increasing")
-    return tower.limit.collapse(CodedElement(subs, token))
+    # checked above, with the grammar's messages: intern without rechecking
+    return System.collapse(tower, CodedElement(subs, token))
 
 
 def parse_bh(tower: Tower, text: str) -> ThetaTerm:

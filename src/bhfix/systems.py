@@ -27,19 +27,21 @@ every support, the limit system only those the merge leaves open
 
 A stage system is fixed by the stage below it, its *base*: its carrier
 X_{n+1} is the base's term order, L is the term length, and iota is the
-inclusion.  X_0 has no base and is empty.
+inclusion.  X_0 has no base and is empty.  The limit is the tower itself
+(:class:`bhfix.limits.Tower`), a system without a base whose carrier is
+its own term order.
 
 All systems of a tower intern their terms into the tower's one table (one
 object per body), so term equality is object identity and X_n is a subset
 of X_{n+1} and of the limit.  Each system memoizes its own comparison
 verdicts.  Both caches are append-only and idempotent; systems are
-immutable once built and safe to share.  Stages generate nothing: a
-carrier listing is the tower's (:meth:`bhfix.limits.Tower.listing`).
+immutable once built and safe to share.  Stages generate nothing: X_n is
+listed by ``tower.listing(n, budget)`` (:meth:`bhfix.limits.Tower.listing`).
 """
 
 from __future__ import annotations
 
-from .dilator import CodedElement, Dilator, Enumeration, compare_merged
+from .dilator import CodedElement, Dilator, compare_merged
 from .errors import SystemDefectError
 from .finite_orders import EQ, GT, LT, Frozen
 
@@ -73,7 +75,7 @@ class System:
         self.base = base
         self.n = 0 if base is None else base.n + 1
         self.dilator: Dilator = tower.dilator
-        self._intern: dict[CodedElement, ThetaTerm] = tower.terms
+        self._intern: dict[CodedElement, ThetaTerm] = tower._intern
         self._memo: dict[tuple[int, int], int] = {}
 
     def __repr__(self) -> str:
@@ -83,10 +85,6 @@ class System:
 
     def carrier_compare(self, x: ThetaTerm, y: ThetaTerm) -> int:
         return self.base.compare(x, y)
-
-    def carrier_listing(self, budget: int) -> Enumeration:
-        """The tower's listing of X_n at this budget."""
-        return self.tower.listing(self.n, budget)
 
     def length_of(self, x: ThetaTerm) -> int:
         """L_X: the term length of a carrier element."""

@@ -306,7 +306,7 @@ def _coded_sample(system: System, budget: int) -> Enumeration:
     samples = _SAMPLES.setdefault(system, {})
     sample = samples.get(budget)
     if sample is None:
-        base = system.carrier_listing(min(budget, BASE_SAMPLE_CAP))
+        base = system.tower.listing(system.n, min(budget, BASE_SAMPLE_CAP))
         sample = samples[budget] = _least_coded(
             system.dilator, base, budget, budget, system.carrier_compare
         )
@@ -348,7 +348,7 @@ def check_goodness(system: System, budget: int) -> CheckReport:
     order (goodness).  The terms are shared across the stages, so the
     length equation holds by construction; its lines stay as the paper's
     law."""
-    xs = system.carrier_listing(budget)
+    xs = system.tower.listing(system.n, budget)
     report = CheckReport(f"goodness:X{system.n}", xs.exhaustive)
     fmt = lambda t: format_term(system.dilator, t)  # noqa: E731
     try:
@@ -495,14 +495,14 @@ def check_minimality(tower: Tower, witness: Witness, budget: int) -> CheckReport
     try:
         for n in range(LIMIT_STAGES):
             stage = tower.stage(n)
-            xs = stage.carrier_listing(budget)
+            xs = tower.listing(n, budget)
             report.exhaustive &= xs.exhaustive
             for x in xs:
                 report.check(
                     witness.compare(h(stage.embed(x)), h(x)) == 0,
                     lambda x=x: f"extension equation broken at {format_term(dil, x)}",
                 )
-            xs1 = tower.stage(n + 1).carrier_listing(budget)
+            xs1 = tower.listing(n + 1, budget)
             report.exhaustive &= xs1.exhaustive
             for i, s in enumerate(xs1):
                 for t in xs1[i + 1 :]:

@@ -70,12 +70,12 @@ def test_criterion_2_theta_linearity():
     start = time.perf_counter()
     succ_tower = Tower(SuccessorDilator())
     for stage, size in ((1, 2), (2, 3)):  # X_2 and X_3 of the successor
-        terms = succ_tower.stage(stage + 1).carrier_listing(50)
+        terms = succ_tower.listing(stage + 1, 50)
         assert len(terms) == size and terms.exhaustive
         report = check_theta_linear(succ_tower.stage(stage), 50)
         assert report.passed and report.exhaustive, report.format()
     om_tower = Tower(OmegaPowerDilator())
-    sample = om_tower.stage(2).carrier_listing(200)
+    sample = om_tower.listing(2, 200)
     assert len(sample) >= 200
     report = check_theta_linear(om_tower.stage(1), 200)
     assert report.passed, report.format()
@@ -120,7 +120,7 @@ def test_criterion_6_successor_facts():
     start = time.perf_counter()
     tower = Tower(SuccessorDilator())
     for n in range(9):
-        stage = tower.stage(n).carrier_listing(50)
+        stage = tower.listing(n, 50)
         assert len(stage) == n and stage.exhaustive
     elements = tower.enumerate(8, 50)
     assert len(elements) == 8 and elements.exhaustive
@@ -154,7 +154,7 @@ def test_criterion_7_fixed_point():
 def test_criterion_8_omega_chain():
     tower = Tower(OmegaPowerDilator())
     sys1 = tower.stage(1)
-    a = sys1.carrier_listing(5)[0]
+    a = tower.listing(1, 5)[0]
 
     def term(j):
         return sys1.collapse(CodedElement(() if j == 0 else (a,), (0,) * j))

@@ -29,7 +29,7 @@ def test_omega_witness_base_values(succ_tower):
     assert w.collapse(CodedElement((), TOP)) == 0
     assert w.collapse(CodedElement((7,), 0)) == 8
     h = interpretation(w)
-    first = succ_tower.stage(1).carrier_listing(5)[0]
+    first = succ_tower.listing(1, 5)[0]
     assert h(first) == 0
 
 
@@ -48,21 +48,21 @@ def test_omega_witness_rejects_other_arity_one_tokens():
 def test_interpretation_restricted_to_stages_enumerates_naturals(succ_tower):
     h = interpretation(OmegaSuccessorWitness())
     for n in range(1, 6):
-        values = [h(t) for t in succ_tower.stage(n).carrier_listing(20)]
+        values = [h(t) for t in succ_tower.listing(n, 20)]
         assert values == list(range(n))
 
 
 def test_extension_equation_on_samples(succ_tower):
     h = interpretation(OmegaSuccessorWitness())
     for n in range(4):
-        for x in succ_tower.stage(n).carrier_listing(10):
+        for x in succ_tower.listing(n, 10):
             assert h(succ_tower.stage(n).embed(x)) == h(x)
 
 
 def test_interpret_term_maps_support_through_h(succ_tower):
     h = interpretation(OmegaSuccessorWitness())
     sys1 = succ_tower.stage(1)
-    x = sys1.carrier_listing(5)[0]
+    x = succ_tower.listing(1, 5)[0]
     assert h(sys1.collapse(CodedElement((x,), 0))) == 1
     assert h(sys1.collapse(CodedElement((), TOP))) == 0
 

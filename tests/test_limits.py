@@ -8,10 +8,10 @@ from bhfix.cli import parse_selector
 from bhfix.dilator import CodedElement
 from bhfix.errors import DilatorLawError
 from bhfix.finite_orders import EQ, LT
-from bhfix.limits import LimitSystem, Tower, birth_stage
+from bhfix.limits import Tower, birth_stage
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
 from bhfix.syntax import format_bh, parse_bh
-from test_verify import _TREES, _FlippedSystem
+from test_verify import _TREES, _FlippedTower
 
 BATTERY = [
     "successor",
@@ -34,16 +34,16 @@ def omega_tower():
 
 
 def test_stage_zero_is_empty(succ_tower):
-    listed = succ_tower.stage(0).carrier_listing(10)
+    listed = succ_tower.listing(0, 10)
     assert len(listed) == 0 and listed.exhaustive
 
 
 def test_stage_sizes_successor(succ_tower):
-    assert len(succ_tower.stage(2).carrier_listing(10)) == 2
+    assert len(succ_tower.listing(2, 10)) == 2
 
 
 def test_stage_one_omega_is_th_empty(omega_tower):
-    listed = omega_tower.stage(1).carrier_listing(10)
+    listed = omega_tower.listing(1, 10)
     assert len(listed) == 1 and listed.exhaustive
     assert listed[0].body == CodedElement((), ())
 
@@ -53,15 +53,15 @@ def test_stage_one_omega_is_th_empty(omega_tower):
 
 
 def test_stage_term_is_its_limit_element(succ_tower):
-    t = succ_tower.stage(1).carrier_listing(5)[0]   # th(top) in X_1
+    t = succ_tower.listing(1, 5)[0]   # th(top) in X_1
     assert succ_tower.stage(1).embed(t) is t          # and in X_2
-    assert succ_tower.limit._intern[t.body] is t
+    assert succ_tower._intern[t.body] is t
     assert birth_stage(t) == 0 and succ_tower.stage(0).embed(t) is t
 
 
 def test_new_terms_are_born_at_their_stage(succ_tower):
     # exactly one X_3 term is new at stage 2: the one of length 3
-    terms3 = succ_tower.stage(3).carrier_listing(10)
+    terms3 = succ_tower.listing(3, 10)
     new = [t for t in terms3 if birth_stage(t) == 2]
     assert len(new) == 1 and new[0].length == 3
     assert succ_tower.stage(2).embed(new[0]) is new[0]
@@ -72,7 +72,7 @@ def test_new_terms_are_born_at_their_stage(succ_tower):
 def test_lift_base_and_single_step(succ_tower):
     e0 = succ_tower.enumerate(1, 10)[0]
     assert succ_tower.stage(0).embed(e0) is e0
-    assert e0 in succ_tower.stage(1).carrier_listing(5).items
+    assert e0 in succ_tower.listing(1, 5).items
     assert succ_tower.stage(1).embed(e0) is e0
     assert format_bh(succ_tower.dilator, e0) == "@0:th(top)"
 
@@ -105,14 +105,14 @@ def test_listing_stops_each_support_at_its_first_miss(omega_tower):
     # building every collapse over the base sample interns 4681 limit terms
     # here; the pruned selection interns 347
     assert len(omega_tower.enumerate(3, 50)) == 50
-    assert len(omega_tower.limit._intern) <= 400
+    assert len(omega_tower._intern) <= 400
 
 
 def _chain(tower, bottom, token, height):
     """The limit element th(token; th(token; ... th(bottom))) of the given height."""
-    e = tower.limit.collapse(CodedElement((), bottom))
+    e = tower.collapse(CodedElement((), bottom))
     for _ in range(height - 1):
-        e = tower.limit.collapse(CodedElement((e,), token))
+        e = tower.collapse(CodedElement((e,), token))
     return e
 
 
@@ -130,7 +130,7 @@ def test_limit_compare_is_linear_along_chains(make, a, b):
     # already places below leaves one compare per level
     tower = Tower(make())
     tower.compare(_chain(tower, *a), _chain(tower, *b))
-    assert len(tower.limit._memo) <= 4 * a[2]
+    assert len(tower._memo) <= 4 * a[2]
 
 
 def test_limit_compare_settles_the_supports_merged_below_the_last():
@@ -143,9 +143,9 @@ def test_limit_compare_settles_the_supports_merged_below_the_last():
     s = parse_bh(tower, "@2:th(w[1,0];th(w[]),th(w[0];th(w[])))")
     t = parse_bh(tower, "@2:th(w[1,1,0];th(w[]),th(w[0];th(w[])))")
     # parsing compares the supports too, so count from here
-    before = len(tower.limit._memo)
+    before = len(tower._memo)
     assert tower.compare(s, t) == LT
-    assert len(tower.limit._memo) - before == 2
+    assert len(tower._memo) - before == 2
 
 
 def _in_stage(m, u):
@@ -165,8 +165,8 @@ def _birth_by_construction(t):
 def test_birth_stage_is_length_minus_one(selector):
     tower = Tower(parse_selector(selector))
     for n in range(4):
-        for t in tower.stage(n + 1).carrier_listing(25):
-            assert tower.limit._intern[t.body] is t
+        for t in tower.listing(n + 1, 25):
+            assert tower._intern[t.body] is t
             assert _in_stage(n + 1, t)
             assert _birth_by_construction(t) == birth_stage(t) == t.length - 1
     for e in tower.enumerate(4, 25):
@@ -212,10 +212,6 @@ def test_limit_order_is_the_stage_order(selector):
             )
 
 
-class _FlippedLimit(_FlippedSystem, LimitSystem):
-    """A limit order with the verdict on one pair of elements reversed."""
-
-
 def _stage_verdicts(tower, n, items):
     stage = tower.stage(n)
     return [[stage.compare(s, t) for t in items] for s in items]
@@ -225,15 +221,15 @@ def test_stage_order_does_not_read_the_limit():
     # the stages share the limit's terms but not its order: a stage merges
     # supports in its base's order, so a limit order with one verdict
     # reversed leaves every stage verdict as it is on a clean tower
-    towers = [Tower(parse_selector("product(successor,constant:2)")) for _ in range(2)]
+    selector = "product(successor,constant:2)"
+    towers = [Tower(parse_selector(selector)), _FlippedTower(parse_selector(selector))]
     clean, tower = towers
     items, firsts = [], []
     for t in towers:
         items.append(t.listing(3, 30).items)
         supports = dict.fromkeys(x for term in items[-1] for x in term.body.support)
         firsts.append(list(supports)[:2])
-    tower.limit.__class__ = _FlippedLimit
-    tower.limit.flipped = frozenset(firsts[1])
+    tower.flipped = frozenset(firsts[1])
     assert tower.compare(*firsts[1]) == -clean.compare(*firsts[0])
     assert _stage_verdicts(tower, 2, items[1]) == _stage_verdicts(clean, 2, items[0])
 
@@ -322,9 +318,9 @@ def test_cocone_law(succ_tower, omega_tower):
     # is a limit element, and iota keeps it
     for tower in (succ_tower, omega_tower):
         for n in (1, 2, 3):
-            for s in tower.stage(n).carrier_listing(10):
+            for s in tower.listing(n, 10):
                 assert tower.stage(n).embed(s) is s
-                assert tower.limit._intern[s.body] is s
+                assert tower._intern[s.body] is s
 
 
 @pytest.mark.parametrize("selector", BATTERY)
@@ -361,9 +357,9 @@ def test_stage_iota_is_the_inclusion(selector, n):
     # each one, interning nothing
     tower = Tower(parse_selector(selector))
     stage = tower.stage(n)
-    listed = stage.carrier_listing(40)
-    interned = len(tower.terms)
+    listed = tower.listing(n, 40)
+    interned = len(tower._intern)
     for x in listed:
-        assert tower.limit._intern[x.body] is x
+        assert tower._intern[x.body] is x
         assert stage.embed(x) is x
-    assert len(tower.terms) == interned
+    assert len(tower._intern) == interned

@@ -40,17 +40,17 @@ def test_theta_length_conventions(succ_tower, omega_tower):
     sys0 = succ_tower.stage(0)
     assert sys0.theta_length(CodedElement((), TOP)) == 1
     sys1 = succ_tower.stage(1)
-    x = sys1.carrier_listing(5)[0]  # the single stage-1 term, length 1
+    x = succ_tower.listing(1, 5)[0]  # the single stage-1 term, length 1
     assert sys1.length_of(x) == 1
     assert sys1.theta_length(CodedElement((x,), 0)) == 2
     osys1 = omega_tower.stage(1)
-    a = osys1.carrier_listing(5)[0]
+    a = omega_tower.listing(1, 5)[0]
     assert osys1.theta_length(CodedElement((a,), (0, 0))) == 2
 
 
 def test_collapse_interns_and_is_injective(succ_tower):
     sys1 = succ_tower.stage(1)
-    x = sys1.carrier_listing(5)[0]
+    x = succ_tower.listing(1, 5)[0]
     s1 = sys1.collapse(CodedElement((x,), 0))
     s2 = sys1.collapse(CodedElement((x,), 0))
     t = sys1.collapse(CodedElement((), TOP))
@@ -63,7 +63,7 @@ def test_theta_compare_successor_stage_one(succ_tower):
     # over the one-element carrier: th(top) < th(v0; th(top)), decided by the
     # second clause since the carrier element embeds back to th(top) itself
     sys1 = succ_tower.stage(1)
-    x = sys1.carrier_listing(5)[0]
+    x = succ_tower.listing(1, 5)[0]
     top_term = sys1.collapse(CodedElement((), TOP))
     succ_term = sys1.collapse(CodedElement((x,), 0))
     assert sys1.embed(x) is top_term
@@ -78,7 +78,7 @@ def test_theta_compare_agrees_with_external_oracle(succ_tower):
 
     h = interpretation(OmegaSuccessorWitness())
     sys1 = succ_tower.stage(1)
-    x = sys1.carrier_listing(5)[0]
+    x = succ_tower.listing(1, 5)[0]
     top_term = sys1.collapse(CodedElement((), TOP))
     succ_term = sys1.collapse(CodedElement((x,), 0))
     assert h(top_term) == 0
@@ -88,7 +88,7 @@ def test_theta_compare_agrees_with_external_oracle(succ_tower):
 
 def test_theta_compare_omega_empty_below_singleton(omega_tower):
     sys1 = omega_tower.stage(1)
-    a = sys1.carrier_listing(5)[0]
+    a = omega_tower.listing(1, 5)[0]
     empty = sys1.collapse(CodedElement((), ()))
     single = sys1.collapse(CodedElement((a,), (0,)))
     assert sys1.compare(empty, single) == LT
@@ -105,25 +105,25 @@ def test_embed_next_keeps_empty_support_and_length(succ_tower):
 def test_embed_next_relabels_omega_support(omega_tower):
     sys1 = omega_tower.stage(1)
     sys2 = omega_tower.stage(2)
-    a = sys1.carrier_listing(5)[0]
+    a = omega_tower.listing(1, 5)[0]
     term = sys1.collapse(CodedElement((a,), (0,)))
     lifted = sys2.embed(term)
     assert lifted is term
     assert lifted.body.token == (0,)
     assert lifted.body.support == (sys1.embed(a),)
-    assert lifted.body.support[0] in sys2.carrier_listing(5).items
+    assert lifted.body.support[0] in omega_tower.listing(2, 5).items
 
 
 def test_embed_next_preserves_length_on_samples(omega_tower):
     sys2 = omega_tower.stage(2)
-    for term in sys2.carrier_listing(15):
+    for term in omega_tower.listing(2, 15):
         assert sys2.embed(term).length == term.length
 
 
 def test_iterate_carrier_sizes_successor(succ_tower):
-    assert len(succ_tower.stage(0).carrier_listing(10)) == 0
-    assert len(succ_tower.stage(1).carrier_listing(10)) == 1
-    assert len(succ_tower.stage(2).carrier_listing(10)) == 2
+    assert len(succ_tower.listing(0, 10)) == 0
+    assert len(succ_tower.listing(1, 10)) == 1
+    assert len(succ_tower.listing(2, 10)) == 2
 
 
 def test_iterate_is_idempotent(succ_tower):
@@ -132,8 +132,7 @@ def test_iterate_is_idempotent(succ_tower):
 
 
 def test_iterate_omega_budgeted_chain(omega_tower):
-    sys2 = omega_tower.stage(2)
-    listed = sys2.carrier_listing(5)
+    listed = omega_tower.listing(2, 5)
     assert not listed.exhaustive
     tokens = [t.body.token for t in listed]
     assert tokens == [(), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)]
@@ -143,7 +142,7 @@ def test_iterate_omega_budgeted_chain(omega_tower):
 
 def test_subterm_closure_cases(succ_tower):
     sys1 = succ_tower.stage(1)
-    x = sys1.carrier_listing(5)[0]
+    x = succ_tower.listing(1, 5)[0]
     top_term = sys1.collapse(CodedElement((), TOP))
     succ_term = sys1.collapse(CodedElement((x,), 0))
     assert sys1.subterm_closure(top_term) == (top_term,)
@@ -152,7 +151,7 @@ def test_subterm_closure_cases(succ_tower):
 
 def test_subterm_closure_is_closed_and_bounded(omega_tower):
     sys2 = omega_tower.stage(2)
-    for term in omega_tower.stage(3).carrier_listing(12):
+    for term in omega_tower.listing(3, 12):
         closure = sys2.subterm_closure(term)
         for r in closure:
             assert sys2.compare(r, term) in (LT, EQ)
@@ -165,22 +164,22 @@ def test_stage_iota_returns_its_argument_and_interns_nothing(omega_tower, monkey
     # returns the element itself, interns nothing and never collapses
     stage = omega_tower.stage(3)
     elements = omega_tower.enumerate(3, 20)
-    interned = len(omega_tower.terms)
+    interned = len(omega_tower._intern)
     collapsed = []
     monkeypatch.setattr(stage, "collapse", lambda coded: collapsed.append(coded))
     assert all(stage.embed(x) is x for x in elements)
-    assert len(omega_tower.terms) == interned
+    assert len(omega_tower._intern) == interned
     assert collapsed == []
-    assert all(omega_tower.stage(n)._intern is omega_tower.terms for n in range(4))
+    assert all(omega_tower.stage(n)._intern is omega_tower._intern for n in range(4))
 
 
 def test_subterm_closure_of_a_deep_limit_element(succ_tower):
     # the walk keeps its own stack, so the closure of a successor chain far
     # above the recursion limit is every term of the chain
-    e = succ_tower.limit.collapse(CodedElement((), TOP))
+    e = succ_tower.collapse(CodedElement((), TOP))
     for _ in range(2999):
-        e = succ_tower.limit.collapse(CodedElement((e,), 0))
-    closure = succ_tower.limit.subterm_closure(e)
+        e = succ_tower.collapse(CodedElement((e,), 0))
+    closure = succ_tower.subterm_closure(e)
     assert sorted(r.length for r in closure) == list(range(1, 3001))
 
 
@@ -198,8 +197,7 @@ class _SelfEmbeddingSystem(System):
 def test_corrupted_length_function_trips_the_recursion_guard():
     succ = SuccessorDilator()
     tower = Tower(succ)
-    sys1 = tower.stage(1)
-    x = sys1.carrier_listing(5)[0]
+    x = tower.listing(1, 5)[0]
     bad = _SelfEmbeddingSystem(tower, tower.stage(0))
     s = bad.collapse(CodedElement((x,), 0))
     t = bad.collapse(CodedElement((), TOP))
@@ -209,7 +207,7 @@ def test_corrupted_length_function_trips_the_recursion_guard():
 
 def test_subterm_closure_names_the_term_whose_support_breaks_the_length_law():
     tower = Tower(SuccessorDilator())
-    x = tower.stage(1).carrier_listing(5)[0]
+    x = tower.listing(1, 5)[0]
     bad = _SelfEmbeddingSystem(tower, tower.stage(0))
     s = bad.collapse(CodedElement((x,), 0))
     with pytest.raises(SystemDefectError, match=re.escape(f"in the support of {s!r}")):
@@ -218,7 +216,7 @@ def test_subterm_closure_names_the_term_whose_support_breaks_the_length_law():
 
 def test_compare_is_memoized_deterministically(omega_tower):
     sys1 = omega_tower.stage(1)
-    terms = omega_tower.stage(2).carrier_listing(20).items
+    terms = omega_tower.listing(2, 20).items
     first = [[sys1.compare(s, t) for t in terms] for s in terms]
     again = [[sys1.compare(s, t) for t in terms] for s in terms]
     assert first == again
@@ -252,10 +250,9 @@ def test_stage_listing_is_the_sorted_cut(selector):
     tower = Tower(parse_selector(selector))
     refs = {}
     for n in (1, 2, 3, 4):
-        stage = tower.stage(n)
         for budget in (0, 1, 5, 12, 13, 40, 60):
-            listed = stage.carrier_listing(budget)
+            listed = tower.listing(n, budget)
             assert (listed.items, listed.exhaustive) == _sorted_then_cut(
                 tower, n, budget, refs
             ), (selector, n, budget)
-            assert stage.carrier_listing(budget) is listed
+            assert tower.listing(n, budget) is listed

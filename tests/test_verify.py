@@ -129,7 +129,7 @@ def test_pruned_selection_is_the_cut_of_full_generation(selector):
             listed = tower.listing(n, budget)
             base = tower.listing(n - 1, min(budget, BASE_SAMPLE_CAP))
             coded = coded_elements(tower.dilator, base, budget)
-            terms = Enumeration(tuple(map(tower.limit.collapse, coded)), coded.exhaustive)
+            terms = Enumeration(tuple(map(tower.collapse, coded)), coded.exhaustive)
             assert listed == least(terms, budget, cmp), (n, budget)
             sample = _least_coded(tower.dilator, base, budget, budget, cmp)
             order = partial(compare_coded, tower.dilator, cmp)
@@ -317,14 +317,19 @@ def test_failure_overflow_is_capped():
     assert report.format().endswith(f"\n  ... and {report.overflow} more failures")
 
 
-class _FlippedTower(Tower):
-    """A limit order with the verdict on one pair of elements reversed."""
+class _FlippedSystem(System):
+    """A stage system with the verdict on one pair of terms reversed."""
 
     flipped = frozenset()
 
-    def compare(self, e1, e2):
-        verdict = super().compare(e1, e2)
-        return -verdict if {e1, e2} == self.flipped else verdict
+    def compare(self, s, t):
+        verdict = super().compare(s, t)
+        return -verdict if {s, t} == self.flipped else verdict
+
+
+class _FlippedTower(_FlippedSystem, Tower):
+    """A limit order with the verdict on one pair of elements reversed,
+    in its own recursion too."""
 
 
 def test_limit_order_catches_a_perturbed_comparison():
@@ -336,22 +341,12 @@ def test_limit_order_catches_a_perturbed_comparison():
     assert any("stage-1 order" in line for line in report.failures), report.format()
 
 
-class _FlippedSystem(System):
-    """A stage system with the verdict on one pair of terms reversed."""
-
-    flipped = frozenset()
-
-    def compare(self, s, t):
-        verdict = super().compare(s, t)
-        return -verdict if {s, t} == self.flipped else verdict
-
-
 def test_collapse_admissible_catches_a_perturbed_stage_order():
     # a copy of the successor stage X1 whose order puts th(v0;th(top))
     # below its own support element th(top)
     tower = Tower(SuccessorDilator())
     bad = _FlippedSystem(tower, tower.stage(0))
-    (top,) = tower.stage(1).carrier_listing(1)
+    (top,) = tower.listing(1, 1)
     bad.flipped = frozenset({bad.embed(top), bad.collapse(CodedElement((top,), 0))})
     report = check_collapse_admissible(bad, 10)
     assert not report.passed
@@ -411,13 +406,13 @@ def test_theta_linear_counts_each_instance_once():
     tower = Tower(OmegaPowerDilator())
     # the tower's own stage, whose listed terms are its terms
     bad = tower.stage(1)
-    items = tower.stage(2).carrier_listing(6).items
+    items = tower.listing(2, 6).items
     bad.__class__ = _FlippedSystem
     _assert_flipped_theta_linear(bad, items)
     # a copy of that stage over the same base, which shares the tower's
     # terms
     bad = _FlippedSystem(tower, tower.stage(0))
-    items = System(tower, bad).carrier_listing(6).items
+    items = tower.listing(2, 6).items
     assert all(bad.collapse(t.body) is t for t in items)
     _assert_flipped_theta_linear(bad, items)
 

@@ -110,6 +110,22 @@ MUTANTS = [
         "killed",
     ),
     (
+        "parser-drops-strict-increase",
+        "src/bhfix/syntax.py",
+        "if tower.compare(a, b) >= 0:",
+        "if False:",
+        "killed",
+    ),
+    (
+        "parser-trailing-input-before-build",
+        "src/bhfix/syntax.py",
+        '    events, stage0, end = _scan(text, _expect(text, pos, ":"), n)\n',
+        '    events, stage0, end = _scan(text, _expect(text, pos, ":"), n)\n'
+        "    if end < len(text):\n"
+        '        raise TermSyntaxError(f"trailing input at position {end}")\n',
+        "killed",
+    ),
+    (
         "minimality-drops-xs1-flag",
         "src/bhfix/verify.py",
         "            report.exhaustive &= xs1.exhaustive\n",

@@ -9,9 +9,22 @@ whitespace-insensitive between grammar tokens.  Parsing builds the limit
 element directly, checking that the term lives in the stage it is read at
 (its height is at most n + 1); printing writes its birth stage, so every
 serialized element round-trips to the identical element.
+
+Neither direction recurses per term level.  Reading is one left-to-right
+scan, which keeps a stack of the open terms, finds each token's end by
+searching for the next of ``;()[]`` and emits one event per term as it
+closes (support count, token text); then one build replays the events on
+a stack of values, parsing each distinct token once.  Of several faults
+the first in this order is reported: (1) the head: ``@``, the stage, its
+``MAX_STAGE`` bound, ``:``; (2) the syntax of the whole term; (3) the type
+checks in the order a recursive reader meets them: a support list at
+stage 0 at its ``;``, and after a term's supports its token's parse, full
+support and the strict increase of the supports; (4) trailing input.
 """
 
 from __future__ import annotations
+
+import re
 
 from .dilator import CodedElement, Dilator, parse_nat
 from .errors import TermSyntaxError, TermTypeError
@@ -22,129 +35,136 @@ from .systems import System, ThetaTerm
 # is rejected up front.
 MAX_STAGE = 10_000
 
+# The characters that can end a token or change its bracket depth.
+_TOKEN_STOP = re.compile(r"[;()\[\]]")
+
 
 def format_term(dilator: Dilator, term: ThetaTerm) -> str:
-    body = term.body
-    token_text = dilator.format_token(body.arity, body.token)
-    if not body.support:
-        return f"th({token_text})"
-    subs = ",".join(format_term(dilator, s) for s in body.support)
-    return f"th({token_text};{subs})"
+    parts = []
+    stack = [term]  # terms still to write, and the text between them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        body = item.body
+        parts.append(f"th({dilator.format_token(body.arity, body.token)}")
+        stack.append(")")
+        for i in reversed(range(body.arity)):
+            stack += (body.support[i], "," if i else ";")
+    return "".join(parts)
 
 
 def format_bh(dilator: Dilator, e: ThetaTerm) -> str:
     return f"@{birth_stage(e)}:{format_term(dilator, e)}"
 
 
-class _Tree:
-    __slots__ = ("token_text", "subs")
-
-    def __init__(self, token_text: str, subs: list) -> None:
-        self.token_text = token_text
-        self.subs = subs
+def _skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _expect(text: str, pos: int, lit: str) -> int:
+    """The position past ``lit``, which must follow ``pos`` after whitespace."""
+    pos = _skip_ws(text, pos)
+    if not text.startswith(lit, pos):
+        found = text[pos : pos + len(lit)] or "end of input"
+        raise TermSyntaxError(f"expected {lit!r} at position {pos}, found {found!r}")
+    return pos + len(lit)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, lit: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(lit, self.pos):
-            found = self.text[self.pos : self.pos + len(lit)] or "end of input"
-            raise TermSyntaxError(f"expected {lit!r} at position {self.pos}, found {found!r}")
-        self.pos += len(lit)
-
-    def read_nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
-            raise TermSyntaxError(f"expected a number at position {start}")
-        digits = self.text[start : self.pos]
-        return parse_nat(digits, f"the stage at position {start}", TermSyntaxError)
-
-    def read_token_text(self) -> str:
-        # The token region ends at the first ';' or ')' outside any nested
-        # () or [] pairs belonging to the token itself.
+def _scan(text: str, pos: int, n: int) -> tuple[list, int | None, int]:
+    """Scan one term, read at stage n, from ``pos``: its events in the
+    order the terms close, how many of them precede the first support list
+    at stage 0 (None if none), and the position past it and whitespace."""
+    events = []
+    stage0 = None
+    open_terms = []  # [token text, supports so far] of each open support list
+    while True:
+        if text.startswith("th(", pos):
+            pos += 3
+        else:
+            pos = _expect(text, _expect(text, pos, "th"), "(")
+        # the token ends at the first ';' or ')' outside its own brackets
+        start = pos
         depth = 0
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in "([":
+        while match := _TOKEN_STOP.search(text, pos):
+            pos = match.start()
+            ch = text[pos]
+            if ch == "(" or ch == "[":
                 depth += 1
-            elif ch in ")]":
-                if depth == 0 and ch == ")":
+            elif ch == ";":
+                if not depth:
                     break
+            elif depth:
                 depth -= 1
-                if depth < 0:
-                    raise TermSyntaxError(f"unbalanced bracket at position {self.pos}")
-            elif ch == ";" and depth == 0:
+            elif ch == ")":
                 break
-            self.pos += 1
-        raw = self.text[start : self.pos]
-        token = "".join(raw.split())
-        if not token:
+            else:
+                raise TermSyntaxError(f"unbalanced bracket at position {pos}")
+            pos += 1
+        else:  # no stop character: the token runs to the end of input
+            pos = len(text)
+        token_text = "".join(text[start:pos].split())
+        if not token_text:
             raise TermSyntaxError(f"missing token at position {start}")
-        return token
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-
-def _read_term(cur: _Cursor) -> _Tree:
-    cur.expect("th")
-    cur.expect("(")
-    token_text = cur.read_token_text()
-    subs: list[_Tree] = []
-    if cur.peek() == ";":
-        cur.expect(";")
-        subs.append(_read_term(cur))
-        while cur.peek() == ",":
-            cur.expect(",")
-            subs.append(_read_term(cur))
-    cur.expect(")")
-    return _Tree(token_text, subs)
-
-
-def _build_term(tower: Tower, tree: _Tree, n: int) -> ThetaTerm:
-    """The limit element of a term read at stage n (an element of X_{n+1})."""
-    if tree.subs and n == 0:
-        raise TermTypeError("a stage-0 term cannot have support terms")
-    subs = tuple(_build_term(tower, sub, n - 1) for sub in tree.subs)
-    k = len(subs)
-    token = tower.dilator.parse_token(k, tree.token_text)
-    if tower.dilator.supp_at(k, token) != tuple(range(k)):
-        raise TermTypeError(
-            f"token {tree.token_text} must use every listed support term"
-        )
-    for a, b in zip(subs, subs[1:]):
-        if tower.compare(a, b) >= 0:
-            raise TermTypeError("support terms must be strictly increasing")
-    # checked above, with the grammar's messages: intern without rechecking
-    return System.collapse(tower, CodedElement(subs, token))
+        if text.startswith(";", pos):
+            # the term's stage is n less one per enclosing support list
+            if stage0 is None and len(open_terms) == n:
+                stage0 = len(events)
+            open_terms.append([token_text, 1])
+            pos += 1
+            continue
+        pos = _expect(text, pos, ")")
+        events.append((0, token_text))
+        while open_terms:
+            if text.startswith(")", pos):
+                pos += 1
+            else:
+                pos = _skip_ws(text, pos)
+                if text.startswith(",", pos):
+                    open_terms[-1][1] += 1
+                    pos += 1
+                    break
+                pos = _expect(text, pos, ")")
+            token_text, k = open_terms.pop()
+            events.append((k, token_text))
+        if not open_terms:
+            return events, stage0, _skip_ws(text, pos)
 
 
 def parse_bh(tower: Tower, text: str) -> ThetaTerm:
     """Parse ``@n:term`` into the limit element it denotes."""
-    cur = _Cursor(text)
-    cur.expect("@")
-    n = cur.read_nat()
+    pos = _skip_ws(text, _expect(text, 0, "@"))
+    start = pos
+    while pos < len(text) and "0" <= text[pos] <= "9":
+        pos += 1
+    if pos == start:
+        raise TermSyntaxError(f"expected a number at position {start}")
+    n = parse_nat(text[start:pos], f"the stage at position {start}", TermSyntaxError)
     if n > MAX_STAGE:
         raise TermTypeError(f"stage {n} exceeds the supported bound {MAX_STAGE}")
-    cur.expect(":")
-    element = _build_term(tower, _read_term(cur), n)
-    if not cur.at_end():
-        raise TermSyntaxError(f"trailing input at position {cur.pos}")
-    return element
+    events, stage0, end = _scan(text, _expect(text, pos, ":"), n)
+    dilator = tower.dilator
+    tokens = {}  # event -> its parsed token, checked for full support
+    values = []
+    for event in events[:stage0]:
+        k, token_text = event
+        if event not in tokens:
+            tokens[event] = dilator.parse_token(k, token_text)
+            if dilator.supp_at(k, tokens[event]) != tuple(range(k)):
+                raise TermTypeError(f"token {token_text} must use every listed support term")
+        token = tokens[event]
+        subs = tuple(values[len(values) - k :])
+        del values[len(values) - k :]
+        for a, b in zip(subs, subs[1:]):
+            if tower.compare(a, b) >= 0:
+                raise TermTypeError("support terms must be strictly increasing")
+        # checked above, with the grammar's messages: intern without rechecking
+        values.append(System.collapse(tower, CodedElement(subs, token)))
+    if stage0 is not None:
+        raise TermTypeError("a stage-0 term cannot have support terms")
+    if end < len(text):
+        raise TermSyntaxError(f"trailing input at position {end}")
+    return values[0]

@@ -126,6 +126,20 @@ MUTANTS = [
         "killed",
     ),
     (
+        "limit-settles-every-support",
+        "src/bhfix/limits.py",
+        "return bisect_right(ps, pt[-1]) if pt else 0",
+        "return len(ps)",
+        "killed",
+    ),
+    (
+        "token-table-as-plain-dict",
+        "src/bhfix/dilator.py",
+        "= WeakKeyDictionary()",
+        "= {}",
+        "killed",
+    ),
+    (
         "minimality-drops-xs1-flag",
         "src/bhfix/verify.py",
         "            report.exhaustive &= xs1.exhaustive\n",

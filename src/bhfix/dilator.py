@@ -22,7 +22,9 @@ from functools import cmp_to_key, partial
 from heapq import nsmallest
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
+from weakref import WeakKeyDictionary
 
 from .errors import DilatorLawError
 from .finite_orders import EQ, Embedding, Frozen, finset_map, is_strictly_sorted
@@ -105,7 +107,9 @@ class Dilator:
     of Tok_n of at most ``budget`` tokens, flagged exhaustive only when it
     is all of Tok_n.  It need not be an initial segment, so dilators with
     infinite token orders can feed diverse tokens to the checks and to the
-    stage enumerations.
+    stage enumerations.  :func:`least_coded` lists and sorts each arity's
+    tokens once per dilator instance and budget, so a dilator must be
+    hashable and weakly referenceable, as plain subclasses are.
     """
 
     name = "dilator"
@@ -146,34 +150,41 @@ def parse_nat(text: str, what: str, error: type[ValueError]) -> int:
     return int(text)
 
 
-class CodedElement(Frozen):
-    """An element of T_X in support normal form.
+class CodedElement(tuple):
+    """An element of T_X in support normal form: the pair (support, token).
 
     ``support`` is strictly sorted in the carrier order and ``token`` has
-    full support at arity len(support).  Equality is syntactic: equal
-    exactly when support and token are, which makes it the intern key.
+    full support at arity len(support).  A coded element is a tuple, so it
+    is immutable and its equality and hash are the tuple's own, computed
+    in C: equal exactly when support and token are, which makes it the
+    intern key.  Being a tuple, it also equals the plain tuple
+    ``(support, token)``, has length 2, and unpacks and orders as that
+    tuple does.
     """
 
-    __slots__ = ("support", "token")
+    __slots__ = ()
 
-    def __init__(self, support: tuple, token: Token) -> None:
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "token", token)
+    def __new__(cls, support: tuple, token: Token) -> "CodedElement":
+        return tuple.__new__(cls, (support, token))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.support == other.support and self.token == other.token
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild a coded element through ``__new__``
+        return tuple(self)
 
-    def __hash__(self) -> int:
-        return hash((self.support, self.token))
+    support = property(itemgetter(0))
+    token = property(itemgetter(1))
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(support={self.support!r}, token={self.token!r})"
+        return f"{type(self).__qualname__}(support={self[0]!r}, token={self[1]!r})"
 
     @property
     def arity(self) -> int:
-        return len(self.support)
+        return len(self[0])
+
+
+# ``CodedElement(support, token)`` without the Python-level ``__new__``: the
+# selector's hot loop builds its candidates with it.
+_coded = partial(tuple.__new__, CodedElement)
 
 
 def make_coded(dilator: Dilator, support: Sequence, token: Token) -> CodedElement:
@@ -230,10 +241,13 @@ def map_coded(f: Callable, coded: CodedElement) -> CodedElement:
 def merged_positions(a: Sequence, b: Sequence, cmp: Cmp) -> tuple[tuple, tuple, int]:
     """Positions of two strictly sorted tuples inside their union under cmp,
     and the size of that union, in one merge pass."""
+    la, lb = len(a), len(b)
+    if not la or not lb:
+        return tuple(range(la)), tuple(range(lb)), la + lb
     pa: list[int] = []
     pb: list[int] = []
     i = j = n = 0
-    while i < len(a) and j < len(b):
+    while i < la and j < lb:
         c = cmp(a[i], b[j])
         if c <= 0:
             pa.append(n)
@@ -242,10 +256,9 @@ def merged_positions(a: Sequence, b: Sequence, cmp: Cmp) -> tuple[tuple, tuple, 
             pb.append(n)
             j += 1
         n += 1
-    rest_a, rest_b = len(a) - i, len(b) - j
-    pa.extend(range(n, n + rest_a))
-    pb.extend(range(n, n + rest_b))
-    return tuple(pa), tuple(pb), n + rest_a + rest_b
+    pa.extend(range(n, n + la - i))
+    pb.extend(range(n, n + lb - j))
+    return tuple(pa), tuple(pb), n + la - i + lb - j
 
 
 def compare_coded(dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement) -> int:
@@ -268,9 +281,13 @@ def compare_merged(
     elements are EQ without a merge, with empty positions."""
     if e1 == e2:
         return EQ, (), ()
-    p1, p2, n = merged_positions(e1.support, e2.support, cmp)
-    t1 = e1.token if len(p1) == n else dilator.map_token(Embedding.trusted(p1, n), e1.token)
-    t2 = e2.token if len(p2) == n else dilator.map_token(Embedding.trusted(p2, n), e2.token)
+    s1, t1 = e1
+    s2, t2 = e2
+    p1, p2, n = merged_positions(s1, s2, cmp)
+    if len(p1) != n:
+        t1 = dilator.map_token(Embedding.trusted(p1, n), t1)
+    if len(p2) != n:
+        t2 = dilator.map_token(Embedding.trusted(p2, n), t2)
     verdict = dilator.compare_at(n, t1, t2)
     if verdict == EQ:
         raise DilatorLawError(
@@ -285,6 +302,12 @@ def full_support_tokens(dilator: Dilator, k: int, budget: int) -> Enumeration:
     sample = dilator.sample_at(k, budget)
     full = tuple(t for t in sample if dilator.supp_at(k, t) == tuple(range(k)))
     return Enumeration(full, sample.exhaustive)
+
+
+# Each dilator's full-support tokens by (arity, budget), sorted by
+# ``compare_at``: they depend on the dilator alone.  Weakly keyed, so that
+# a dilator's table dies with it.
+_TOKENS: WeakKeyDictionary[Dilator, dict[tuple[int, int], Enumeration]] = WeakKeyDictionary()
 
 
 def least_coded(
@@ -312,10 +335,12 @@ def least_coded(
       lemma (:mod:`bhfix.limits`).  Sorting the tokens needs only that
       ``compare_at`` is a linear order.
 
-    The tokens of each arity are sorted once.  Each support walks them in
-    that order, keeps the k least values so far, and stops at its first
-    value that is not below the k-th: no later token of that support can
-    enter.  So values past a support's first miss are never built.
+    The tokens of each arity are listed and sorted once per dilator and
+    budget, on first use, and kept in a table that dies with the dilator.
+    Each support walks them in that order, keeps the k least values so far,
+    and stops at its first value that is not below the k-th: no later token
+    of that support can enter.  So values past a support's first miss are
+    never built.
 
     The result is exhaustive when the sample and every per-arity token
     listing are, and the sum over arities a of C(|sample|, a) times the
@@ -326,20 +351,24 @@ def least_coded(
     sample = carrier_sample.items
     if not is_strictly_sorted(sample, cmp):
         raise ValueError("carrier sample must be strictly sorted")
+    table = _TOKENS.setdefault(dilator, {})
     key = cmp_to_key(order)
     kept: list = []
     count = 0
     exhaustive = carrier_sample.exhaustive
     for a in range(len(sample) + 1):
-        tokens = full_support_tokens(dilator, a, budget)
+        tokens = table.get((a, budget))
+        if tokens is None:
+            full = full_support_tokens(dilator, a, budget)
+            ordered = sorted(full, key=cmp_to_key(partial(dilator.compare_at, a)))
+            tokens = table[a, budget] = Enumeration(tuple(ordered), full.exhaustive)
         exhaustive &= tokens.exhaustive
         count += comb(len(sample), a) * len(tokens)
         if not k or not tokens.items:
             continue
-        ordered = sorted(tokens, key=cmp_to_key(partial(dilator.compare_at, a)))
         for subset in combinations(sample, a):
-            for tok in ordered:
-                v = value(CodedElement(subset, tok))
+            for tok in tokens.items:
+                v = value(_coded((subset, tok)))
                 if len(kept) == k:
                     if order(v, kept[-1]) >= 0:
                         break

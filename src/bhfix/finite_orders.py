@@ -23,7 +23,10 @@ def sgn(x: int) -> int:
 
 class Frozen:
     """Base of the package's immutable value classes: a field is set once,
-    in ``__init__`` through ``object.__setattr__``, and never again."""
+    when the value is built, and never again.  Plain assignment raises, so a
+    constructor sets a slot through ``object.__setattr__``, or on a hot path
+    through the slot's own setter (``Cls.field.__set__``), which skips the
+    lookup by name."""
 
     __slots__ = ()
 
@@ -83,8 +86,8 @@ class Embedding(Frozen):
         """An embedding whose images are strictly increasing and in range by
         construction; skips the validation of the public constructor."""
         f = object.__new__(cls)
-        object.__setattr__(f, "images", images)
-        object.__setattr__(f, "codomain_size", codomain_size)
+        _set_images(f, images)
+        _set_codomain_size(f, codomain_size)
         return f
 
     @property
@@ -93,6 +96,11 @@ class Embedding(Frozen):
 
     def __call__(self, i: int) -> int:
         return self.images[i]
+
+
+# the slot setters of ``trusted`` (see ``Frozen``)
+_set_images = Embedding.images.__set__
+_set_codomain_size = Embedding.codomain_size.__set__
 
 
 def identity_embedding(n: int) -> Embedding:

@@ -53,14 +53,19 @@ class ThetaTerm(Frozen):
     __slots__ = ("body", "length")
 
     def __init__(self, body: CodedElement, length: int) -> None:
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "length", length)
+        _set_body(self, body)
+        _set_length(self, length)
 
     def __repr__(self) -> str:
         return (
             f"ThetaTerm(L={self.length}, token={self.body.token!r}, "
             f"supp={len(self.body.support)})"
         )
+
+
+# the slot setters of ``ThetaTerm`` (see ``Frozen``)
+_set_body = ThetaTerm.body.__set__
+_set_length = ThetaTerm.length.__set__
 
 
 class System:
@@ -107,14 +112,14 @@ class System:
 
     def theta_length(self, coded: CodedElement) -> int:
         """Term length: one plus the maximal carrier length over the support."""
-        return 1 + max((self.length_of(x) for x in coded.support), default=0)
+        support = coded[0]
+        return 1 + max(map(self.length_of, support)) if support else 1
 
     def collapse(self, coded: CodedElement) -> ThetaTerm:
         """The formal collapse of a coded element; interned, hence injective."""
         term = self._intern.get(coded)
         if term is None:
-            term = ThetaTerm(coded, self.theta_length(coded))
-            self._intern[coded] = term
+            term = self._intern[coded] = ThetaTerm(coded, self.theta_length(coded))
         return term
 
     # -- the term order ----------------------------------------------------

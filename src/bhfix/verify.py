@@ -26,7 +26,16 @@ from .dilator import (
     normal_form,
 )
 from .errors import DilatorLawError, SystemDefectError, WitnessLawError
-from .finite_orders import EQ, GT, LT, all_embeddings, compose, finset_map, identity_embedding
+from .finite_orders import (
+    EQ,
+    GT,
+    LT,
+    all_embeddings,
+    compose,
+    finset_map,
+    identity_embedding,
+    is_strictly_sorted,
+)
 from .interpret import (
     LIMIT_STAGES,
     OmegaSuccessorWitness,
@@ -303,21 +312,42 @@ _SAMPLES: WeakKeyDictionary[System, dict[int, Enumeration]] = WeakKeyDictionary(
 
 
 def _coded_sample(system: System, budget: int) -> Enumeration:
+    """The stage's least ``budget`` coded elements over the tower's listing
+    of its carrier.  A listing that is not sorted in the stage order is a
+    system defect: the tower's order and the stage's disagree."""
     samples = _SAMPLES.setdefault(system, {})
     sample = samples.get(budget)
     if sample is None:
         base = system.tower.listing(system.n, min(budget, BASE_SAMPLE_CAP))
-        sample = samples[budget] = _least_coded(
-            system.dilator, base, budget, budget, system.carrier_compare
-        )
+        try:
+            sample = _least_coded(system.dilator, base, budget, budget, system.carrier_compare)
+        except ValueError:
+            if is_strictly_sorted(base.items, system.carrier_compare):
+                raise
+            raise SystemDefectError(
+                f"{system!r}: the tower's listing of its carrier is not sorted in its order"
+            ) from None
+        samples[budget] = sample
     return sample
+
+
+def _sampled_report(name: str, system: System, budget: int) -> tuple[CheckReport, Enumeration]:
+    """A report for a check over the stage's coded sample, and the sample.
+    A system defect fails the report with one line and leaves the sample
+    empty."""
+    try:
+        coded = _coded_sample(system, budget)
+    except SystemDefectError as err:
+        report = CheckReport(name, False)
+        report.fail(f"system defect: {err}")
+        return report, Enumeration((), False)
+    return CheckReport(name, coded.exhaustive), coded
 
 
 def check_collapse_admissible(system: System, budget: int) -> CheckReport:
     """The stage collapse satisfies both collapse conditions, the subterm
     bound, and the redundancy of the order test in the second clause."""
-    coded = _coded_sample(system, budget)
-    report = CheckReport(f"collapse-admissible:X{system.n + 1}", coded.exhaustive)
+    report, coded = _sampled_report(f"collapse-admissible:X{system.n + 1}", system, budget)
     terms = [system.collapse(c) for c in coded]
     show = partial(format_term, system.dilator)
     _collapse_conditions(report, coded, terms, system.compare, system.embed, show)
@@ -379,8 +409,7 @@ def check_commuting_square(system: System, budget: int) -> CheckReport:
     as syntactic identity of interned terms.  The terms are shared across
     the stages and ``embed`` is the inclusion, so the square holds by
     construction; it stays as the paper's law."""
-    coded = _coded_sample(system, budget)
-    report = CheckReport(f"commuting-square:X{system.n + 1}", coded.exhaustive)
+    report, coded = _sampled_report(f"commuting-square:X{system.n + 1}", system, budget)
     nxt = System(system.tower, system)
     for sigma in coded:
         left = nxt.embed(system.collapse(sigma))

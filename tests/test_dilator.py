@@ -1,6 +1,7 @@
 """Coded-element operations against the successor and omega dilators."""
 
 import copy
+import gc
 import pickle
 from functools import lru_cache, partial
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bhfix import dilator as dilator_module
 from bhfix.dilator import (
     CodedElement,
     Enumeration,
@@ -22,6 +24,7 @@ from bhfix.dilator import (
 )
 from bhfix.errors import DilatorLawError
 from bhfix.finite_orders import EQ, GT, LT, Embedding, all_embeddings, compose, finset_map, sgn
+from bhfix.limits import Tower
 from bhfix.standard_dilators import (
     TOP,
     ConstantDilator,
@@ -186,6 +189,58 @@ def test_value_classes_keep_their_value_semantics():
         Embedding((1, 0), 2)
     for value in (a, Embedding((0, 2), 3), Enumeration((1,), False)):
         assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+
+
+def test_coded_elements_are_pairs():
+    a = CodedElement((1, 2), (0,))
+    assert (a.support, a.token, a.arity) == ((1, 2), (0,), 2)
+    # a tuple: equal to the plain pair and hashed as it, so it is an intern
+    # key without any Python-level __eq__ or __hash__
+    assert a == ((1, 2), (0,)) and hash(a) == hash(((1, 2), (0,)))
+    assert tuple(a) == ((1, 2), (0,)) and len(a) == 2
+    clones = [copy.copy(a), copy.deepcopy(a)]
+    clones += [pickle.loads(pickle.dumps(a, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        assert type(clone) is CodedElement and clone == a and repr(clone) == repr(a)
+    with pytest.raises(AttributeError):
+        a.arity = 3
+    with pytest.raises(AttributeError):
+        a.extra = None
+    # each collapse is interned under its body
+    tower = Tower(omega)
+    terms = tower.listing(2, 20)
+    assert terms and all(tower._intern[t.body] is t for t in terms)
+    assert all(tower._intern[tuple(t.body)] is t for t in terms)
+
+
+class _CountingSum(SumDilator):
+    """A sum that records the (arity, budget) of each token listing."""
+
+    def __init__(self, left, right):
+        super().__init__(left, right)
+        self.listed = []
+
+    def sample_at(self, n, budget):
+        self.listed.append((n, budget))
+        return super().sample_at(n, budget)
+
+
+def test_each_arity_is_listed_once_per_budget():
+    # listing the tokens on every least_coded call made 60 listings here
+    dilator = _CountingSum(succ, omega)
+    assert len(Tower(dilator).enumerate(4, 60)) == 75
+    assert len(dilator.listed) == len(set(dilator.listed)) == 26
+
+
+def test_token_tables_die_with_their_dilator():
+    gc.collect()
+    held = len(dilator_module._TOKENS)
+    dilator = OmegaPowerDilator()
+    coded_sample(dilator, Enumeration((1, 2), True), 10, 5)
+    assert len(dilator_module._TOKENS) == held + 1
+    del dilator
+    gc.collect()
+    assert len(dilator_module._TOKENS) == held
 
 
 def test_coded_elements_keeps_the_sample_flag():

@@ -2,17 +2,20 @@
 
 import heapq
 import re
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from itertools import combinations
 
 import pytest
 
+from bhfix import limits, verify
 from bhfix.cli import parse_selector
-from bhfix.dilator import CodedElement, full_support_tokens
+from bhfix.dilator import CodedElement, full_support_tokens, least, least_coded
 from bhfix.errors import SystemDefectError
 from bhfix.finite_orders import EQ, GT, LT
+from bhfix.interpret import LIMIT_STAGES
 from bhfix.limits import BASE_SAMPLE_CAP, Tower
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
+from bhfix.syntax import format_term
 from bhfix.systems import System
 
 # the default battery of scripts/run_checks.py
@@ -256,3 +259,34 @@ def test_stage_listing_is_the_sorted_cut(selector):
                 tower, n, budget, refs
             ), (selector, n, budget)
             assert tower.listing(n, budget) is listed
+
+
+def _listings_and_samples(selector):
+    """The text of every stage listing and stage coded sample, and of the
+    limit's coded sample, at budgets 3, 12 and 40."""
+    tower = Tower(parse_selector(selector))
+    show = partial(format_term, tower.dilator)
+    out = []
+    for budget in (3, 12, 40):
+        for n in range(1, LIMIT_STAGES + 1):
+            listed = tower.listing(n, budget)
+            out.append(([show(t) for t in listed], listed.exhaustive))
+        samples = [verify._coded_sample(tower.stage(n), budget) for n in range(LIMIT_STAGES)]
+        carried = least(tower.enumerate(LIMIT_STAGES, budget), BASE_SAMPLE_CAP, tower.compare)
+        samples.append(verify._least_coded(tower.dilator, carried, budget, budget, tower.compare))
+        for coded in samples:
+            out.append(([(tuple(map(show, c.support)), c.token) for c in coded], coded.exhaustive))
+    return out
+
+
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_token_table_selects_what_fresh_tokens_select(selector, monkeypatch):
+    kept = _listings_and_samples(selector)
+
+    def fresh(dilator, *rest):
+        # a new dilator per call starts with an empty token table
+        return least_coded(parse_selector(selector), *rest)
+
+    monkeypatch.setattr(limits, "least_coded", fresh)
+    monkeypatch.setattr(verify, "least_coded", fresh)
+    assert _listings_and_samples(selector) == kept

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from bhfix import verify
+from bhfix import cli, verify
 from bhfix.cli import parse_selector
 from bhfix.dilator import (
     CodedElement,
@@ -480,6 +480,31 @@ def test_limit_order_catches_a_stage_dependent_lift():
     assert report.failures[0] == "lift to X3 moved @1:th(v0;th(top))", (
         report.format()
     )
+
+
+class _SettlesEverySupport(Tower):
+    """A limit that settles every support through the merge, so that its
+    order is the order of the bodies alone: its listings need not be sorted
+    in the stage order."""
+
+    def _settled(self, ps, pt):
+        return len(ps)
+
+
+def test_a_listing_out_of_stage_order_is_a_system_defect(monkeypatch, capsys):
+    names = ("collapse-admissible:X3", "commuting-square:X3")
+    reports = {r.name: r for r in run_suite(SuccessorDilator(), "theta", 40)}
+    assert all(reports[name].passed for name in names)
+    monkeypatch.setattr(verify, "Tower", _SettlesEverySupport)
+    reports = {r.name: r for r in run_suite(SuccessorDilator(), "all", 40)}
+    defect = "system defect: X2: the tower's listing of its carrier is not sorted in its order"
+    for name in names:
+        report = reports[name]
+        assert (report.failures, report.instances, report.exhaustive) == ([defect], 1, False)
+    # the CLI reports it as failed checks, not as a traceback
+    assert cli.main(["verify", "--dilator", "successor"]) == 1
+    out = capsys.readouterr().out
+    assert f"CHECK collapse-admissible:X3 fail instances=1 exhaustive=false\n  {defect}" in out
 
 
 def test_stage_checks_name_themselves_after_the_stage():

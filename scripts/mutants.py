@@ -70,8 +70,22 @@ MUTANTS = [
     (
         "stage-merges-in-limit",
         "src/bhfix/systems.py",
-        "return self.base.compare(x, y)",
-        "return self.tower.compare(x, y)",
+        "self.carrier_compare = base.compare if base is not None",
+        "self.carrier_compare = tower.compare if base is not None",
+        "killed",
+    ),
+    (
+        "clause-loop-never-flips",
+        "src/bhfix/systems.py",
+        "                    verdict = -verdict\n",
+        "                    verdict = verdict\n",
+        "killed",
+    ),
+    (
+        "clause-loop-checks-no-support",
+        "src/bhfix/systems.py",
+        "for x in low.body.support[settled:]:",
+        "for x in ():",
         "killed",
     ),
     (

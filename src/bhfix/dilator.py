@@ -238,29 +238,6 @@ def map_coded(f: Callable, coded: CodedElement) -> CodedElement:
     return CodedElement(finset_map(f, coded.support), coded.token)
 
 
-def merged_positions(a: Sequence, b: Sequence, cmp: Cmp) -> tuple[tuple, tuple, int]:
-    """Positions of two strictly sorted tuples inside their union under cmp,
-    and the size of that union, in one merge pass."""
-    la, lb = len(a), len(b)
-    if not la or not lb:
-        return tuple(range(la)), tuple(range(lb)), la + lb
-    pa: list[int] = []
-    pb: list[int] = []
-    i = j = n = 0
-    while i < la and j < lb:
-        c = cmp(a[i], b[j])
-        if c <= 0:
-            pa.append(n)
-            i += 1
-        if c >= 0:
-            pb.append(n)
-            j += 1
-        n += 1
-    pa.extend(range(n, n + la - i))
-    pb.extend(range(n, n + lb - j))
-    return tuple(pa), tuple(pb), n + la - i + lb - j
-
-
 def compare_coded(dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement) -> int:
     """Linear comparison of two coded elements over the same carrier.
 
@@ -277,13 +254,31 @@ def compare_merged(
     dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement
 ) -> tuple[int, tuple, tuple]:
     """The verdict of :func:`compare_coded` together with the positions of
-    both supports inside their merge (:func:`merged_positions`); equal
-    elements are EQ without a merge, with empty positions."""
+    both supports inside their merge under cmp, found in one merge pass;
+    equal elements are EQ without a merge, with empty positions."""
     if e1 == e2:
         return EQ, (), ()
     s1, t1 = e1
     s2, t2 = e2
-    p1, p2, n = merged_positions(s1, s2, cmp)
+    l1, l2 = len(s1), len(s2)
+    if not l1 or not l2:
+        p1, p2, n = tuple(range(l1)), tuple(range(l2)), l1 + l2
+    else:
+        q1: list[int] = []
+        q2: list[int] = []
+        i = j = n = 0
+        while i < l1 and j < l2:
+            c = cmp(s1[i], s2[j])
+            if c <= 0:
+                q1.append(n)
+                i += 1
+            if c >= 0:
+                q2.append(n)
+                j += 1
+            n += 1
+        q1.extend(range(n, n + l1 - i))
+        q2.extend(range(n, n + l2 - j))
+        p1, p2, n = tuple(q1), tuple(q2), n + l1 - i + l2 - j
     if len(p1) != n:
         t1 = dilator.map_token(Embedding.trusted(p1, n), t1)
     if len(p2) != n:
@@ -300,7 +295,8 @@ def compare_merged(
 def full_support_tokens(dilator: Dilator, k: int, budget: int) -> Enumeration:
     """Tokens at arity k whose support is all of 0..k-1, within budget."""
     sample = dilator.sample_at(k, budget)
-    full = tuple(t for t in sample if dilator.supp_at(k, t) == tuple(range(k)))
+    whole = tuple(range(k))
+    full = tuple(t for t in sample.items if dilator.supp_at(k, t) == whole)
     return Enumeration(full, sample.exhaustive)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .dilator import CodedElement, Enumeration, least, map_coded
+from .dilator import CodedElement, Enumeration, least
 from .errors import WitnessLawError
 from .finite_orders import sgn
 from .limits import Tower
@@ -113,7 +113,8 @@ def interpretation(witness: Witness) -> Callable[[ThetaTerm], Any]:
 
     def h(term: ThetaTerm) -> Any:
         if term not in images:
-            images[term] = witness.collapse(map_coded(h, term.body))
+            support, token = term.body
+            images[term] = witness.collapse(CodedElement(tuple(map(h, support)), token))
         return images[term]
 
     return h

@@ -93,6 +93,8 @@ class Tower(System):
         # the one intern table of the stages and the limit
         self._intern: dict[CodedElement, ThetaTerm] = {}
         System.__init__(self, self)
+        # the carrier is the limit itself, in its own order
+        self.carrier_compare = self.compare
         self._systems = [System(self)]
         self._listings: dict[tuple[int, int], Enumeration] = {}
 
@@ -106,9 +108,6 @@ class Tower(System):
         return self._systems[n]
 
     # -- the limit order and the glued collapse --------------------------------
-
-    def carrier_compare(self, x: ThetaTerm, y: ThetaTerm) -> int:
-        return self.compare(x, y)
 
     def embed(self, x: ThetaTerm) -> ThetaTerm:
         return x

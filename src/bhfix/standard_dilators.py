@@ -211,42 +211,46 @@ class SumDilator(Dilator):
         self.right = right
         self.name = f"sum({left.name},{right.name})"
 
-    def _side(self, tag: str) -> Dilator:
-        return self.left if tag == "L" else self.right
+    # Each method picks the side of a token's tag ("L" is the left) inline,
+    # with no helper call: the term order maps and compares sum tokens at
+    # every level.
 
     def compare_at(self, n, s, t):
         if s[0] != t[0]:
             return LT if s[0] == "L" else GT
-        return self._side(s[0]).compare_at(n, s[1], t[1])
+        return (self.left if s[0] == "L" else self.right).compare_at(n, s[1], t[1])
 
     def map_token(self, f, tok):
-        return (tok[0], self._side(tok[0]).map_token(f, tok[1]))
+        return (tok[0], (self.left if tok[0] == "L" else self.right).map_token(f, tok[1]))
 
     def supp_at(self, n, tok):
-        return self._side(tok[0]).supp_at(n, tok[1])
+        return (self.left if tok[0] == "L" else self.right).supp_at(n, tok[1])
 
     def sample_at(self, n, budget):
         l = self.left.sample_at(n, budget)
         r = self.right.sample_at(n, budget)
+        ls, rs = l.items, r.items
         items: list = []
-        for i in range(max(len(l), len(r))):
-            if i < len(l):
-                items.append(("L", l[i]))
-            if i < len(r):
-                items.append(("R", r[i]))
+        for i in range(max(len(ls), len(rs))):
+            if i < len(ls):
+                items.append(("L", ls[i]))
+            if i < len(rs):
+                items.append(("R", rs[i]))
         exhaustive = l.exhaustive and r.exhaustive and len(items) <= budget
         return Enumeration(tuple(items[:budget]), exhaustive)
 
     def restrict_token(self, n, tok, positions):
-        return (tok[0], self._side(tok[0]).restrict_token(n, tok[1], positions))
+        side = self.left if tok[0] == "L" else self.right
+        return (tok[0], side.restrict_token(n, tok[1], positions))
 
     def format_token(self, n, tok):
-        return f"{tok[0]}({self._side(tok[0]).format_token(n, tok[1])})"
+        side = self.left if tok[0] == "L" else self.right
+        return f"{tok[0]}({side.format_token(n, tok[1])})"
 
     def parse_token(self, n, text):
         if len(text) >= 3 and text[0] in "LR" and text[1] == "(" and text[-1] == ")":
-            tag = text[0]
-            return (tag, self._side(tag).parse_token(n, text[2:-1]))
+            side = self.left if text[0] == "L" else self.right
+            return (text[0], side.parse_token(n, text[2:-1]))
         raise TermSyntaxError(f"expected L(...) or R(...), got {text!r}")
 
 
@@ -269,13 +273,14 @@ class LexProductDilator(Dilator):
         return tuple(sorted(set(self.left.supp_at(n, tok[0])) | set(self.right.supp_at(n, tok[1]))))
 
     def sample_at(self, n, budget):
-        ls = self.left.sample_at(n, budget)
-        rs = self.right.sample_at(n, budget)
+        l = self.left.sample_at(n, budget)
+        r = self.right.sample_at(n, budget)
+        ls, rs = l.items, r.items
         diag = sorted(
             ((i + j, i, j) for i in range(len(ls)) for j in range(len(rs)))
         )[:budget]
         items = tuple((ls[i], rs[j]) for _, i, j in diag)
-        exhaustive = ls.exhaustive and rs.exhaustive and len(ls) * len(rs) <= budget
+        exhaustive = l.exhaustive and r.exhaustive and len(ls) * len(rs) <= budget
         return Enumeration(items, exhaustive)
 
     def restrict_token(self, n, tok, positions):

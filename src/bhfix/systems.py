@@ -21,15 +21,19 @@ Each recursive step replaces a term by a translated support element, whose
 length is strictly smaller, so the recursion terminates on well-formed
 systems; a violated length law raises :class:`SystemDefectError` instead
 of looping.  The body comparison and the clause checks share one merge of
-the two supports (:func:`bhfix.dilator.compare_merged`); a stage checks
+the two supports: :func:`bhfix.dilator.compare_merged` returns the body
+verdict with the positions of both supports in their merge.  A stage checks
 every support, the limit system only those the merge leaves open
-(:mod:`bhfix.limits`).
+(:mod:`bhfix.limits`).  Each term level of a comparison costs two Python
+frames, ``System.compare`` and ``compare_merged``, since the clause loop
+runs inside ``compare``.
 
 A stage system is fixed by the stage below it, its *base*: its carrier
 X_{n+1} is the base's term order, L is the term length, and iota is the
 inclusion.  X_0 has no base and is empty.  The limit is the tower itself
 (:class:`bhfix.limits.Tower`), a system without a base whose carrier is
-its own term order.
+its own term order.  Each system binds its carrier order once, as the
+attribute ``carrier_compare``.
 
 All systems of a tower intern their terms into the tower's one table (one
 object per body), so term equality is object identity and X_n is a subset
@@ -82,20 +86,17 @@ class System:
         self.dilator: Dilator = tower.dilator
         self._intern: dict[CodedElement, ThetaTerm] = tower._intern
         self._memo: dict[tuple[int, int], int] = {}
+        # the carrier X_n: the terms of the base system, in its order
+        self.carrier_compare = base.compare if base is not None else _empty_carrier
 
     def __repr__(self) -> str:
         return f"X{self.n}"
 
-    # -- the carrier X_n: the terms of the base system ----------------------
-
-    def carrier_compare(self, x: ThetaTerm, y: ThetaTerm) -> int:
-        return self.base.compare(x, y)
+    # -- the system data ---------------------------------------------------
 
     def length_of(self, x: ThetaTerm) -> int:
         """L_X: the term length of a carrier element."""
         return x.length
-
-    # -- the system data ---------------------------------------------------
 
     def embed(self, x: ThetaTerm) -> ThetaTerm:
         """iota_X: the inclusion of X_n into X_{n+1}.
@@ -135,10 +136,25 @@ class System:
                 raise SystemDefectError(
                     f"{self!r}: two distinct interned terms have equal bodies"
                 )
+            # The clause of the body verdict: the lower body's term is below
+            # exactly when its translated support, past the members the merge
+            # settles, lies strictly below the other term.  A member that does
+            # not is >= that term by trichotomy at smaller length, which is
+            # exactly the other clause.
             if body == LT:
-                verdict = LT if self._support_below(s, t, self._settled(ps, pt)) else GT
+                low, high, settled, verdict = s, t, self._settled(ps, pt), LT
             else:
-                verdict = GT if self._support_below(t, s, self._settled(pt, ps)) else LT
+                low, high, settled, verdict = t, s, self._settled(pt, ps), GT
+            for x in low.body.support[settled:]:
+                ix = self.embed(x)
+                if ix.length >= low.length:
+                    raise SystemDefectError(
+                        f"{self!r}: length law violated: L(iota(x)) = {ix.length} "
+                        f">= {low.length} = L(term); comparison recursion would not terminate"
+                    )
+                if self.compare(ix, high) != LT:
+                    verdict = -verdict
+                    break
             self._memo[key] = verdict
             self._memo[(id(t), id(s))] = -verdict
         return verdict
@@ -150,22 +166,6 @@ class System:
         iota carries that order into its own is the goodness law, which is
         checked, not assumed."""
         return 0
-
-    def _support_below(self, s: ThetaTerm, t: ThetaTerm, settled: int) -> bool:
-        # Does the translated support of s, past its first ``settled``
-        # members, lie strictly below t?  When it does not, the witnessing
-        # element is >= t by trichotomy at smaller length, which is exactly
-        # the other comparison clause for t < s.
-        for x in s.body.support[settled:]:
-            ix = self.embed(x)
-            if ix.length >= s.length:
-                raise SystemDefectError(
-                    f"{self!r}: length law violated: L(iota(x)) = {ix.length} "
-                    f">= {s.length} = L(term); comparison recursion would not terminate"
-                )
-            if self.compare(ix, t) != LT:
-                return False
-        return True
 
     def subterm_closure(self, t: ThetaTerm) -> tuple[ThetaTerm, ...]:
         """All terms reachable through supports and iota, t first, each once
@@ -188,3 +188,8 @@ class System:
                 out[ix] = None
                 stack.extend((ix, y) for y in reversed(ix.body.support))
         return tuple(out)
+
+
+def _empty_carrier(x: ThetaTerm, y: ThetaTerm) -> int:
+    # the carrier order of X_0, whose carrier is empty
+    raise ValueError("X0 has an empty carrier: there is nothing to compare")

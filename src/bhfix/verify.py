@@ -576,18 +576,16 @@ class _ErasedSupports(Dilator):
     def __init__(self, inner: Dilator):
         self.inner = inner
         self.name = f"broken({inner.name})"
-
-    def compare_at(self, n, s, t):
-        return self.inner.compare_at(n, s, t)
-
-    def map_token(self, f, tok):
-        return self.inner.map_token(f, tok)
+        # every other operation is the inner dilator's own, bound once so
+        # that a token operation makes no extra call
+        self.compare_at = inner.compare_at
+        self.map_token = inner.map_token
+        self.sample_at = inner.sample_at
+        self.format_token = inner.format_token
+        self.parse_token = inner.parse_token
 
     def supp_at(self, n, tok):
         return ()
-
-    def sample_at(self, n, budget):
-        return self.inner.sample_at(n, budget)
 
     def restrict_token(self, n, tok, positions):
         # The erased support is always empty, and by the inner dilator's own
@@ -600,12 +598,6 @@ class _ErasedSupports(Dilator):
                 "support factorization failed"
             )
         return self.inner.restrict_token(n, tok, positions)
-
-    def format_token(self, n, tok):
-        return self.inner.format_token(n, tok)
-
-    def parse_token(self, n, text):
-        return self.inner.parse_token(n, text)
 
 
 def erase_supports(dilator: Dilator) -> Dilator:

@@ -336,6 +336,38 @@ def test_compare_successor_in_the_former_ceiling_band(capsys, a, b, verdict):
     assert (code, out) == (0, verdict + "\n")
 
 
+def _successor_element(height):
+    return f"@{height - 1}:" + "th(v0;" * (height - 1) + "th(top)" + ")" * (height - 1)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["compare", "--dilator", "successor",
+          _successor_element(400), _successor_element(399)], "GT"),
+        (["compare", "--dilator", "successor",
+          _successor_element(800), _successor_element(1)], "GT"),
+        (["interpret", "--dilator", "successor", "--witness", "omega-successor",
+          _successor_element(800)], "799"),
+        (["interpret", "--dilator", "successor", "--witness", "bh-self",
+          _successor_element(800)], _successor_element(800)),
+    ],
+    ids=["compare-400-399", "compare-800-1", "interpret-omega-successor-800",
+         "interpret-bh-self-800"],
+)
+def test_deep_requests_answer_at_the_default_recursion_limit(capsys, argv, expected):
+    # each term level of a comparison takes two Python frames and each level
+    # of an interpretation one; at four frames a level, every one of these
+    # exited 2 ("nested too deeply")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
 def test_deeply_nested_input_fails_cleanly(capsys):
     depth = 5000
     term = "th(v0;" * depth + "th(top)" + ")" * depth

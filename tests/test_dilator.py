@@ -14,12 +14,12 @@ from bhfix.dilator import (
     CodedElement,
     Enumeration,
     compare_coded,
+    compare_merged,
     full_support_tokens,
     least,
     least_coded,
     make_coded,
     map_coded,
-    merged_positions,
     normal_form,
 )
 from bhfix.errors import DilatorLawError
@@ -298,17 +298,24 @@ def test_compare_coded_invariant_under_larger_carrier():
 @given(
     st.sets(st.integers(-20, 20)), st.sets(st.integers(-20, 20)), st.booleans()
 )
-def test_merged_positions_are_the_inclusions_into_the_union(xs, ys, descending):
-    # the carrier order comes only from cmp: descending runs reverse it
+def test_compare_merged_positions_are_the_inclusions_into_the_union(xs, ys, descending):
+    # the carrier order comes only from cmp: descending runs reverse it.
+    # Omega's full-support tokens w[k-1,...,0] and w[k-1,...,0,0] keep the
+    # two elements distinct when their supports are equal and nonempty.
     cmp = (lambda a, b: int_cmp(b, a)) if descending else int_cmp
     a = tuple(sorted(xs, reverse=descending))
     b = tuple(sorted(ys, reverse=descending))
     union = sorted(xs | ys, reverse=descending)
-    pa, pb, n = merged_positions(a, b, cmp)
-    assert n == len(union)
+    e1 = CodedElement(a, tuple(range(len(a) - 1, -1, -1)))
+    e2 = CodedElement(b, tuple(range(len(b) - 1, -1, -1)) + (0,) * bool(b))
+    verdict, pa, pb = compare_merged(omega, cmp, e1, e2)
+    assert verdict == compare_coded(omega, cmp, e1, e2)
+    n = len(union)
+    # together the positions are the whole union, 0..n-1
+    assert sorted(set(pa) | set(pb)) == list(range(n))
     assert pa == tuple(union.index(x) for x in a)
     assert pb == tuple(union.index(y) for y in b)
-    # the public constructor accepts what compare_coded builds unchecked
+    # the public constructor accepts what compare_merged builds unchecked
     assert Embedding(pa, n) == Embedding.trusted(pa, n)
     assert Embedding(pb, n) == Embedding.trusted(pb, n)
 
@@ -334,13 +341,14 @@ def test_map_token_along_all_small_embeddings_keeps_laws():
                             )
 
 
-def _reference_compare(dilator, cmp, e1, e2):
-    # both tokens always pushed into the merge of the two supports
-    p1, p2, n = merged_positions(e1.support, e2.support, cmp)
+def _reference_compare(dilator, e1, e2):
+    # both tokens always pushed into the union of the two integer supports
+    union = sorted(set(e1.support) | set(e2.support))
+    n = len(union)
     return dilator.compare_at(
         n,
-        dilator.map_token(Embedding(p1, n), e1.token),
-        dilator.map_token(Embedding(p2, n), e2.token),
+        dilator.map_token(Embedding(tuple(map(union.index, e1.support)), n), e1.token),
+        dilator.map_token(Embedding(tuple(map(union.index, e2.support)), n), e2.token),
     )
 
 
@@ -377,7 +385,7 @@ def test_compare_coded_agrees_with_mapping_both_tokens(name, data):
     if data.draw(st.booleans()):
         elements.reverse()
     e1, e2 = elements
-    expected = _reference_compare(dilator, int_cmp, e1, e2)
+    expected = _reference_compare(dilator, e1, e2)
     if expected == EQ:
         assert e1 == e2
     assert compare_coded(dilator, int_cmp, e1, e2) == expected

@@ -51,6 +51,17 @@ def test_theta_length_conventions(succ_tower, omega_tower):
     assert osys1.theta_length(CodedElement((a,), (0, 0))) == 2
 
 
+def test_each_system_binds_its_carrier_order(succ_tower):
+    # X_{n+1} is ordered as the terms of stage n, the limit as itself, and
+    # X_0 is empty: its carrier order has nothing to compare
+    for n in range(3):
+        assert succ_tower.stage(n + 1).carrier_compare == succ_tower.stage(n).compare
+    assert succ_tower.carrier_compare == succ_tower.compare
+    (top,) = succ_tower.listing(1, 1)
+    with pytest.raises(ValueError, match="X0 has an empty carrier"):
+        succ_tower.stage(0).carrier_compare(top, top)
+
+
 def test_collapse_interns_and_is_injective(succ_tower):
     sys1 = succ_tower.stage(1)
     x = succ_tower.listing(1, 5)[0]

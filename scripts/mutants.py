@@ -154,6 +154,55 @@ MUTANTS = [
         "killed",
     ),
     (
+        "collapse-ii-allows-equal",
+        "src/bhfix/verify.py",
+        "if compare(x, value) >= 0",
+        "if compare(x, value) > 0",
+        "killed",
+    ),
+    (
+        "collapse-i-premise-any",
+        "src/bhfix/verify.py",
+        "if all(compare(x, values[j]) < 0 for x in xs)",
+        "if any(compare(x, values[j]) < 0 for x in xs)",
+        "killed",
+    ),
+    (
+        "terms-cap-raised",
+        "src/bhfix/verify.py",
+        "TERMS_CAP = 40 ",
+        "TERMS_CAP = 41 ",
+        "killed",
+    ),
+    (
+        "sample-cap-lowered",
+        "src/bhfix/verify.py",
+        "SAMPLE_CAP = 30 ",
+        "SAMPLE_CAP = 29 ",
+        "killed",
+    ),
+    (
+        "base-sample-cap-lowered",
+        "src/bhfix/limits.py",
+        "BASE_SAMPLE_CAP = 12",
+        "BASE_SAMPLE_CAP = 11",
+        "killed",
+    ),
+    (
+        "max-order-lowered",
+        "src/bhfix/verify.py",
+        "MAX_ORDER = 4 ",
+        "MAX_ORDER = 3 ",
+        "killed",
+    ),
+    (
+        "embedding-constructor-unvalidated",
+        "src/bhfix/finite_orders.py",
+        "        cls.__post_init__(f)\n",
+        "",
+        "killed",
+    ),
+    (
         "minimality-drops-xs1-flag",
         "src/bhfix/verify.py",
         "            report.exhaustive &= xs1.exhaustive\n",

@@ -5,8 +5,8 @@ takes the direct limit (itself a system of collapse terms over its own
 elements), glues the stage collapses into an almost order preserving
 collapse over the limit, and embeds the limit into any order carrying such
 a collapse.  All of the construction's laws are rechecked by finite brute
-force in :mod:`bhfix.verify`, which is imported on first use: by the CLI's
-``verify`` command, or by the first access to ``bhfix.run_suite``.
+force in :mod:`bhfix.verify`, which only the CLI's ``verify`` command
+imports; import :func:`bhfix.verify.run_suite` from there.
 """
 
 # The check suites of :func:`bhfix.verify.run_suite`.  They are defined here,
@@ -45,17 +45,4 @@ __all__ = [
     "embed_bh",
     "format_bh",
     "parse_bh",
-    "run_suite",
 ]
-
-
-def __getattr__(name: str):
-    if name == "run_suite":
-        from .verify import run_suite
-
-        return run_suite
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | {"run_suite"})

@@ -159,17 +159,15 @@ class CodedElement(tuple):
     in C: equal exactly when support and token are, which makes it the
     intern key.  Being a tuple, it also equals the plain tuple
     ``(support, token)``, has length 2, and unpacks and orders as that
-    tuple does.
+    tuple does; :class:`~bhfix.finite_orders.Embedding` is the same kind of
+    pair.  Nothing copies or pickles a coded element, and neither works:
+    both would rebuild it through ``__new__`` with the pair as one argument.
     """
 
     __slots__ = ()
 
     def __new__(cls, support: tuple, token: Token) -> "CodedElement":
         return tuple.__new__(cls, (support, token))
-
-    def __getnewargs__(self) -> tuple:
-        # copy and pickle rebuild a coded element through ``__new__``
-        return tuple(self)
 
     support = property(itemgetter(0))
     token = property(itemgetter(1))
@@ -280,9 +278,9 @@ def compare_merged(
         q2.extend(range(n, n + l2 - j))
         p1, p2, n = tuple(q1), tuple(q2), n + l1 - i + l2 - j
     if len(p1) != n:
-        t1 = dilator.map_token(Embedding.trusted(p1, n), t1)
+        t1 = dilator.map_token(Embedding.trusted((p1, n)), t1)
     if len(p2) != n:
-        t2 = dilator.map_token(Embedding.trusted(p2, n), t2)
+        t2 = dilator.map_token(Embedding.trusted((p2, n)), t2)
     verdict = dilator.compare_at(n, t1, t2)
     if verdict == EQ:
         raise DilatorLawError(

@@ -9,6 +9,8 @@ tuples; there is deliberately no wrapper class around them.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 E = TypeVar("E")
@@ -26,7 +28,8 @@ class Frozen:
     when the value is built, and never again.  Plain assignment raises, so a
     constructor sets a slot through ``object.__setattr__``, or on a hot path
     through the slot's own setter (``Cls.field.__set__``), which skips the
-    lookup by name."""
+    lookup by name.  Such a value cannot be copied or pickled: both would
+    rebuild it by assigning its fields, which raises."""
 
     __slots__ = ()
 
@@ -36,31 +39,28 @@ class Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):
-        # copy and pickle rebuild a value through its constructor, which
-        # takes the fields in slot order
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
+class Embedding(tuple):
+    """Strictly increasing map {0..m-1} -> {0..n-1} with m = len(images):
+    the pair (images, codomain_size).
 
-class Embedding(Frozen):
-    """Strictly increasing map {0..m-1} -> {0..n-1} with m = len(images).
+    An embedding is a tuple, so it is immutable and its equality and hash
+    are the tuple's own, computed in C: equal exactly when images and
+    codomain size are.  Being a tuple, it also equals the plain pair
+    ``(images, codomain_size)``, as a coded element equals its pair; like a
+    coded element, it cannot be copied or pickled.
+    """
 
-    Equal exactly when images and codomain size are."""
+    __slots__ = ()
 
-    __slots__ = ("images", "codomain_size")
+    def __new__(cls, images: tuple[int, ...], codomain_size: int) -> "Embedding":
+        f = tuple.__new__(cls, (images, codomain_size))
+        # through the class, so that perfbench's tracer can wrap it
+        cls.__post_init__(f)
+        return f
 
-    def __init__(self, images: tuple[int, ...], codomain_size: int) -> None:
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "codomain_size", codomain_size)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images and self.codomain_size == other.codomain_size
-
-    def __hash__(self) -> int:
-        return hash((self.images, self.codomain_size))
+    images = property(itemgetter(0))
+    codomain_size = property(itemgetter(1))
 
     def __repr__(self) -> str:
         return (
@@ -69,8 +69,7 @@ class Embedding(Frozen):
         )
 
     def __post_init__(self) -> None:
-        # The constructor's validation; ``trusted`` skips it.  ``__init__``
-        # calls it through the class, so perfbench's tracer can wrap it.
+        # The constructor's validation; ``trusted`` skips it.
         prev = -1
         for i in self.images:
             if not isinstance(i, int) or i <= prev:
@@ -81,26 +80,18 @@ class Embedding(Frozen):
                 f"image {prev} out of range for codomain of size {self.codomain_size}"
             )
 
-    @classmethod
-    def trusted(cls, images: tuple[int, ...], codomain_size: int) -> "Embedding":
-        """An embedding whose images are strictly increasing and in range by
-        construction; skips the validation of the public constructor."""
-        f = object.__new__(cls)
-        _set_images(f, images)
-        _set_codomain_size(f, codomain_size)
-        return f
-
     @property
     def domain_size(self) -> int:
-        return len(self.images)
+        return len(self[0])
 
     def __call__(self, i: int) -> int:
-        return self.images[i]
+        return self[0][i]
 
 
-# the slot setters of ``trusted`` (see ``Frozen``)
-_set_images = Embedding.images.__set__
-_set_codomain_size = Embedding.codomain_size.__set__
+# ``Embedding.trusted((images, codomain_size))``: an embedding whose images
+# are strictly increasing and in range by construction, built without the
+# validation of the public constructor.
+Embedding.trusted = partial(tuple.__new__, Embedding)
 
 
 def identity_embedding(n: int) -> Embedding:

@@ -118,3 +118,20 @@ class _ZeroWitness(Witness):
 def test_violating_witness_is_caught():
     report = check_witness(_ZeroWitness(), SuccessorDilator(), budget=6)
     assert not report.passed
+
+
+class _FixedPointWitness(OmegaSuccessorWitness):
+    """The naturals with a carrier element n collapsing to n, not n + 1:
+    every support element equals its collapse, and the order is kept."""
+
+    def collapse(self, coded):
+        return coded.support[0] if coded.support else 0
+
+
+def test_support_element_equal_to_its_collapse_is_caught():
+    # condition (ii) asks for strictly below; condition (i) holds here
+    report = check_witness(_FixedPointWitness(), SuccessorDilator(), budget=6)
+    assert not report.passed
+    assert report.failures
+    assert all(line.startswith("condition (ii) broken: ") for line in report.failures)
+    assert "condition (ii) broken: 3 not below 3" in report.failures

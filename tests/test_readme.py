@@ -24,7 +24,6 @@ DOCUMENTED = {
     "embed_bh",
     "format_bh",
     "parse_bh",
-    "run_suite",
 }
 
 

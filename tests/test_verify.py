@@ -106,6 +106,23 @@ def test_erased_supports_fail_exactly_when_some_support_is_nonempty(selector):
     assert report.passed != has_support, report.format()
 
 
+@pytest.mark.parametrize("selector", _TREES)
+def test_cli_round_trips_the_listing_on_nested_selectors(selector, capsys):
+    # enumerate -> compare (the listing's order, EQ exactly on equal text)
+    # -> interpret into the limit itself, which returns the element
+    argv = ["enumerate", "--dilator", selector, "--stages", "3", "--budget", "6"]
+    assert cli.main(argv + ["--format", "lines"]) == 0
+    elements = capsys.readouterr().out.splitlines()
+    assert len(set(elements)) == len(elements)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            assert cli.main(["compare", "--dilator", selector, a, b]) == 0
+            verdict = "LT" if i < j else "GT" if i > j else "EQ"
+            assert capsys.readouterr().out == verdict + "\n", (a, b)
+        assert cli.main(["interpret", "--dilator", selector, "--witness", "bh-self", a]) == 0
+        assert capsys.readouterr().out == a + "\n"
+
+
 def coded_elements(dilator, carrier_sample, budget):
     """Every coded element with support inside the sample and token within
     the per-arity budget, in generation order: the full generation that the
@@ -527,6 +544,15 @@ def test_limit_checks_cover_the_shared_stage_count():
     tower = Tower(OmegaPowerDilator())
     assert check_limit_order(tower, 40).instances == 861
     assert check_minimality(tower, SelfWitness(tower), 40).instances == 2421
+
+
+def test_budgets_past_the_caps_reach_only_the_dilator_laws():
+    # every other check reads the budget only through TERMS_CAP, SAMPLE_CAP
+    # or BASE_SAMPLE_CAP, none of them above 40
+    def without_laws(budget):
+        return [r for r in run_suite(OmegaPowerDilator(), "all", budget) if r.name != "dilator-laws"]
+
+    assert without_laws(41) == without_laws(40)
 
 
 class _CountingSelfWitness(SelfWitness):

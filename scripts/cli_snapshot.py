@@ -14,8 +14,9 @@ spread through its terms, a ``compare`` of every pair (equal ones too) and
 an ``interpret --witness bh-self`` of each of six elements of each of two
 product selectors (``PRODUCT_ELEMENTS``), and one ``enumerate`` and one
 ``verify`` without ``--budget``, which read the default budget of 50
-(``BH_BUDGET_DEFAULT`` is cleared).  The program is imported from ``CHECKOUT/src`` (default: this checkout), so two
-checkouts can be compared with ``diff`` on their snapshots.  A CHECKOUT
+(``BH_BUDGET_DEFAULT`` is cleared).  The program is imported from
+``CHECKOUT/src`` (default: this checkout), so two checkouts can be compared
+with ``diff`` on their snapshots.  A CHECKOUT
 without ``src/bhfix`` is an error (exit 2), never a silent fallback to
 whatever ``bhfix`` is importable.
 """

@@ -40,6 +40,20 @@ MUTANTS = [
         "killed",
     ),
     (
+        "selector-prunes-without-gate",
+        "src/bhfix/dilator.py",
+        "if monotone and tok is t0:",
+        "if tok is t0:",
+        "killed",
+    ),
+    (
+        "selector-ends-arity-at-first-miss",
+        "src/bhfix/dilator.py",
+        "                if not p:\n",
+        "                if True:\n",
+        "killed",
+    ),
+    (
         "settled-bisects-at-first-support",
         "src/bhfix/limits.py",
         "bisect_right(ps, pt[-1]) if pt else 0",

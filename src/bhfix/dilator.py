@@ -42,7 +42,7 @@ class Enumeration(Frozen):
     ``exhaustive`` is True only when the listing provably contains every
     value in question; property checks propagate the flag so that a report
     can distinguish "verified on all" from "verified on a sample".  Equal
-    exactly when both fields are.
+    exactly when both fields are; a listing is unhashable.
     """
 
     __slots__ = ("items", "exhaustive")
@@ -55,9 +55,6 @@ class Enumeration(Frozen):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.items == other.items and self.exhaustive == other.exhaustive
-
-    def __hash__(self) -> int:
-        return hash((self.items, self.exhaustive))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(items={self.items!r}, exhaustive={self.exhaustive!r})"
@@ -252,14 +249,20 @@ def compare_merged(
     dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement
 ) -> tuple[int, tuple, tuple]:
     """The verdict of :func:`compare_coded` together with the positions of
-    both supports inside their merge under cmp, found in one merge pass;
-    equal elements are EQ without a merge, with empty positions."""
+    both supports inside their merge under cmp.  Equal elements are EQ
+    without a merge, with empty positions.  Identical supports are their
+    own merge, so their tokens are compared unmapped, with no call to cmp:
+    every carrier order makes an element EQ to itself.  Other supports are
+    merged in one pass."""
     if e1 == e2:
         return EQ, (), ()
     s1, t1 = e1
     s2, t2 = e2
     l1, l2 = len(s1), len(s2)
-    if not l1 or not l2:
+    if s1 == s2:
+        p1 = p2 = tuple(range(l1))
+        n = l1
+    elif not l1 or not l2:
         p1, p2, n = tuple(range(l1)), tuple(range(l2)), l1 + l2
     else:
         q1: list[int] = []
@@ -299,9 +302,29 @@ def full_support_tokens(dilator: Dilator, k: int, budget: int) -> Enumeration:
 
 
 # Each dilator's full-support tokens by (arity, budget), sorted by
-# ``compare_at``: they depend on the dilator alone.  Weakly keyed, so that
-# a dilator's table dies with it.
-_TOKENS: WeakKeyDictionary[Dilator, dict[tuple[int, int], Enumeration]] = WeakKeyDictionary()
+# ``compare_at``, with their exhaustive flag and the verdict of
+# ``first_token_monotone`` on the least of them: they depend on the dilator
+# alone.  Weakly keyed, so that a dilator's table dies with it.
+_TOKENS: WeakKeyDictionary[Dilator, dict[tuple[int, int], tuple]] = WeakKeyDictionary()
+
+
+def first_token_monotone(dilator: Dilator, a: int, tok: Token) -> bool:
+    """Whether raising one support element of an arity-a token raises it.
+
+    For each s < a, with skip_s the inclusion of a into a + 1 that omits s,
+    map(skip_{s+1}, tok) must lie below map(skip_s, tok) at arity a + 1:
+    ``a`` comparisons.  Two supports f <= g pointwise are joined by steps
+    that raise one element, and each step is that pair of inclusions
+    followed by the inclusion of the two supports' union, so the test gives
+    (f, tok) < (g, tok) under ``compare_coded`` whenever f != g.  A lawful
+    prae-dilator need not pass it; omega with its token order reversed
+    does not.
+    """
+    images = []
+    for s in range(a + 1):
+        skip = Embedding.trusted((tuple(i + (i >= s) for i in range(a)), a + 1))
+        images.append(dilator.map_token(skip, tok))
+    return all(dilator.compare_at(a + 1, images[s + 1], images[s]) < 0 for s in range(a))
 
 
 def least_coded(
@@ -318,23 +341,34 @@ def least_coded(
     The coded elements are those with support inside ``carrier_sample``,
     which must be strictly sorted under cmp, and token among the arity's
     full-support tokens within ``budget``.  ``value`` maps each one to an
-    item ordered by ``order``.  On one support the value order must be the
-    token order: value(S, t1) < value(S, t2) exactly when t1 < t2 under
-    ``compare_at``.  Two values hold it:
+    item ordered by ``order``.  Two values are in use, the coded element
+    itself under ``compare_coded`` and its collapse th(S, t) under the
+    limit's term order, and both obey two rules:
 
-    * the coded element itself under ``compare_coded``, since on one
-      support that is ``compare_at`` on the unmapped tokens;
-    * its collapse th(S, t) under the limit's term order: on one support
-      the deciding clause finds S below the other collapse, by the support
-      lemma (:mod:`bhfix.limits`).  Sorting the tokens needs only that
-      ``compare_at`` is a linear order.
+    * *On one support the value order is the token order*: value(S, t1) <
+      value(S, t2) exactly when t1 < t2 under ``compare_at``.  On one
+      support ``compare_coded`` is ``compare_at`` on the unmapped tokens;
+      for collapses the deciding clause finds S below the other collapse,
+      by the support lemma (:mod:`bhfix.limits`).
+    * *At the arity's least token t0, a support pointwise above another
+      has the greater value*, when t0 passes :func:`first_token_monotone`:
+      if S[j] <= S'[j] for every j, then (S, t0) < (S', t0) under
+      ``compare_coded``.  For collapses the first clause then asks for
+      every S[j] below th(S', t0), and S[j] <= S'[j] < th(S', t0) by the
+      support lemma.  An arity whose t0 fails the test is walked without
+      this rule.
 
-    The tokens of each arity are listed and sorted once per dilator and
-    budget, on first use, and kept in a table that dies with the dilator.
-    Each support walks them in that order, keeps the k least values so far,
-    and stops at its first value that is not below the k-th: no later token
-    of that support can enter.  So values past a support's first miss are
-    never built.
+    The tokens of each arity are listed, sorted and tested once per
+    dilator and budget, on first use, and kept in a table that dies with
+    the dilator.  The supports of an arity come in lexicographic order of
+    their sample indices.  Each walks the tokens in token order, keeps the
+    k least values so far, and stops at its first value that is not below
+    the k-th: no later token of that support can enter.  When that first
+    miss is at t0, no later support pointwise above this one can enter
+    either.  Those include the rest of the lexicographic block that shares
+    the indices before the consecutive run that ends the support, so the
+    walk skips that block, and when the run is the whole support it leaves
+    the arity.  So values past a first miss are never built.
 
     The result is exhaustive when the sample and every per-arity token
     listing are, and the sum over arities a of C(|sample|, a) times the
@@ -345,27 +379,45 @@ def least_coded(
     sample = carrier_sample.items
     if not is_strictly_sorted(sample, cmp):
         raise ValueError("carrier sample must be strictly sorted")
+    m = len(sample)
     table = _TOKENS.setdefault(dilator, {})
     key = cmp_to_key(order)
     kept: list = []
     count = 0
     exhaustive = carrier_sample.exhaustive
-    for a in range(len(sample) + 1):
-        tokens = table.get((a, budget))
-        if tokens is None:
+    for a in range(m + 1):
+        entry = table.get((a, budget))
+        if entry is None:
             full = full_support_tokens(dilator, a, budget)
-            ordered = sorted(full, key=cmp_to_key(partial(dilator.compare_at, a)))
-            tokens = table[a, budget] = Enumeration(tuple(ordered), full.exhaustive)
-        exhaustive &= tokens.exhaustive
-        count += comb(len(sample), a) * len(tokens)
-        if not k or not tokens.items:
+            tokens = tuple(sorted(full, key=cmp_to_key(partial(dilator.compare_at, a))))
+            monotone = bool(tokens) and first_token_monotone(dilator, a, tokens[0])
+            entry = table[a, budget] = tokens, full.exhaustive, monotone
+        tokens, listed_all, monotone = entry
+        exhaustive &= listed_all
+        count += comb(m, a) * len(tokens)
+        if not k or not tokens:
             continue
-        for subset in combinations(sample, a):
-            for tok in tokens.items:
+        t0 = tokens[0]
+        # a support whose indices are below ``skip`` is in the block skipped last
+        skip = ()
+        for idx, subset in zip(combinations(range(m), a), combinations(sample, a)):
+            if idx < skip:
+                continue
+            for tok in tokens:
                 v = value(_coded((subset, tok)))
                 if len(kept) == k:
                     if order(v, kept[-1]) >= 0:
                         break
                     kept.pop()
                 insort(kept, v, key=key)
+            else:
+                continue
+            # a first miss at t0: every later support above this one misses too
+            if monotone and tok is t0:
+                p = max(a - 1, 0)
+                while p and idx[p - 1] + 1 == idx[p]:
+                    p -= 1
+                if not p:
+                    break
+                skip = idx[:p] + (m,)
     return Enumeration(tuple(kept), exhaustive and count <= k)

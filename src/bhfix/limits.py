@@ -50,7 +50,11 @@ lies above it by induction.  Two rules rest on the lemma.
   decides finds S below the other collapse, so th(S, t1) < th(S, t2)
   exactly when t1 < t2.  The selector walks each support's tokens in token
   order and leaves the support at its first collapse that cannot enter
-  the cut.
+  the cut.  When that first miss is at the arity's least token t0, and t0
+  passes :func:`bhfix.dilator.first_token_monotone`, a support S' pointwise
+  above S has (S, t0) < (S', t0), and every member of S lies at or below a
+  member of S', hence below th(S', t0), so th(S, t0) < th(S', t0) by the
+  first clause: the selector skips the block of supports above S.
 
 The glued collapse is the limit system's collapse; a stage containing the
 support collapses to the same element.

@@ -9,7 +9,15 @@ import pytest
 
 from bhfix import limits, verify
 from bhfix.cli import parse_selector
-from bhfix.dilator import CodedElement, full_support_tokens, least, least_coded
+from bhfix.dilator import (
+    CodedElement,
+    Enumeration,
+    compare_coded,
+    first_token_monotone,
+    full_support_tokens,
+    least,
+    least_coded,
+)
 from bhfix.errors import SystemDefectError
 from bhfix.finite_orders import EQ, GT, LT
 from bhfix.interpret import LIMIT_STAGES
@@ -17,6 +25,8 @@ from bhfix.limits import BASE_SAMPLE_CAP, Tower
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
 from bhfix.syntax import format_term
 from bhfix.systems import System
+from bhfix.verify import check_dilator_laws, run_suite
+from test_verify import _TREES, coded_elements
 
 # the default battery of scripts/run_checks.py
 SELECTORS = [
@@ -270,6 +280,89 @@ def test_stage_listing_is_the_sorted_cut(selector):
                 tower, n, budget, refs
             ), (selector, n, budget)
             assert tower.listing(n, budget) is listed
+
+
+def _coded_sample_reference(tower, n, budget, refs):
+    """Reference coded sample of stage n: every coded element over the
+    reference listing of its carrier X_n, cut to the least ``budget`` under
+    ``compare_coded`` in the carrier order."""
+    items, exhaustive = _sorted_then_cut(tower, n, min(budget, BASE_SAMPLE_CAP), refs)
+    coded = coded_elements(tower.dilator, Enumeration(items, exhaustive), budget)
+    order = partial(compare_coded, tower.dilator, tower.stage(n).carrier_compare)
+    return least(coded, budget, order)
+
+
+def _assert_full_generation_cut(tower, stages, budgets):
+    """Each listing and each stage coded sample of the tower at these
+    stages and budgets is the sorted cut of full generation."""
+    refs = {}
+    for n in stages:
+        for budget in budgets:
+            listed = tower.listing(n, budget)
+            assert (listed.items, listed.exhaustive) == _sorted_then_cut(
+                tower, n, budget, refs
+            ), (n, budget)
+            sample = verify._coded_sample(tower.stage(n), budget)
+            assert sample == _coded_sample_reference(tower, n, budget, refs), (n, budget)
+
+
+@pytest.mark.parametrize("selector", _TREES)
+def test_small_listings_and_coded_samples_are_the_sorted_cut(selector):
+    _assert_full_generation_cut(Tower(parse_selector(selector)), (1, 2, 3), (0, 1, 3, 7))
+
+
+class _ReversedOmega(OmegaPowerDilator):
+    """Omega with its token order reversed at every arity.  Strictly
+    increasing maps preserve the reversed order too, so it is still a
+    lawful prae-dilator; but raising a support element lowers a token, so
+    no least token passes ``first_token_monotone``."""
+
+    name = "reversed(omega)"
+
+    def compare_at(self, n, s, t):
+        return (s < t) - (s > t)
+
+
+def _full_generation(dilator, carrier_sample, budget, k, cmp, value, order):
+    """``least_coded`` without pruning: every value, cut to the least k."""
+    coded = coded_elements(dilator, carrier_sample, budget)
+    return least(Enumeration(tuple(map(value, coded)), coded.exhaustive), k, order)
+
+
+def test_every_least_token_of_the_grammar_passes_the_monotonicity_gate():
+    tested = 0
+    for selector in _TREES:
+        dilator = parse_selector(selector)
+        for a in (1, 2, 3, 4):
+            for budget in (1, 5, 12, 40, 80):
+                tokens = full_support_tokens(dilator, a, budget)
+                if tokens.items:
+                    t0 = min(tokens, key=cmp_to_key(partial(dilator.compare_at, a)))
+                    assert first_token_monotone(dilator, a, t0), (selector, a, budget)
+                    tested += 1
+    assert tested > 200
+
+
+def test_the_reversed_double_is_lawful_but_fails_the_gate():
+    double = _ReversedOmega()
+    assert check_dilator_laws(double, 3, 12).passed
+    for a in (1, 2, 3, 4):
+        # omega's first full-support token at arity 4 is its 70th
+        tokens = full_support_tokens(double, a, 80)
+        t0 = min(tokens, key=cmp_to_key(partial(double.compare_at, a)))
+        assert not first_token_monotone(double, a, t0), a
+    # arity 0 has no support element to raise
+    assert first_token_monotone(double, 0, ())
+
+
+def test_a_dilator_that_fails_the_gate_is_never_pruned(monkeypatch):
+    # the listings, the coded samples and the reports of the reversed
+    # double are those of full generation
+    _assert_full_generation_cut(Tower(_ReversedOmega()), (1, 2, 3, 4), (0, 1, 5, 12, 13, 40))
+    pruned = [r.format() for r in run_suite(_ReversedOmega(), "all", 12)]
+    monkeypatch.setattr(limits, "least_coded", _full_generation)
+    monkeypatch.setattr(verify, "least_coded", _full_generation)
+    assert [r.format() for r in run_suite(_ReversedOmega(), "all", 12)] == pruned
 
 
 def _listings_and_samples(selector):

@@ -84,8 +84,15 @@ MUTANTS = [
     (
         "stage-merges-in-limit",
         "src/bhfix/systems.py",
-        "self.carrier_compare = base.compare if base is not None",
-        "self.carrier_compare = tower.compare if base is not None",
+        "        self.carrier_compare = self.compare\n",
+        "        self.carrier_compare = tower.compare\n",
+        "killed",
+    ),
+    (
+        "full-order-shares-limit-memo",
+        "src/bhfix/limits.py",
+        "        self.full_order = System(self)\n",
+        "        self.full_order = System(self)\n        self.full_order._memo = self._memo\n",
         "killed",
     ),
     (

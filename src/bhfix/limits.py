@@ -1,25 +1,23 @@
 """The stage tower, its direct limit, and the glued collapse.
 
-Stages iterate from the empty order: X_0 is empty and the system over X_n
-is ``System(tower, stage(n - 1))``, whose carrier is the order of collapse
-terms over X_{n-1}.  The direct limit of the stages is itself a system over
-its own carrier, the :class:`Tower` itself: its elements are collapse terms
-whose supports are limit elements, iota is the identity, and the order is
-the same two-clause recursion as at every stage, less the support checks
-that its merge already settles (below).  Limit elements are the
-interned terms of that one system, so equality is identity and every
-comparison is one :meth:`System.compare`.
-
-The stage iota reads only the structure of a term, so the stages and the
-limit intern into the tower's one table: a term of X_{n+1} is the limit
-element it stands for, and the stage iota (:meth:`System.embed`) returns
-its argument, raising ``ValueError`` on an element born above its stage.
-A term is new at stage n+1 exactly when one of its supports is new at
-stage n, so by induction a limit element of length L is born at stage
+Stages iterate from the empty order: X_0 is empty, and the order of
+X_{n+1} is the two-clause recursion over the collapse terms of X_n.  The
+stage iota reads only the structure of a term, so the stages and the limit
+intern into the tower's one table: a term of X_{n+1} is the limit element
+it stands for, and the stage iota (:meth:`bhfix.systems.Stage.embed`)
+returns its argument, raising ``ValueError`` on an element born above its
+stage.  A term is new at stage n+1 exactly when one of its supports is new
+at stage n, so by induction a limit element of length L is born at stage
 L - 1 and first lives in X_L.  Every stage is listed over the limit, by
-:meth:`Tower.listing`.  The stages keep their own memos and every
-clause check, as the paper's construction and as the oracle the checks
-compare against.
+:meth:`Tower.listing`, and compares in one full recursion F, the tower's
+``full_order`` (:mod:`bhfix.systems`); ``stage(n)`` is a view of it.
+
+The direct limit of the stages is itself a system over its own carrier,
+the :class:`Tower` itself: its elements are collapse terms whose supports
+are limit elements, iota is the identity, and the order is F less the
+support checks that its merge already settles (below), with a memo of its
+own.  Limit elements are the interned terms of that one system, so
+equality is identity and every comparison is one :meth:`System.compare`.
 
 The support lemma: every support of a limit element, and every support of
 one hereditarily, lies below it under the two-clause recursion as
@@ -39,9 +37,7 @@ lies above it by induction.  Two rules rest on the lemma.
   it is exact when the limit order is linear, as it is for every lawful
   dilator, and so is the lemma for the comparison with the step.  A
   compare along chains is then linear in the height instead of quadratic.
-  The stages keep every clause check: their merge runs in the base order,
-  and that iota carries it into the stage's own is the goodness law, which
-  is checked, not assumed.  So ``check_limit_order`` compares the limit
+  F keeps every clause check, so ``check_limit_order`` compares the limit
   against a full recursion.
 * A listing is the least ``budget`` collapses th(S, t) over the listing
   one stage down, chosen by :func:`bhfix.dilator.least_coded` without
@@ -75,7 +71,7 @@ from .dilator import (
     make_coded,
 )
 from .finite_orders import is_strictly_sorted
-from .systems import System, ThetaTerm
+from .systems import Stage, System, ThetaTerm
 
 # Base samples feeding a listing are capped so that the subset lattice over
 # the sample stays at desk scale even for generous budgets.
@@ -97,24 +93,22 @@ class Tower(System):
         # the one intern table of the stages and the limit
         self._intern: dict[CodedElement, ThetaTerm] = {}
         System.__init__(self, self)
-        # the carrier is the limit itself, in its own order
-        self.carrier_compare = self.compare
-        self._systems = [System(self)]
+        # the order of every stage, with a memo of its own
+        self.full_order = System(self)
+        self._stages: dict[int, Stage] = {}
         self._listings: dict[tuple[int, int], Enumeration] = {}
 
     def __repr__(self) -> str:
         return "lim"
 
-    def stage(self, n: int) -> System:
-        """The system whose carrier is X_n (cached; stage 0 is empty)."""
-        while len(self._systems) <= n:
-            self._systems.append(System(self, self._systems[-1]))
-        return self._systems[n]
+    def stage(self, n: int) -> Stage:
+        """X_n's system, a view of the full order (cached; X_0 is empty)."""
+        stage = self._stages.get(n)
+        if stage is None:
+            stage = self._stages[n] = Stage(self.full_order, n)
+        return stage
 
     # -- the limit order and the glued collapse --------------------------------
-
-    def embed(self, x: ThetaTerm) -> ThetaTerm:
-        return x
 
     def _settled(self, ps: tuple, pt: tuple) -> int:
         # A support x of s merged at or before the last support y of t has

@@ -22,25 +22,25 @@ length is strictly smaller, so the recursion terminates on well-formed
 systems; a violated length law raises :class:`SystemDefectError` instead
 of looping.  The body comparison and the clause checks share one merge of
 the two supports: :func:`bhfix.dilator.compare_merged` returns the body
-verdict with the positions of both supports in their merge.  A stage checks
+verdict with the positions of both supports in their merge.  The stages check
 every support, the limit system only those the merge leaves open
 (:mod:`bhfix.limits`).  Each term level of a comparison costs two Python
 frames, ``System.compare`` and ``compare_merged``, since the clause loop
 runs inside ``compare``.
 
-A stage system is fixed by the stage below it, its *base*: its carrier
-X_{n+1} is the base's term order, L is the term length, and iota is the
-inclusion.  X_0 has no base and is empty.  The limit is the tower itself
-(:class:`bhfix.limits.Tower`), a system without a base whose carrier is
-its own term order.  Each system binds its carrier order once, as the
-attribute ``carrier_compare``.
-
 All systems of a tower intern their terms into the tower's one table (one
 object per body), so term equality is object identity and X_n is a subset
-of X_{n+1} and of the limit.  Each system memoizes its own comparison
-verdicts.  Both caches are append-only and idempotent; systems are
-immutable once built and safe to share.  Stages generate nothing: X_n is
-listed by ``tower.listing(n, budget)`` (:meth:`bhfix.limits.Tower.listing`).
+of X_{n+1} and of the limit.  On these terms, by induction on n, the order
+of X_{n+1} (whose carrier is X_n in its own order) is one recursion F with
+every clause check, restricted to X_{n+1}.  So a tower keeps F once, as a
+:class:`System` whose carrier order is F itself, with one memo for every
+stage; the system over X_n is a :class:`Stage`, a view of F whose iota
+keeps the birth guard.  The limit (:class:`bhfix.limits.Tower`) keeps a
+memo of its own.  Each system binds its carrier order once, as the
+attribute ``carrier_compare``.  Both caches are append-only and
+idempotent; systems are immutable once built and safe to share.  Stages
+generate nothing: X_n is listed by ``tower.listing(n, budget)``
+(:meth:`bhfix.limits.Tower.listing`).
 """
 
 from __future__ import annotations
@@ -73,24 +73,21 @@ _set_length = ThetaTerm.length.__set__
 
 
 class System:
-    """The stage system (X, iota_X, L_X) over ``base``; X_0 has no base.
-
+    """The full order F over a tower's terms, whose carrier order is F
+    itself and whose iota is the identity; the limit is a System too.
     Goodness and the length equation are checkable properties (see
-    :func:`bhfix.verify.check_goodness`), never assumed at construction.
-    """
+    :func:`bhfix.verify.check_goodness`), never assumed at construction."""
 
-    def __init__(self, tower, base: "System | None" = None):
+    def __init__(self, tower):
         self.tower = tower
-        self.base = base
-        self.n = 0 if base is None else base.n + 1
         self.dilator: Dilator = tower.dilator
         self._intern: dict[CodedElement, ThetaTerm] = tower._intern
         self._memo: dict[tuple[int, int], int] = {}
-        # the carrier X_n: the terms of the base system, in its order
-        self.carrier_compare = base.compare if base is not None else _empty_carrier
+        # the carrier: the terms themselves, in this order
+        self.carrier_compare = self.compare
 
     def __repr__(self) -> str:
-        return f"X{self.n}"
+        return "F"
 
     # -- the system data ---------------------------------------------------
 
@@ -99,16 +96,7 @@ class System:
         return x.length
 
     def embed(self, x: ThetaTerm) -> ThetaTerm:
-        """iota_X: the inclusion of X_n into X_{n+1}.
-
-        The terms are shared, so a limit element born at stage <= n is
-        already its own representative in X_{n+1}.  A longer element is
-        born above stage n and is not in X_{n+1}.
-        """
-        if x.length > self.n + 1:
-            raise ValueError(
-                f"cannot embed an element born at stage {x.length - 1} at stage {self.n}"
-            )
+        """iota_X: the identity, as the carrier is the terms themselves."""
         return x
 
     def theta_length(self, coded: CodedElement) -> int:
@@ -162,9 +150,9 @@ class System:
     def _settled(self, ps: tuple, pt: tuple) -> int:
         """How many leading supports of s the merge of the two supports
         (``ps`` and ``pt``, their positions in it) already places below t.
-        A stage settles none: its merge runs in the base order, and that
-        iota carries that order into its own is the goodness law, which is
-        checked, not assumed."""
+        F settles none and checks every clause, so that the limit, which
+        settles supports through the merge, has a full recursion to be
+        checked against (:func:`bhfix.verify.check_limit_order`)."""
         return 0
 
     def subterm_closure(self, t: ThetaTerm) -> tuple[ThetaTerm, ...]:
@@ -188,6 +176,30 @@ class System:
                 out[ix] = None
                 stack.extend((ix, y) for y in reversed(ix.body.support))
         return tuple(out)
+
+
+class Stage(System):
+    """The system over X_n: a view of the full order ``order`` on the
+    stage's terms, with no memo of its own (X_0 is empty)."""
+
+    def __init__(self, order: System, n: int):
+        self.tower, self.dilator, self._intern = order.tower, order.dilator, order._intern
+        self.n = n
+        # F's bound compare, so that a stage compare costs no extra frame
+        self.compare = order.compare
+        self.carrier_compare = order.compare if n else _empty_carrier
+
+    def __repr__(self) -> str:
+        return f"X{self.n}"
+
+    def embed(self, x: ThetaTerm) -> ThetaTerm:
+        """iota_X: the inclusion of X_n into X_{n+1}.  The terms are shared,
+        so it keeps an element born at stage <= n, and no other is in X_n."""
+        if x.length > self.n + 1:
+            raise ValueError(
+                f"cannot embed an element born at stage {x.length - 1} at stage {self.n}"
+            )
+        return x
 
 
 def _empty_carrier(x: ThetaTerm, y: ThetaTerm) -> int:

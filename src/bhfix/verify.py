@@ -62,8 +62,7 @@ class CheckReport:
     ``exhaustive`` is True only when every enumeration feeding the check
     reported completeness, i.e. the law was verified on *all* instances at
     this scale rather than on a sample.  At most ``_MAX_RECORDED_FAILURES``
-    failures are recorded; ``overflow`` counts the rest.  Two reports are
-    equal when all five fields are.
+    failures are recorded; ``overflow`` counts the rest.
     """
 
     __slots__ = ("name", "exhaustive", "instances", "failures", "overflow")
@@ -81,16 +80,6 @@ class CheckReport:
         self.instances = instances
         self.failures = [] if failures is None else failures
         self.overflow = overflow
-
-    def _fields(self) -> tuple:
-        return (self.name, self.exhaustive, self.instances, self.failures, self.overflow)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return (
@@ -377,7 +366,8 @@ def check_goodness(system: System, budget: int) -> CheckReport:
     """The carrier embedding preserves lengths (the system equation) and the
     order (goodness).  The terms are shared across the stages, so the
     length equation holds by construction; its lines stay as the paper's
-    law."""
+    law.  The listing is in the limit order and the stage compares in the
+    full order, so the order lines test the two against each other."""
     xs = system.tower.listing(system.n, budget)
     report = CheckReport(f"goodness:X{system.n}", xs.exhaustive)
     fmt = lambda t: format_term(system.dilator, t)  # noqa: E731
@@ -405,12 +395,12 @@ def check_goodness(system: System, budget: int) -> CheckReport:
 
 
 def check_commuting_square(system: System, budget: int) -> CheckReport:
-    """Embedding after collapsing equals collapsing the relabelled element,
-    as syntactic identity of interned terms.  The terms are shared across
-    the stages and ``embed`` is the inclusion, so the square holds by
-    construction; it stays as the paper's law."""
+    """Embedding after collapsing equals collapsing the relabelled element in
+    the tower's next stage, as syntactic identity of interned terms.  The
+    terms are shared across the stages and ``embed`` is the inclusion, so
+    the square holds by construction; it stays as the paper's law."""
     report, coded = _sampled_report(f"commuting-square:X{system.n + 1}", system, budget)
-    nxt = System(system.tower, system)
+    nxt = system.tower.stage(system.n + 1)
     for sigma in coded:
         left = nxt.embed(system.collapse(sigma))
         right = nxt.collapse(map_coded(system.embed, sigma))
@@ -468,8 +458,10 @@ def check_limit_order(tower: Tower, budget: int) -> CheckReport:
     stage iota of the element) at the least common stage, and lifting an
     element to a stage gives the element back.  The terms are shared across
     the stages, so the lift holds by construction; its lines stay as the
-    paper's law.  The stage comparison keeps every clause check, so it is
-    an oracle independent of the limit's."""
+    paper's law.  The stages compare in the tower's full order, which checks
+    every clause, and the limit settles supports through the merge: so this
+    tests the settled recursion against the full one.  Their memos are
+    apart, so neither reads the other's verdicts."""
     elements = tower.enumerate(LIMIT_STAGES, budget)
     report = CheckReport("limit-order", elements.exhaustive)
     dil = tower.dilator

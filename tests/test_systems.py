@@ -7,12 +7,13 @@ from itertools import combinations
 
 import pytest
 
-from bhfix import limits, verify
+from bhfix import limits, systems, verify
 from bhfix.cli import parse_selector
 from bhfix.dilator import (
     CodedElement,
     Enumeration,
     compare_coded,
+    compare_merged,
     first_token_monotone,
     full_support_tokens,
     least,
@@ -62,10 +63,15 @@ def test_theta_length_conventions(succ_tower, omega_tower):
 
 
 def test_each_system_binds_its_carrier_order(succ_tower):
-    # X_{n+1} is ordered as the terms of stage n, the limit as itself, and
-    # X_0 is empty: its carrier order has nothing to compare
-    for n in range(3):
-        assert succ_tower.stage(n + 1).carrier_compare == succ_tower.stage(n).compare
+    # every stage compares in the tower's one full order, and X_{n+1} is
+    # ordered as the terms of stage n in that order; the full order and the
+    # limit are each ordered as themselves, and X_0 is empty: its carrier
+    # order has nothing to compare
+    full = succ_tower.full_order
+    for n in range(4):
+        assert succ_tower.stage(n).compare == full.compare
+        assert succ_tower.stage(n + 1).carrier_compare == full.compare
+    assert full.carrier_compare == full.compare != succ_tower.compare
     assert succ_tower.carrier_compare == succ_tower.compare
     (top,) = succ_tower.listing(1, 1)
     with pytest.raises(ValueError, match="X0 has an empty carrier"):
@@ -152,7 +158,9 @@ def test_iterate_carrier_sizes_successor(succ_tower):
 
 def test_iterate_is_idempotent(succ_tower):
     assert succ_tower.stage(2) is succ_tower.stage(2)
-    assert succ_tower.stage(2).base is succ_tower.stage(1)
+    # the stages are views of one full order, not a chain of systems
+    assert succ_tower.stage(2).compare.__self__ is succ_tower.full_order
+    assert succ_tower.stage(1).compare.__self__ is succ_tower.full_order
 
 
 def test_iterate_omega_budgeted_chain(omega_tower):
@@ -208,7 +216,7 @@ def test_subterm_closure_of_a_deep_limit_element(succ_tower):
 
 
 class _SelfEmbeddingSystem(System):
-    """A copy of X1 whose iota sends x to th(v0; x) and whose lengths are
+    """A full order whose iota sends x to th(v0; x) and whose lengths are
     all 5, so that th(v0; x) translates its own support back to itself."""
 
     def length_of(self, x):
@@ -222,7 +230,7 @@ def test_corrupted_length_function_trips_the_recursion_guard():
     succ = SuccessorDilator()
     tower = Tower(succ)
     x = tower.listing(1, 5)[0]
-    bad = _SelfEmbeddingSystem(tower, tower.stage(0))
+    bad = _SelfEmbeddingSystem(tower)
     s = bad.collapse(CodedElement((x,), 0))
     t = bad.collapse(CodedElement((), TOP))
     with pytest.raises(SystemDefectError):
@@ -232,7 +240,7 @@ def test_corrupted_length_function_trips_the_recursion_guard():
 def test_subterm_closure_names_the_term_whose_support_breaks_the_length_law():
     tower = Tower(SuccessorDilator())
     x = tower.listing(1, 5)[0]
-    bad = _SelfEmbeddingSystem(tower, tower.stage(0))
+    bad = _SelfEmbeddingSystem(tower)
     s = bad.collapse(CodedElement((x,), 0))
     with pytest.raises(SystemDefectError, match=re.escape(f"in the support of {s!r}")):
         bad.subterm_closure(s)
@@ -244,6 +252,68 @@ def test_compare_is_memoized_deterministically(omega_tower):
     first = [[sys1.compare(s, t) for t in terms] for s in terms]
     again = [[sys1.compare(s, t) for t in terms] for s in terms]
     assert first == again
+
+
+class _ChainStage(System):
+    """A stage system as the construction iterates it: the system over
+    X_{n+1} has a memo of its own, and its carrier order is the compare of
+    the system over X_n, the one ``below`` (X_0's carrier is empty)."""
+
+    def __init__(self, tower, below=None):
+        super().__init__(tower)
+        self.carrier_compare = systems._empty_carrier if below is None else below.compare
+
+
+@pytest.mark.parametrize(
+    "selector", ["omega", "successor", "sum(successor,omega)", "product(omega,successor)"]
+)
+def test_the_full_order_restricted_to_a_stage_is_the_chain_of_stage_orders(selector):
+    # each stage compares in the tower's one full order; a chain of stage
+    # systems, each over the one below with a memo of its own, gives the
+    # same verdict on every pair of each stage's listing
+    tower = Tower(parse_selector(selector))
+    chain = [_ChainStage(tower)]
+    pairs = 0
+    for n in range(LIMIT_STAGES):
+        items = tower.listing(n + 1, 20).items
+        stage = tower.stage(n)
+        for s in items:
+            for t in items:
+                assert stage.compare(s, t) == chain[n].compare(s, t), (n, s, t)
+        pairs += len(items) ** 2
+        chain.append(_ChainStage(tower, chain[n]))
+    assert pairs >= 3 * 4
+    assert all(link._memo is not tower.full_order._memo for link in chain)
+
+
+def test_a_verdict_of_stage_one_is_a_memo_hit_at_stage_three(omega_tower, monkeypatch):
+    s, t = omega_tower.listing(2, 6).items[-2:]
+    assert omega_tower.stage(1).compare(s, t) == LT
+    merges = []
+
+    def counted(*args):
+        merges.append(args)
+        return compare_merged(*args)
+
+    monkeypatch.setattr(systems, "compare_merged", counted)
+    stage3 = omega_tower.stage(3)
+    assert (stage3.compare(s, t), stage3.compare(t, s)) == (LT, GT)
+    assert merges == []
+    # a pair that no stage has compared yet merges
+    a, b = omega_tower.listing(4, 6).items[-2:]
+    assert stage3.compare(a, b) == LT and merges
+
+
+def test_the_full_order_keeps_a_memo_apart_from_the_limit(omega_tower):
+    # check_limit_order compares the limit against the full order, so
+    # neither may read the other's verdicts
+    full = omega_tower.full_order
+    assert full._memo is not omega_tower._memo
+    items = omega_tower.enumerate(3, 12).items
+    assert omega_tower._memo and not full._memo
+    limit = dict(omega_tower._memo)
+    assert omega_tower.stage(3).compare(items[0], items[-1]) == LT
+    assert full._memo and omega_tower._memo == limit
 
 
 def _sorted_then_cut(tower, n, budget, refs):

@@ -273,16 +273,14 @@ def test_the_full_order_restricted_to_a_stage_is_the_chain_of_stage_orders(selec
     # same verdict on every pair of each stage's listing
     tower = Tower(parse_selector(selector))
     chain = [_ChainStage(tower)]
-    pairs = 0
     for n in range(LIMIT_STAGES):
         items = tower.listing(n + 1, 20).items
         stage = tower.stage(n)
         for s in items:
             for t in items:
                 assert stage.compare(s, t) == chain[n].compare(s, t), (n, s, t)
-        pairs += len(items) ** 2
         chain.append(_ChainStage(tower, chain[n]))
-    assert pairs >= 3 * 4
+    assert len(items) >= 3
     assert all(link._memo is not tower.full_order._memo for link in chain)
 
 

@@ -432,7 +432,6 @@ def test_theta_linear_counts_each_instance_once():
     _assert_flipped_theta_linear(tower.full_order, bad, items)
     # that stage over a second full order of the tower, which shares the
     # tower's terms but not its memo
-    tower = Tower(OmegaPowerDilator())
     order = _FlippedSystem(tower)
     bad = Stage(order, 1)
     items = tower.listing(2, 6).items

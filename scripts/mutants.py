@@ -2,15 +2,17 @@
 """Mutation gate: does tier-1 catch each of a fixed list of one-line faults?
 
 Each mutant replaces one exact piece of text, found exactly once, in one
-source file, and states its expected verdict: ``killed``, or ``equivalent``
-with a one-line reason why no test can tell it from the program.  The
-script copies the checkout to a temporary directory, checks that tier-1
-passes there unmutated, then applies one mutant at a time and runs tier-1
-with ``-x``.  A mutant is killed when pytest fails.  It prints one row per
-mutant and exits 1 when a verdict differs from the expected one (a
-``killed`` mutant survives or an ``equivalent`` one is killed) or a mutant
-no longer applies, 2 when tier-1 fails without a mutant.  A mutant that
-makes tier-1 run past its timeout counts as killed.  Standard library only.
+source file, names the test file that kills it, and states its expected
+verdict: ``killed``, or ``equivalent`` with a one-line reason why no test
+can tell it from the program.  The script copies the checkout to a
+temporary directory, checks that tier-1 passes there unmutated, then
+applies one mutant at a time and runs its killing file with ``-x``, and
+the whole of tier-1 with ``-x`` only when that file passes.  A mutant is
+killed when pytest fails.  It prints one row per mutant and exits 1 when
+a verdict differs from the expected one (a ``killed`` mutant survives or
+an ``equivalent`` one is killed) or a mutant no longer applies, 2 when
+tier-1 fails without a mutant.  A mutant that makes tier-1 run past its
+timeout counts as killed.  Standard library only.
 
     python scripts/mutants.py
 """
@@ -29,12 +31,13 @@ ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 TIMEOUT_S = 900
 
-# (name, file, old text, new text, expected verdict: "killed", or
-# "equivalent: <reason>")
+# (name, file, killing test file, old text, new text, expected verdict:
+# "killed", or "equivalent: <reason>")
 MUTANTS = [
     (
         "least-coded-exhaustive-off-by-one",
         "src/bhfix/dilator.py",
+        "tests/test_dilator.py",
         "exhaustive and count <= k)",
         "exhaustive and count <= k + 1)",
         "killed",
@@ -42,6 +45,7 @@ MUTANTS = [
     (
         "selector-prunes-without-gate",
         "src/bhfix/dilator.py",
+        "tests/test_systems.py",
         "if monotone and tok is t0:",
         "if tok is t0:",
         "killed",
@@ -49,6 +53,7 @@ MUTANTS = [
     (
         "selector-ends-arity-at-first-miss",
         "src/bhfix/dilator.py",
+        "tests/test_verify.py",
         "                if not p:\n",
         "                if True:\n",
         "killed",
@@ -56,6 +61,7 @@ MUTANTS = [
     (
         "settled-bisects-at-first-support",
         "src/bhfix/limits.py",
+        "tests/test_limits.py",
         "bisect_right(ps, pt[-1]) if pt else 0",
         "bisect_right(ps, pt[0]) if pt else 0",
         "killed",
@@ -63,6 +69,7 @@ MUTANTS = [
     (
         "token-table-never-hit",
         "src/bhfix/verify.py",
+        "tests/test_verify.py",
         "images = table.get(f)",
         "images = table.get(f.images)",
         "killed",
@@ -70,6 +77,7 @@ MUTANTS = [
     (
         "tally-without-overflow",
         "src/bhfix/verify.py",
+        "tests/test_golden.py",
         "self.overflow += 1",
         "pass",
         "killed",
@@ -77,6 +85,7 @@ MUTANTS = [
     (
         "sample-cache-as-plain-dict",
         "src/bhfix/verify.py",
+        "tests/test_verify.py",
         "= WeakKeyDictionary()",
         "= {}",
         "killed",
@@ -84,6 +93,7 @@ MUTANTS = [
     (
         "stage-merges-in-limit",
         "src/bhfix/systems.py",
+        "tests/test_limits.py",
         "        self.carrier_compare = self.compare\n",
         "        self.carrier_compare = tower.compare\n",
         "killed",
@@ -91,6 +101,7 @@ MUTANTS = [
     (
         "full-order-shares-limit-memo",
         "src/bhfix/limits.py",
+        "tests/test_limits.py",
         "        self.full_order = System(self)\n",
         "        self.full_order = System(self)\n        self.full_order._memo = self._memo\n",
         "killed",
@@ -98,6 +109,7 @@ MUTANTS = [
     (
         "clause-loop-never-flips",
         "src/bhfix/systems.py",
+        "tests/test_acceptance.py",
         "                    verdict = -verdict\n",
         "                    verdict = verdict\n",
         "killed",
@@ -105,13 +117,23 @@ MUTANTS = [
     (
         "clause-loop-checks-no-support",
         "src/bhfix/systems.py",
+        "tests/test_acceptance.py",
         "for x in low.body.support[settled:]:",
         "for x in ():",
         "killed",
     ),
     (
+        "structural-length-off-by-one",
+        "src/bhfix/systems.py",
+        "tests/test_systems.py",
+        "1 + max(",
+        "2 + max(",
+        "killed",
+    ),
+    (
         "birth-guard-off-by-one",
         "src/bhfix/systems.py",
+        "tests/test_limits.py",
         "x.length > self.n + 1",
         "x.length > self.n + 2",
         "killed",
@@ -119,6 +141,7 @@ MUTANTS = [
     (
         "minimality-fresh-map-per-element",
         "src/bhfix/verify.py",
+        "tests/test_verify.py",
         "images = [h(e) for e in elements]",
         "images = [interpretation(witness)(e) for e in elements]",
         "killed",
@@ -126,6 +149,7 @@ MUTANTS = [
     (
         "omega-successor-any-arity-one",
         "src/bhfix/interpret.py",
+        "tests/test_interpret.py",
         "coded.token == 0 and len(coded.support) == 1",
         "len(coded.support) == 1",
         "killed",
@@ -133,6 +157,7 @@ MUTANTS = [
     (
         "verify-imported-eagerly",
         "src/bhfix/__init__.py",
+        "tests/test_cli.py",
         "from .syntax import format_bh, parse_bh\n",
         "from .syntax import format_bh, parse_bh\nfrom .verify import run_suite\n",
         "killed",
@@ -140,6 +165,7 @@ MUTANTS = [
     (
         "tower-collapse-unchecked",
         "src/bhfix/limits.py",
+        "tests/test_limits.py",
         "if not is_strictly_sorted(coded.support, self.compare):",
         "if False:",
         "killed",
@@ -147,6 +173,7 @@ MUTANTS = [
     (
         "parser-drops-strict-increase",
         "src/bhfix/syntax.py",
+        "tests/test_syntax.py",
         "if tower.compare(a, b) >= 0:",
         "if False:",
         "killed",
@@ -154,6 +181,7 @@ MUTANTS = [
     (
         "parser-trailing-input-before-build",
         "src/bhfix/syntax.py",
+        "tests/test_syntax.py",
         '    events, stage0, end = _scan(text, _expect(text, pos, ":"), n)\n',
         '    events, stage0, end = _scan(text, _expect(text, pos, ":"), n)\n'
         "    if end < len(text):\n"
@@ -163,6 +191,7 @@ MUTANTS = [
     (
         "limit-settles-every-support",
         "src/bhfix/limits.py",
+        "tests/test_acceptance.py",
         "return bisect_right(ps, pt[-1]) if pt else 0",
         "return len(ps)",
         "killed",
@@ -170,6 +199,7 @@ MUTANTS = [
     (
         "token-table-as-plain-dict",
         "src/bhfix/dilator.py",
+        "tests/test_dilator.py",
         "= WeakKeyDictionary()",
         "= {}",
         "killed",
@@ -177,6 +207,7 @@ MUTANTS = [
     (
         "collapse-ii-allows-equal",
         "src/bhfix/verify.py",
+        "tests/test_interpret.py",
         "if compare(x, value) >= 0",
         "if compare(x, value) > 0",
         "killed",
@@ -184,6 +215,7 @@ MUTANTS = [
     (
         "collapse-i-premise-any",
         "src/bhfix/verify.py",
+        "tests/test_verify.py",
         "if all(compare(x, values[j]) < 0 for x in xs)",
         "if any(compare(x, values[j]) < 0 for x in xs)",
         "killed",
@@ -191,6 +223,7 @@ MUTANTS = [
     (
         "terms-cap-raised",
         "src/bhfix/verify.py",
+        "tests/test_verify.py",
         "TERMS_CAP = 40 ",
         "TERMS_CAP = 41 ",
         "killed",
@@ -198,6 +231,7 @@ MUTANTS = [
     (
         "sample-cap-lowered",
         "src/bhfix/verify.py",
+        "tests/test_cli.py",
         "SAMPLE_CAP = 30 ",
         "SAMPLE_CAP = 29 ",
         "killed",
@@ -205,6 +239,7 @@ MUTANTS = [
     (
         "base-sample-cap-lowered",
         "src/bhfix/limits.py",
+        "tests/test_dilator.py",
         "BASE_SAMPLE_CAP = 12",
         "BASE_SAMPLE_CAP = 11",
         "killed",
@@ -212,6 +247,7 @@ MUTANTS = [
     (
         "max-order-lowered",
         "src/bhfix/verify.py",
+        "tests/test_cli.py",
         "MAX_ORDER = 4 ",
         "MAX_ORDER = 3 ",
         "killed",
@@ -219,6 +255,7 @@ MUTANTS = [
     (
         "embedding-constructor-unvalidated",
         "src/bhfix/finite_orders.py",
+        "tests/test_dilator.py",
         "        cls.__post_init__(f)\n",
         "",
         "killed",
@@ -226,6 +263,7 @@ MUTANTS = [
     (
         "minimality-drops-xs1-flag",
         "src/bhfix/verify.py",
+        "tests/test_verify.py",
         "            report.exhaustive &= xs1.exhaustive\n",
         "",
         "equivalent: tower.enumerate(3, b) folds listing(3, b) unless the capped "
@@ -243,17 +281,18 @@ def _ignore(directory: str, names: list[str]) -> set[str]:
     return skipped & set(names)
 
 
-def run_tier1(root: Path) -> tuple[bool, float, str]:
-    """Tier-1 with -x in ``root``: (passed, seconds, first failing line).
-    A run past ``TIMEOUT_S`` fails with the line ``timeout``."""
+def run_tier1(root: Path, *tests: str) -> tuple[bool, float, str]:
+    """Tier-1 with -x in ``root``, or only its ``tests`` files: (passed,
+    seconds, first failing line).  A run past ``TIMEOUT_S`` fails with the
+    line ``timeout``."""
     # no bytecode is written, so a mutant and its restored original can
     # never share a stale .pyc
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
     start = time.perf_counter()
     try:
         done = subprocess.run(
-            [sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True,
-            timeout=TIMEOUT_S,
+            [sys.executable, *TIER1, *tests], cwd=root, env=env, capture_output=True,
+            text=True, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
         return False, time.perf_counter() - start, "timeout"
@@ -273,16 +312,21 @@ def main() -> int:
             return 2
         bad = 0
         print(f"{'mutant':36} {'expected':10} {'verdict':10} {'seconds':>7}  first failure or reason")
-        for name, file, old, new, expected in MUTANTS:
+        for name, file, killer, old, new, expected in MUTANTS:
             expect, _, reason = expected.partition(": ")
             path = copy / file
             original = path.read_text()
             if original.count(old) != 1:
                 verdict, elapsed, first = "stale", 0.0, f"{old!r} is not in {file} exactly once"
+            elif not (copy / killer).is_file():
+                verdict, elapsed, first = "stale", 0.0, f"{killer} does not exist"
             else:
                 path.write_text(original.replace(old, new))
                 try:
-                    survived, elapsed, first = run_tier1(copy)
+                    survived, elapsed, first = run_tier1(copy, killer)
+                    if survived:
+                        survived, rest, first = run_tier1(copy)
+                        elapsed += rest
                 finally:
                     path.write_text(original)
                 verdict = "survived" if survived else "killed"

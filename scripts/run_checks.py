@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Run every verification suite over a battery of dilators and print reports.
 
-Exits nonzero when any check fails.  The default battery covers the four
-builtins plus one sum and one product composite.
+Exits nonzero when any check fails, and 2 on a usage error, such as a
+``--budget`` above the CLI's ``MAX_BUDGET``.  The default battery covers
+the four builtins plus one sum and one product composite.
 """
 
 import argparse
 import sys
 import time
 
-from bhfix.cli import natural, parse_selector
+from bhfix.cli import MAX_BUDGET, bounded, natural, parse_selector
 from bhfix.errors import SelectorError
 from bhfix.verify import SUITES, run_suite
 
@@ -30,6 +31,7 @@ def main() -> int:
     parser.add_argument("selectors", nargs="*", default=DEFAULT_SELECTORS)
     args = parser.parse_args()
     try:
+        bounded(args.budget, MAX_BUDGET, "--budget")
         dilators = [parse_selector(selector) for selector in args.selectors]
     except SelectorError as err:
         parser.error(str(err))

@@ -4,7 +4,8 @@ Subcommands: ``enumerate`` lists canonical limit elements, ``compare``
 orders two serialized elements, ``verify`` runs a check suite, and
 ``interpret`` evaluates an element in a collapse witness.  Output is
 line-oriented UTF-8, one record per line; the environment variable
-``BH_BUDGET_DEFAULT`` sets the default budget.
+``BH_BUDGET_DEFAULT`` sets the default budget.  A budget above
+``MAX_BUDGET`` or a ``--stages`` above ``MAX_STAGE`` is a usage error.
 
 Exit codes: 0 success or all checks pass, 1 verification failure,
 2 usage or parse error, 3 semantic mismatch.
@@ -47,6 +48,11 @@ EXIT_SEMANTIC = 3
 
 _VERDICT_NAMES = {-1: "LT", 0: "EQ", 1: "GT"}
 
+# The largest budget the CLI and scripts/run_checks.py accept.  The omega
+# token sample grows with the square of the budget: ``verify --suite all``
+# on the battery selectors peaks at 3.2 s and 76 MB at 500 (2-vCPU VM).
+MAX_BUDGET = 500
+
 
 def parse_selector(text: str) -> Dilator:
     """Selector grammar: name | name ":" nat | name "(" S "," S ")"."""
@@ -87,9 +93,19 @@ def natural(text: str, what: str = "a count") -> int:
     return parse_nat(text, what, SelectorError)
 
 
-def _default_budget() -> int:
-    raw = os.environ.get("BH_BUDGET_DEFAULT")
-    return 50 if raw is None else natural(raw, "BH_BUDGET_DEFAULT")
+def bounded(value: int, bound: int, what: str) -> int:
+    """``value``, or a usage error naming ``what`` when it exceeds ``bound``."""
+    if value > bound:
+        raise SelectorError(f"{what} {value} exceeds the supported bound {bound}")
+    return value
+
+
+def _budget(args) -> int:
+    """The request's budget: ``--budget``, else ``BH_BUDGET_DEFAULT``, else 50."""
+    if args.budget is not None:
+        return bounded(args.budget, MAX_BUDGET, "--budget")
+    budget = natural(os.environ.get("BH_BUDGET_DEFAULT", "50"), "BH_BUDGET_DEFAULT")
+    return bounded(budget, MAX_BUDGET, "BH_BUDGET_DEFAULT")
 
 
 @functools.cache
@@ -135,9 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_enumerate(args) -> int:
     dilator = parse_selector(args.dilator)
-    if args.stages > MAX_STAGE:
-        raise SelectorError(f"--stages {args.stages} exceeds the supported bound {MAX_STAGE}")
-    budget = args.budget if args.budget is not None else _default_budget()
+    bounded(args.stages, MAX_STAGE, "--stages")
+    budget = _budget(args)
     tower = Tower(dilator)
     listed = tower.enumerate(args.stages, budget)
     for e in listed:
@@ -165,7 +180,7 @@ def _cmd_verify(args) -> int:
     dilator = parse_selector(args.dilator)
     if args.break_naturality:
         dilator = erase_supports(dilator)
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     try:
         reports = run_suite(dilator, args.suite, budget)
     except (DilatorLawError, SystemDefectError) as err:

@@ -7,8 +7,8 @@ class DilatorLawError(Exception):
 
 
 class SystemDefectError(Exception):
-    """A Bachmann-Howard system is corrupted: the length equation or the
-    goodness of the carrier embedding failed where the construction needs it."""
+    """A term order is corrupted: two distinct interned terms have equal
+    bodies, or a listing is not sorted in its stage's order."""
 
 
 class WitnessLawError(Exception):

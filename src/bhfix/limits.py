@@ -12,11 +12,11 @@ L - 1 and first lives in X_L.  Every stage is listed over the limit, by
 :meth:`Tower.listing`, and compares in one full recursion F, the tower's
 ``full_order`` (:mod:`bhfix.systems`); ``stage(n)`` is a view of it.
 
-The direct limit of the stages is itself a system over its own carrier,
-the :class:`Tower` itself: its elements are collapse terms whose supports
-are limit elements, iota is the identity, and the order is F less the
-support checks that its merge already settles (below), with a memo of its
-own.  Limit elements are the interned terms of that one system, so
+The direct limit of the stages is the :class:`Tower` itself: its elements
+are collapse terms whose supports are limit elements, ordered as
+themselves by F less the support checks that its merge already settles
+(below), with a memo of its own; like F, it keeps no iota or length
+function.  Limit elements are the interned terms of that one order, so
 equality is identity and every comparison is one :meth:`System.compare`.
 
 The support lemma: every support of a limit element, and every support of
@@ -85,8 +85,7 @@ def birth_stage(e: ThetaTerm) -> int:
 
 class Tower(System):
     """The stage sequence of a prae-dilator; the tower itself is the limit
-    system over its own elements: the carrier order is the limit order
-    itself and iota is the identity."""
+    order over its own elements, which is also its carrier order."""
 
     def __init__(self, dilator: Dilator):
         self.dilator = dilator

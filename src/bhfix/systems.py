@@ -17,37 +17,37 @@ and th(tau) recurses on the sum of their lengths:
 * th(sigma) < th(tau) and tau < sigma in T_X: some translated support
   element of tau lies at or above th(sigma).
 
-Each recursive step replaces a term by a translated support element, whose
-length is strictly smaller, so the recursion terminates on well-formed
-systems; a violated length law raises :class:`SystemDefectError` instead
-of looping.  The body comparison and the clause checks share one merge of
-the two supports: :func:`bhfix.dilator.compare_merged` returns the body
-verdict with the positions of both supports in their merge.  The stages check
-every support, the limit system only those the merge leaves open
-(:mod:`bhfix.limits`).  Each term level of a comparison costs two Python
-frames, ``System.compare`` and ``compare_merged``, since the clause loop
-runs inside ``compare``.
-
 All systems of a tower intern their terms into the tower's one table (one
 object per body), so term equality is object identity and X_n is a subset
 of X_{n+1} and of the limit.  On these terms, by induction on n, the order
 of X_{n+1} (whose carrier is X_n in its own order) is one recursion F with
-every clause check, restricted to X_{n+1}.  So a tower keeps F once, as a
-:class:`System` whose carrier order is F itself, with one memo for every
-stage; the system over X_n is a :class:`Stage`, a view of F whose iota
-keeps the birth guard.  The limit (:class:`bhfix.limits.Tower`) keeps a
-memo of its own.  Each system binds its carrier order once, as the
-attribute ``carrier_compare``.  Both caches are append-only and
-idempotent; systems are immutable once built and safe to share.  Stages
-generate nothing: X_n is listed by ``tower.listing(n, budget)``
-(:meth:`bhfix.limits.Tower.listing`).
+every clause check, restricted to X_{n+1}.  A tower keeps F once, as a
+:class:`System` with one memo for every stage; the limit
+(:class:`bhfix.limits.Tower`) is a System with a memo of its own.  Both
+order the terms themselves, so iota is the identity and L is the
+``length`` that :meth:`System.collapse` sets, and neither keeps them.
+Each recursive step replaces a term by a support, a proper subterm, and
+terms are immutable and built from existing ones, so the recursion walks
+down a finite acyclic graph.  The system over X_n is a :class:`Stage`, a
+view of F that keeps iota (the inclusion, with its birth guard) and L for
+the checks (:mod:`bhfix.verify`), which test the length equation there.
+The body comparison and the clause checks share one merge of the two
+supports (:func:`bhfix.dilator.compare_merged`); F checks every support,
+the limit only those the merge leaves open.  Each system binds its
+carrier order once, as ``carrier_compare``.  Both caches are append-only
+and idempotent; systems are immutable once built and safe to share.  X_n
+is listed by :meth:`bhfix.limits.Tower.listing`.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .dilator import CodedElement, Dilator, compare_merged
 from .errors import SystemDefectError
 from .finite_orders import EQ, GT, LT, Frozen
+
+_length = attrgetter("length")
 
 
 class ThetaTerm(Frozen):
@@ -73,10 +73,11 @@ _set_length = ThetaTerm.length.__set__
 
 
 class System:
-    """The full order F over a tower's terms, whose carrier order is F
-    itself and whose iota is the identity; the limit is a System too.
-    Goodness and the length equation are checkable properties (see
-    :func:`bhfix.verify.check_goodness`), never assumed at construction."""
+    """The full order F over a tower's terms, which orders them as
+    themselves: the carrier order is F itself; the limit is a System too.
+    Goodness and the length equation are checkable properties of the
+    stages (see :func:`bhfix.verify.check_goodness`), never assumed at
+    construction."""
 
     def __init__(self, tower):
         self.tower = tower
@@ -89,26 +90,14 @@ class System:
     def __repr__(self) -> str:
         return "F"
 
-    # -- the system data ---------------------------------------------------
-
-    def length_of(self, x: ThetaTerm) -> int:
-        """L_X: the term length of a carrier element."""
-        return x.length
-
-    def embed(self, x: ThetaTerm) -> ThetaTerm:
-        """iota_X: the identity, as the carrier is the terms themselves."""
-        return x
-
-    def theta_length(self, coded: CodedElement) -> int:
-        """Term length: one plus the maximal carrier length over the support."""
-        support = coded[0]
-        return 1 + max(map(self.length_of, support)) if support else 1
-
     def collapse(self, coded: CodedElement) -> ThetaTerm:
-        """The formal collapse of a coded element; interned, hence injective."""
+        """The formal collapse of a coded element; interned, hence injective.
+        A new term's length is one plus the largest support length."""
         term = self._intern.get(coded)
         if term is None:
-            term = self._intern[coded] = ThetaTerm(coded, self.theta_length(coded))
+            support = coded[0]
+            length = 1 + max(map(_length, support)) if support else 1
+            term = self._intern[coded] = ThetaTerm(coded, length)
         return term
 
     # -- the term order ----------------------------------------------------
@@ -125,22 +114,16 @@ class System:
                     f"{self!r}: two distinct interned terms have equal bodies"
                 )
             # The clause of the body verdict: the lower body's term is below
-            # exactly when its translated support, past the members the merge
-            # settles, lies strictly below the other term.  A member that does
-            # not is >= that term by trichotomy at smaller length, which is
+            # exactly when its support, past the members the merge settles,
+            # lies strictly below the other term.  A member that does not is
+            # >= that term by trichotomy on a proper subterm, which is
             # exactly the other clause.
             if body == LT:
                 low, high, settled, verdict = s, t, self._settled(ps, pt), LT
             else:
                 low, high, settled, verdict = t, s, self._settled(pt, ps), GT
             for x in low.body.support[settled:]:
-                ix = self.embed(x)
-                if ix.length >= low.length:
-                    raise SystemDefectError(
-                        f"{self!r}: length law violated: L(iota(x)) = {ix.length} "
-                        f">= {low.length} = L(term); comparison recursion would not terminate"
-                    )
-                if self.compare(ix, high) != LT:
+                if self.compare(x, high) != LT:
                     verdict = -verdict
                     break
             self._memo[key] = verdict
@@ -156,31 +139,25 @@ class System:
         return 0
 
     def subterm_closure(self, t: ThetaTerm) -> tuple[ThetaTerm, ...]:
-        """All terms reachable through supports and iota, t first, each once
-        in the order the walk first reaches it; every member is <= t.
+        """All terms reachable through supports, t first, each once in the
+        order the walk first reaches it; every member is <= t.
 
         A depth-first walk on an explicit stack that expands each shared
-        subterm once, in the order of the plain recursion, so the first
-        length-law violation it meets is that recursion's first."""
+        subterm once, in the order of the plain recursion."""
         out = {t: None}
-        stack = [(t, x) for x in reversed(t.body.support)]
+        stack = list(reversed(t.body.support))
         while stack:
-            s, x = stack.pop()
-            ix = self.embed(x)
-            if ix.length >= s.length:
-                raise SystemDefectError(
-                    f"{self!r}: length law violated in the support of {s!r}: "
-                    f"L(iota(x)) = {ix.length} >= {s.length} = L(term)"
-                )
-            if ix not in out:
-                out[ix] = None
-                stack.extend((ix, y) for y in reversed(ix.body.support))
+            x = stack.pop()
+            if x not in out:
+                out[x] = None
+                stack.extend(reversed(x.body.support))
         return tuple(out)
 
 
 class Stage(System):
     """The system over X_n: a view of the full order ``order`` on the
-    stage's terms, with no memo of its own (X_0 is empty)."""
+    stage's terms, with no memo of its own (X_0 is empty), and the paper's
+    system data iota and L, which the checks read."""
 
     def __init__(self, order: System, n: int):
         self.tower, self.dilator, self._intern = order.tower, order.dilator, order._intern
@@ -200,6 +177,10 @@ class Stage(System):
                 f"cannot embed an element born at stage {x.length - 1} at stage {self.n}"
             )
         return x
+
+    def length_of(self, x: ThetaTerm) -> int:
+        """L_X: the term length of a carrier element."""
+        return x.length
 
 
 def _empty_carrier(x: ThetaTerm, y: ThetaTerm) -> int:

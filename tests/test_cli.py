@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bhfix.cli import main, parse_selector
+from bhfix.cli import MAX_BUDGET, main, parse_selector
 from bhfix.errors import SelectorError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -231,6 +231,38 @@ def test_enumerate_stages_above_the_bound_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, env",
+    [
+        (
+            ["enumerate", "--dilator", "omega", "--stages", "2", "--budget", str(MAX_BUDGET + 1)],
+            None,
+        ),
+        (["verify", "--dilator", "omega", "--budget", str(MAX_BUDGET + 1)], None),
+        (["verify", "--dilator", "omega"], str(MAX_BUDGET + 1)),
+    ],
+    ids=["enumerate", "verify", "env-default"],
+)
+def test_budget_above_the_bound_is_a_usage_error(capsys, monkeypatch, argv, env):
+    # checked before any term is built, like --stages against MAX_STAGE
+    if env is not None:
+        monkeypatch.setenv("BH_BUDGET_DEFAULT", env)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{MAX_BUDGET + 1} exceeds the supported bound {MAX_BUDGET}" in err
+    assert ("BH_BUDGET_DEFAULT" if env else "--budget") in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_enumerate_accepts_the_budget_bound(capsys):
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--dilator", "omega", "--stages", "2", "--budget", str(MAX_BUDGET)
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == f"exhaustive=false count={MAX_BUDGET}"
+
+
+@pytest.mark.parametrize(
     "script, argv",
     [("run_checks.py", ["--budget", "-1"])],
     ids=["run-checks-budget"],
@@ -251,8 +283,15 @@ def test_scripts_reject_negative_counts(script, argv):
         ("run_checks.py", ["--suite", "bogus", "omega"], "argument --suite: invalid choice"),
         ("run_checks.py", ["bogus"], "unknown dilator selector 'bogus'"),
         ("run_checks.py", ["successor", "sum(omega)"], "needs exactly two components"),
+        (
+            "run_checks.py", ["--budget", str(MAX_BUDGET + 1), "omega"],
+            f"--budget {MAX_BUDGET + 1} exceeds the supported bound {MAX_BUDGET}",
+        ),
     ],
-    ids=["run-checks-suite", "run-checks-selector", "run-checks-later-selector"],
+    ids=[
+        "run-checks-suite", "run-checks-selector", "run-checks-later-selector",
+        "run-checks-budget-bound",
+    ],
 )
 def test_scripts_report_usage_errors(script, argv, message):
     # exit 2 is a usage error; run_checks.py keeps exit 1 for a failed check

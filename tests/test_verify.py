@@ -275,6 +275,17 @@ def test_corrupted_length_fails_goodness():
     assert any("length equation" in line for line in report.failures)
 
 
+def test_a_stage_length_function_leaves_interned_lengths_structural():
+    # collapse sets a term's length from its supports alone, so a stage
+    # whose L is corrupted still interns th(v0;th(top)) with length 2 in
+    # the tower's shared table
+    tower = Tower(SuccessorDilator())
+    (top,) = tower.listing(1, 1)
+    term = _ZeroLengthSystem(tower.full_order, 1).collapse(CodedElement((top,), 0))
+    assert term.length == 2
+    assert tower.collapse(CodedElement((top,), 0)) is term
+
+
 def test_reports_are_deterministic():
     om = OmegaPowerDilator()
     a = check_theta_linear(Tower(om).stage(1), 25)

@@ -205,6 +205,30 @@ MUTANTS = [
         "killed",
     ),
     (
+        "omega-block-unreversed",
+        "src/bhfix/standard_dilators.py",
+        "tests/test_standard_dilators.py",
+        "            block.reverse()\n",
+        "",
+        "killed",
+    ),
+    (
+        "product-diagonal-i-descending",
+        "src/bhfix/standard_dilators.py",
+        "tests/test_standard_dilators.py",
+        "for i in range(max(0, d - len(rs) + 1), min(d + 1, len(ls)))",
+        "for i in reversed(range(max(0, d - len(rs) + 1), min(d + 1, len(ls))))",
+        "killed",
+    ),
+    (
+        "sum-interleave-starts-right",
+        "src/bhfix/standard_dilators.py",
+        "tests/test_standard_dilators.py",
+        "for pair in zip(left, right)",
+        "for pair in zip(right, left)",
+        "killed",
+    ),
+    (
         "collapse-ii-allows-equal",
         "src/bhfix/verify.py",
         "tests/test_interpret.py",
@@ -264,7 +288,7 @@ MUTANTS = [
         "minimality-drops-xs1-flag",
         "src/bhfix/verify.py",
         "tests/test_verify.py",
-        "            report.exhaustive &= xs1.exhaustive\n",
+        "                report.exhaustive &= xs1.exhaustive\n",
         "",
         "equivalent: tower.enumerate(3, b) folds listing(3, b) unless the capped "
         "listings repeat, and then listing(3, b) equals a listing already folded",

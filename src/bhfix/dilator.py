@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import insort
 from functools import cmp_to_key, partial
 from heapq import nsmallest
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
@@ -100,13 +100,9 @@ class Dilator:
     ``dilator-laws`` check) verifies each ``restrict_token`` answer by
     mapping it back and testing that it has full support.
 
-    ``sample_at`` is the one token listing: a deterministic finite subset
-    of Tok_n of at most ``budget`` tokens, flagged exhaustive only when it
-    is all of Tok_n.  It need not be an initial segment, so dilators with
-    infinite token orders can feed diverse tokens to the checks and to the
-    stage enumerations.  :func:`least_coded` lists and sorts each arity's
-    tokens once per dilator instance and budget, so a dilator must be
-    hashable and weakly referenceable, as plain subclasses are.
+    :func:`least_coded` lists and sorts each arity's tokens once per
+    dilator instance and budget, so a dilator must be hashable and weakly
+    referenceable, as plain subclasses are.
     """
 
     name = "dilator"
@@ -121,6 +117,11 @@ class Dilator:
         raise NotImplementedError
 
     def sample_at(self, n: int, budget: int) -> Enumeration:
+        """The one token listing: at most ``budget`` tokens of Tok_n, a set
+        that grows with the budget and is flagged exhaustive only when it is
+        all of Tok_n, in an order that is part of the output (``dilator-laws``
+        reports failures in it).  It need not be an initial segment, so an
+        infinite token order can feed diverse tokens to the checks."""
         raise NotImplementedError
 
     def restrict_token(self, n: int, tok: Token, positions: Sequence[int]) -> Token:
@@ -296,9 +297,9 @@ def compare_merged(
 def full_support_tokens(dilator: Dilator, k: int, budget: int) -> Enumeration:
     """Tokens at arity k whose support is all of 0..k-1, within budget."""
     sample = dilator.sample_at(k, budget)
-    whole = tuple(range(k))
-    full = tuple(t for t in sample.items if dilator.supp_at(k, t) == whole)
-    return Enumeration(full, sample.exhaustive)
+    supports = map(partial(dilator.supp_at, k), sample.items)
+    full = compress(sample.items, map(tuple(range(k)).__eq__, supports))
+    return Enumeration(tuple(full), sample.exhaustive)
 
 
 # Each dilator's full-support tokens by (arity, budget), sorted by

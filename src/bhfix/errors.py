@@ -11,6 +11,10 @@ class SystemDefectError(Exception):
     bodies, or a listing is not sorted in its stage's order."""
 
 
+class BirthStageError(SystemDefectError, ValueError):
+    """A stage was asked to embed an element born above it."""
+
+
 class WitnessLawError(Exception):
     """A claimed collapse witness violated one of the collapse conditions."""
 

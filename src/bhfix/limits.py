@@ -5,12 +5,13 @@ X_{n+1} is the two-clause recursion over the collapse terms of X_n.  The
 stage iota reads only the structure of a term, so the stages and the limit
 intern into the tower's one table: a term of X_{n+1} is the limit element
 it stands for, and the stage iota (:meth:`bhfix.systems.Stage.embed`)
-returns its argument, raising ``ValueError`` on an element born above its
-stage.  A term is new at stage n+1 exactly when one of its supports is new
-at stage n, so by induction a limit element of length L is born at stage
-L - 1 and first lives in X_L.  Every stage is listed over the limit, by
-:meth:`Tower.listing`, and compares in one full recursion F, the tower's
-``full_order`` (:mod:`bhfix.systems`); ``stage(n)`` is a view of it.
+returns its argument, raising ``BirthStageError`` (a ``ValueError``) on an
+element born above its stage.  A term is new at stage n+1 exactly when one
+of its supports is new at stage n, so by induction a limit element of
+length L is born at stage L - 1 and first lives in X_L.  Every stage is
+listed over the limit, by :meth:`Tower.listing`, and compares in one full
+recursion F, the tower's ``full_order`` (:mod:`bhfix.systems`);
+``stage(n)`` is a view of it.
 
 The direct limit of the stages is the :class:`Tower` itself: its elements
 are collapse terms whose supports are limit elements, ordered as

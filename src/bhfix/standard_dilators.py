@@ -12,7 +12,7 @@ Token syntaxes (bit-exact, used by the term grammar):
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 from .dilator import Dilator, Enumeration, Token, parse_nat
 from .errors import TermSyntaxError, TermTypeError
@@ -167,17 +167,16 @@ class OmegaPowerDilator(Dilator):
 
     def sample_at(self, n, budget):
         # Diverse sampling by length: all weakly descending sequences of
-        # length 0, 1, 2, ... until the budget is filled.  At arity 0 the
-        # empty sequence is the only token.
+        # length 0, 1, 2, ... until the budget is filled, each length sorted
+        # (over the descending range its block comes out in reverse order).
+        # At arity 0 the empty sequence is the only token.
         if n == 0:
             return Enumeration(((),) if budget >= 1 else (), budget >= 1)
         items: list[tuple[int, ...]] = []
         length = 0
         while len(items) < budget:
-            block = sorted(
-                tuple(reversed(c))
-                for c in combinations_with_replacement(range(n), length)
-            )
+            block = list(combinations_with_replacement(range(n - 1, -1, -1), length))
+            block.reverse()
             items.extend(block[: budget - len(items)])
             length += 1
         return Enumeration(tuple(items), False)
@@ -229,13 +228,10 @@ class SumDilator(Dilator):
     def sample_at(self, n, budget):
         l = self.left.sample_at(n, budget)
         r = self.right.sample_at(n, budget)
-        ls, rs = l.items, r.items
-        items: list = []
-        for i in range(max(len(ls), len(rs))):
-            if i < len(ls):
-                items.append(("L", ls[i]))
-            if i < len(rs):
-                items.append(("R", rs[i]))
+        left = [("L", t) for t in l.items]
+        right = [("R", t) for t in r.items]
+        items = [tok for pair in zip(left, right) for tok in pair]
+        items += left[len(right):] + right[len(left):]
         exhaustive = l.exhaustive and r.exhaustive and len(items) <= budget
         return Enumeration(tuple(items[:budget]), exhaustive)
 
@@ -276,12 +272,14 @@ class LexProductDilator(Dilator):
         l = self.left.sample_at(n, budget)
         r = self.right.sample_at(n, budget)
         ls, rs = l.items, r.items
-        diag = sorted(
-            ((i + j, i, j) for i in range(len(ls)) for j in range(len(rs)))
-        )[:budget]
-        items = tuple((ls[i], rs[j]) for _, i, j in diag)
+        # the anti-diagonals i + j in turn, each in order of i, up to the budget
+        items = (
+            (ls[i], rs[d - i])
+            for d in range(len(ls) + len(rs) - 1)
+            for i in range(max(0, d - len(rs) + 1), min(d + 1, len(ls)))
+        )
         exhaustive = l.exhaustive and r.exhaustive and len(ls) * len(rs) <= budget
-        return Enumeration(items, exhaustive)
+        return Enumeration(tuple(islice(items, budget)), exhaustive)
 
     def restrict_token(self, n, tok, positions):
         return (

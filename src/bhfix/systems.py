@@ -44,7 +44,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .dilator import CodedElement, Dilator, compare_merged
-from .errors import SystemDefectError
+from .errors import BirthStageError, SystemDefectError
 from .finite_orders import EQ, GT, LT, Frozen
 
 _length = attrgetter("length")
@@ -173,7 +173,7 @@ class Stage(System):
         """iota_X: the inclusion of X_n into X_{n+1}.  The terms are shared,
         so it keeps an element born at stage <= n, and no other is in X_n."""
         if x.length > self.n + 1:
-            raise ValueError(
+            raise BirthStageError(
                 f"cannot embed an element born at stage {x.length - 1} at stage {self.n}"
             )
         return x

@@ -113,6 +113,18 @@ class CheckReport:
     def fail(self, message: str) -> None:
         self.check(False, message)
 
+    def __enter__(self) -> "CheckReport":
+        return self
+
+    def __exit__(self, kind, err, traceback) -> bool | None:
+        """``with report:`` ends its block at a :class:`SystemDefectError`
+        (say, a stage refusing an element born above it) with one failing
+        ``system defect`` line, and clears ``exhaustive``."""
+        if isinstance(err, SystemDefectError):
+            self.fail(f"system defect: {err}")
+            self.exhaustive = False
+            return True
+
     def format(self) -> str:
         head = (
             f"CHECK {self.name} {'pass' if self.passed else 'fail'} "
@@ -259,30 +271,30 @@ def check_theta_linear(system: System, budget: int) -> CheckReport:
     transitivity on all triples of the sample."""
     terms = system.tower.listing(system.n + 1, budget)
     report = CheckReport(f"theta-linear:X{system.n + 1}", terms.exhaustive)
-    items = terms.items
-    size = len(items)
-    matrix = [[system.compare(s, t) for t in items] for s in items]
-    less = [[s is not t and _clause_less(system, s, t) for t in items] for s in items]
-    show = partial(format_term, system.dilator)
+    with report:
+        items, size = terms.items, len(terms)
+        matrix = [[system.compare(s, t) for t in items] for s in items]
+        less = [[s is not t and _clause_less(system, s, t) for t in items] for s in items]
+        show = partial(format_term, system.dilator)
 
-    def broken(i, j):
-        forward, backward = less[i][j], less[j][i]
-        verdict = matrix[i][j]
-        return forward == backward or (verdict == LT) != forward or (verdict == GT) != backward
+        def broken(i, j):
+            forward, backward = less[i][j], less[j][i]
+            verdict = matrix[i][j]
+            return forward == backward or (verdict == LT) != forward or (verdict == GT) != backward
 
-    report.tally(size * (size - 1), (
-        lambda i=i, j=j: (
-            f"trichotomy/antisymmetry broken between {show(items[i])} and {show(items[j])}"
-        )
-        for i in range(size) for j in range(size) if i != j and broken(i, j)
-    ))
-    below = [[j for j in range(size) if row[j] == LT] for row in matrix]
-    report.tally(sum(len(below[j]) for js in below for j in js), (
-        lambda i=i, j=j, k=k: (
-            f"transitivity broken on {show(items[i])} < {show(items[j])} < {show(items[k])}"
-        )
-        for i, row in enumerate(matrix) for j in below[i] for k in below[j] if row[k] != LT
-    ))
+        report.tally(size * (size - 1), (
+            lambda i=i, j=j: (
+                f"trichotomy/antisymmetry broken between {show(items[i])} and {show(items[j])}"
+            )
+            for i in range(size) for j in range(size) if i != j and broken(i, j)
+        ))
+        below = [[j for j in range(size) if row[j] == LT] for row in matrix]
+        report.tally(sum(len(below[j]) for js in below for j in js), (
+            lambda i=i, j=j, k=k: (
+                f"transitivity broken on {show(items[i])} < {show(items[j])} < {show(items[k])}"
+            )
+            for i, row in enumerate(matrix) for j in below[i] for k in below[j] if row[k] != LT
+        ))
     return report
 
 
@@ -320,45 +332,35 @@ def _coded_sample(system: System, budget: int) -> Enumeration:
     return sample
 
 
-def _sampled_report(name: str, system: System, budget: int) -> tuple[CheckReport, Enumeration]:
-    """A report for a check over the stage's coded sample, and the sample.
-    A system defect fails the report with one line and leaves the sample
-    empty."""
-    try:
-        coded = _coded_sample(system, budget)
-    except SystemDefectError as err:
-        report = CheckReport(name, False)
-        report.fail(f"system defect: {err}")
-        return report, Enumeration((), False)
-    return CheckReport(name, coded.exhaustive), coded
-
-
 def check_collapse_admissible(system: System, budget: int) -> CheckReport:
     """The stage collapse satisfies both collapse conditions, the subterm
     bound, and the redundancy of the order test in the second clause."""
-    report, coded = _sampled_report(f"collapse-admissible:X{system.n + 1}", system, budget)
-    terms = [system.collapse(c) for c in coded]
-    show = partial(format_term, system.dilator)
-    _collapse_conditions(report, coded, terms, system.compare, system.embed, show)
-    for term in terms:
-        for r in system.subterm_closure(term):
-            report.check(
-                system.compare(r, term) != GT and r.length <= term.length,
-                lambda r=r, term=term: f"subterm {show(r)} exceeds {show(term)}",
-            )
-    for i, s_term in enumerate(terms):
-        for j, tau in enumerate(coded):
-            if i == j:
-                continue
-            dominated = any(
-                system.compare(s_term, system.embed(x)) != GT for x in tau.support
-            )
-            report.check(
-                not dominated or system.compare(s_term, terms[j]) == LT,
-                lambda s_term=s_term, j=j: (
-                    f"redundancy claim broken: {show(s_term)} vs {show(terms[j])}"
-                ),
-            )
+    report = CheckReport(f"collapse-admissible:X{system.n + 1}", False)
+    with report:
+        coded = _coded_sample(system, budget)
+        report.exhaustive = coded.exhaustive
+        terms = [system.collapse(c) for c in coded]
+        show = partial(format_term, system.dilator)
+        _collapse_conditions(report, coded, terms, system.compare, system.embed, show)
+        for term in terms:
+            for r in system.subterm_closure(term):
+                report.check(
+                    system.compare(r, term) != GT and r.length <= term.length,
+                    lambda r=r, term=term: f"subterm {show(r)} exceeds {show(term)}",
+                )
+        for i, s_term in enumerate(terms):
+            for j, tau in enumerate(coded):
+                if i == j:
+                    continue
+                dominated = any(
+                    system.compare(s_term, system.embed(x)) != GT for x in tau.support
+                )
+                report.check(
+                    not dominated or system.compare(s_term, terms[j]) == LT,
+                    lambda s_term=s_term, j=j: (
+                        f"redundancy claim broken: {show(s_term)} vs {show(terms[j])}"
+                    ),
+                )
     return report
 
 
@@ -371,7 +373,7 @@ def check_goodness(system: System, budget: int) -> CheckReport:
     xs = system.tower.listing(system.n, budget)
     report = CheckReport(f"goodness:X{system.n}", xs.exhaustive)
     fmt = lambda t: format_term(system.dilator, t)  # noqa: E731
-    try:
+    with report:
         for x in xs:
             report.check(
                 system.embed(x).length == system.length_of(x),
@@ -389,8 +391,6 @@ def check_goodness(system: System, budget: int) -> CheckReport:
                         f"{fmt(system.embed(y))}"
                     ),
                 )
-    except SystemDefectError as err:
-        report.fail(f"system defect: {err}")
     return report
 
 
@@ -399,18 +399,21 @@ def check_commuting_square(system: System, budget: int) -> CheckReport:
     the tower's next stage, as syntactic identity of interned terms.  The
     terms are shared across the stages and ``embed`` is the inclusion, so
     the square holds by construction; it stays as the paper's law."""
-    report, coded = _sampled_report(f"commuting-square:X{system.n + 1}", system, budget)
-    nxt = system.tower.stage(system.n + 1)
-    for sigma in coded:
-        left = nxt.embed(system.collapse(sigma))
-        right = nxt.collapse(map_coded(system.embed, sigma))
-        report.check(
-            left is right,
-            lambda left=left, right=right: (
-                f"square does not commute: {format_term(system.dilator, left)} vs "
-                f"{format_term(system.dilator, right)}"
-            ),
-        )
+    report = CheckReport(f"commuting-square:X{system.n + 1}", False)
+    with report:
+        coded = _coded_sample(system, budget)
+        report.exhaustive = coded.exhaustive
+        nxt = system.tower.stage(system.n + 1)
+        for sigma in coded:
+            left = nxt.embed(system.collapse(sigma))
+            right = nxt.collapse(map_coded(system.embed, sigma))
+            report.check(
+                left is right,
+                lambda left=left, right=right: (
+                    f"square does not commute: {format_term(system.dilator, left)} vs "
+                    f"{format_term(system.dilator, right)}"
+                ),
+            )
     return report
 
 
@@ -434,21 +437,22 @@ def check_fixed_point(
     coded = _least_coded(tower.dilator, carried, budget, sample_cap, tower.compare)
     report = CheckReport("fixed-point", coded.exhaustive)
     show = partial(format_bh, tower.dilator)
-    values = []
-    for sigma in coded:
-        value = tower.collapse(sigma)
-        values.append(value)
-        first = birth_stage(value)
-        report.check(
-            all(tower.stage(m).embed(value) is value for m in (first, first + 1)),
-            lambda value=value: f"collapse depends on the stage for {show(value)}",
-        )
-        # finite-stage absorption round trip
-        report.check(
-            tower.stage(first).embed(value).body == sigma,
-            lambda value=value: f"stage absorption broken for {show(value)}",
-        )
-    _collapse_conditions(report, coded, values, tower.compare, _identity, show)
+    with report:
+        values = []
+        for sigma in coded:
+            value = tower.collapse(sigma)
+            values.append(value)
+            first = birth_stage(value)
+            report.check(
+                all(tower.stage(m).embed(value) is value for m in (first, first + 1)),
+                lambda value=value: f"collapse depends on the stage for {show(value)}",
+            )
+            # finite-stage absorption round trip
+            report.check(
+                tower.stage(first).embed(value).body == sigma,
+                lambda value=value: f"stage absorption broken for {show(value)}",
+            )
+        _collapse_conditions(report, coded, values, tower.compare, _identity, show)
     return report
 
 
@@ -465,24 +469,25 @@ def check_limit_order(tower: Tower, budget: int) -> CheckReport:
     elements = tower.enumerate(LIMIT_STAGES, budget)
     report = CheckReport("limit-order", elements.exhaustive)
     dil = tower.dilator
-    for e in elements:
-        for m in range(birth_stage(e), LIMIT_STAGES):
-            report.check(
-                tower.stage(m).embed(e) is e,
-                lambda e=e, m=m: f"lift to X{m + 1} moved {format_bh(dil, e)}",
-            )
-    for i, a in enumerate(elements):
-        for b in elements[i + 1 :]:
-            m = max(birth_stage(a), birth_stage(b))
-            stage = tower.stage(m)
-            staged = stage.compare(stage.embed(a), stage.embed(b))
-            report.check(
-                tower.compare(a, b) == staged,
-                lambda a=a, b=b, m=m: (
-                    f"limit order differs from the stage-{m} order on "
-                    f"{format_bh(dil, a)}, {format_bh(dil, b)}"
-                ),
-            )
+    with report:
+        for e in elements:
+            for m in range(birth_stage(e), LIMIT_STAGES):
+                report.check(
+                    tower.stage(m).embed(e) is e,
+                    lambda e=e, m=m: f"lift to X{m + 1} moved {format_bh(dil, e)}",
+                )
+        for i, a in enumerate(elements):
+            for b in elements[i + 1 :]:
+                m = max(birth_stage(a), birth_stage(b))
+                stage = tower.stage(m)
+                staged = stage.compare(stage.embed(a), stage.embed(b))
+                report.check(
+                    tower.compare(a, b) == staged,
+                    lambda a=a, b=b, m=m: (
+                        f"limit order differs from the stage-{m} order on "
+                        f"{format_bh(dil, a)}, {format_bh(dil, b)}"
+                    ),
+                )
     return report
 
 
@@ -513,46 +518,47 @@ def check_minimality(tower: Tower, witness: Witness, budget: int) -> CheckReport
     report = CheckReport("minimality")
     dil = tower.dilator
     h = interpretation(witness)
-    try:
-        for n in range(LIMIT_STAGES):
-            stage = tower.stage(n)
-            xs = tower.listing(n, budget)
-            report.exhaustive &= xs.exhaustive
-            for x in xs:
-                report.check(
-                    witness.compare(h(stage.embed(x)), h(x)) == 0,
-                    lambda x=x: f"extension equation broken at {format_term(dil, x)}",
-                )
-            xs1 = tower.listing(n + 1, budget)
-            report.exhaustive &= xs1.exhaustive
-            for i, s in enumerate(xs1):
-                for t in xs1[i + 1 :]:
+    with report:
+        try:
+            for n in range(LIMIT_STAGES):
+                stage = tower.stage(n)
+                xs = tower.listing(n, budget)
+                report.exhaustive &= xs.exhaustive
+                for x in xs:
                     report.check(
-                        witness.compare(h(s), h(t)) < 0,
-                        lambda s=s, t=t: (
-                            f"stage map not an embedding on {format_term(dil, s)}, "
-                            f"{format_term(dil, t)}"
+                        witness.compare(h(stage.embed(x)), h(x)) == 0,
+                        lambda x=x: f"extension equation broken at {format_term(dil, x)}",
+                    )
+                xs1 = tower.listing(n + 1, budget)
+                report.exhaustive &= xs1.exhaustive
+                for i, s in enumerate(xs1):
+                    for t in xs1[i + 1 :]:
+                        report.check(
+                            witness.compare(h(s), h(t)) < 0,
+                            lambda s=s, t=t: (
+                                f"stage map not an embedding on {format_term(dil, s)}, "
+                                f"{format_term(dil, t)}"
+                            ),
+                        )
+            elements = tower.enumerate(LIMIT_STAGES, budget)
+            report.exhaustive &= elements.exhaustive
+            images = [h(e) for e in elements]
+            for i in range(len(elements)):
+                for j in range(i + 1, len(elements)):
+                    report.check(
+                        witness.compare(images[i], images[j]) < 0,
+                        lambda i=i, j=j: (
+                            f"limit embedding not order preserving on "
+                            f"{format_bh(dil, elements[i])}, {format_bh(dil, elements[j])}"
                         ),
                     )
-        elements = tower.enumerate(LIMIT_STAGES, budget)
-        report.exhaustive &= elements.exhaustive
-        images = [h(e) for e in elements]
-        for i in range(len(elements)):
-            for j in range(i + 1, len(elements)):
+            for e, image in zip(elements, images):
                 report.check(
-                    witness.compare(images[i], images[j]) < 0,
-                    lambda i=i, j=j: (
-                        f"limit embedding not order preserving on "
-                        f"{format_bh(dil, elements[i])}, {format_bh(dil, elements[j])}"
-                    ),
+                    witness.compare(h(tower.stage(birth_stage(e) + 1).embed(e)), image) == 0,
+                    lambda e=e: f"gluing inconsistent across stages at {format_bh(dil, e)}",
                 )
-        for e, image in zip(elements, images):
-            report.check(
-                witness.compare(h(tower.stage(birth_stage(e) + 1).embed(e)), image) == 0,
-                lambda e=e: f"gluing inconsistent across stages at {format_bh(dil, e)}",
-            )
-    except WitnessLawError as err:
-        report.fail(f"witness law violation: {err}")
+        except WitnessLawError as err:
+            report.fail(f"witness law violation: {err}")
     return report
 
 

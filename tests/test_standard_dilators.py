@@ -1,13 +1,14 @@
 """Behavior of the concrete dilators and their token syntax."""
 
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bhfix.cli import parse_selector
-from bhfix.dilator import full_support_tokens
+from bhfix.dilator import Enumeration, full_support_tokens
 from bhfix.errors import TermSyntaxError, TermTypeError
 from bhfix.finite_orders import EQ, GT, LT
 from bhfix.standard_dilators import (
@@ -108,6 +109,59 @@ def _descending(n, max_len):
     for length in range(max_len + 1):
         for c in combinations_with_replacement(range(n), length):
             yield tuple(reversed(c))
+
+
+def _reference_sample(dilator, n, budget):
+    """``sample_at`` as first defined, by sorting where the samplers now
+    emit in order: omega's by-length blocks each sorted, the cut of the
+    product's (i + j, i, j)-sorted index triples, and the sum's alternating
+    interleave.  Items and flag, over the references of the sides."""
+    if isinstance(dilator, OmegaPowerDilator):
+        if n == 0:
+            return ((),)[:budget], budget >= 1
+        max_len = 0
+        while comb(n + max_len, max_len) < budget:  # sequences of length <= max_len
+            max_len += 1
+        items = sorted(_descending(n, max_len), key=lambda t: (len(t), t))
+        return tuple(items[:budget]), False
+    if isinstance(dilator, (SumDilator, LexProductDilator)):
+        ls, l_all = _reference_sample(dilator.left, n, budget)
+        rs, r_all = _reference_sample(dilator.right, n, budget)
+        if isinstance(dilator, SumDilator):
+            items = []
+            for i in range(max(len(ls), len(rs))):
+                items += [("L", ls[i])] if i < len(ls) else []
+                items += [("R", rs[i])] if i < len(rs) else []
+            return tuple(items[:budget]), l_all and r_all and len(items) <= budget
+        triples = sorted((i + j, i, j) for i in range(len(ls)) for j in range(len(rs)))
+        items = tuple((ls[i], rs[j]) for _, i, j in triples[:budget])
+        return items, l_all and r_all and len(ls) * len(rs) <= budget
+    listed = dilator.sample_at(n, budget)
+    return listed.items, listed.exhaustive
+
+
+PIN_BUDGETS = (0, 1, 2, 5, 12, 30, 40, 60, 100, 500)
+
+
+@pytest.mark.parametrize(
+    "selector",
+    [
+        "omega",
+        "sum(omega,successor)",
+        "sum(successor,omega)",
+        "product(omega,omega)",
+        "product(constant:0,successor)",
+        "product(sum(omega,successor),constant:3)",
+    ],
+)
+def test_sample_at_items_order_and_flag_are_the_sorted_definitions(selector):
+    # the samplers emit in order instead of sorting; the order is output too,
+    # since dilator-laws reports its failures in sample order
+    dilator = parse_selector(selector)
+    for n in range(13):
+        for budget in PIN_BUDGETS:
+            expected = Enumeration(*_reference_sample(dilator, n, budget))
+            assert dilator.sample_at(n, budget) == expected, (n, budget)
 
 
 def test_omega_sample_is_diverse_and_descending():

@@ -28,7 +28,7 @@ from bhfix.standard_dilators import (
     SuccessorDilator,
     TOP,
 )
-from bhfix.systems import Stage, System
+from bhfix.systems import Stage, System, ThetaTerm
 from bhfix.verify import (
     CheckReport,
     _least_coded,
@@ -538,6 +538,37 @@ def test_a_listing_out_of_stage_order_is_a_system_defect(monkeypatch, capsys):
     assert cli.main(["verify", "--dilator", "successor"]) == 1
     out = capsys.readouterr().out
     assert f"CHECK collapse-admissible:X3 fail instances=1 exhaustive=false\n  {defect}" in out
+
+
+def _collapse_one_level_too_long(self, coded):
+    """``System.collapse`` with one fault: a new term's length is 2, not 1,
+    plus the largest support length."""
+    term = self._intern.get(coded)
+    if term is None:
+        support = coded[0]
+        length = 2 + max(x.length for x in support) if support else 1
+        term = self._intern[coded] = ThetaTerm(coded, length)
+    return term
+
+
+@pytest.mark.parametrize(
+    "selector", ["successor", "sum(successor,omega)", "product(successor,constant:2)"]
+)
+def test_a_birth_guard_fault_fails_checks_instead_of_raising(monkeypatch, capsys, selector):
+    # X3's collapses get the length of terms born at stage 4, so X3's birth
+    # guard refuses them: each check that meets it fails with one line
+    monkeypatch.setattr(System, "collapse", _collapse_one_level_too_long)
+    defect = "system defect: cannot embed an element born at stage 4 at stage 3"
+    reports = run_suite(parse_selector(selector), "all", 40)
+    failed = {r.name: (r.failures, r.exhaustive) for r in reports if not r.passed}
+    assert failed == {"commuting-square:X3": ([defect], False), "goodness:X3": ([defect], False)}
+    # the CLI prints every check, with no traceback
+    assert cli.main(["verify", "--dilator", selector, "--budget", "40"]) == 1
+    out = capsys.readouterr().out
+    assert [line.split()[1] for line in out.splitlines() if _HEAD.match(line)] == [
+        r.name for r in reports
+    ]
+    assert "CHECK goodness:X3 fail instances=" in out and f"\n  {defect}\n" in out
 
 
 def test_stage_checks_name_themselves_after_the_stage():

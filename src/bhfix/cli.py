@@ -49,8 +49,8 @@ EXIT_SEMANTIC = 3
 _VERDICT_NAMES = {-1: "LT", 0: "EQ", 1: "GT"}
 
 # The largest budget the CLI and scripts/run_checks.py accept.  The omega
-# token sample grows with the square of the budget: ``verify --suite all``
-# on the battery selectors peaks at 3.2 s and 76 MB at 500 (2-vCPU VM).
+# token sample grows with the square of the budget: at 500, ``verify --suite
+# all`` takes up to 5 s and 80 MB on the battery selectors (2-vCPU VM).
 MAX_BUDGET = 500
 
 

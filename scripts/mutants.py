@@ -189,6 +189,30 @@ MUTANTS = [
         "killed",
     ),
     (
+        "level-pattern-reads-whitespace",
+        "src/bhfix/syntax.py",
+        "tests/test_syntax.py",
+        '_LEVEL = re.compile(r"th\\(([^;()\\[\\]\\s]+)',
+        '_LEVEL = re.compile(r"th\\(([^;()\\[\\]]+)',
+        "killed",
+    ),
+    (
+        "closer-run-swallows-trailing-input",
+        "src/bhfix/syntax.py",
+        "tests/test_syntax.py",
+        "_skip_ws(text, pos - closers + run)",
+        "_skip_ws(text, pos)",
+        "killed",
+    ),
+    (
+        "omega-entries-allow-leading-zero",
+        "src/bhfix/standard_dilators.py",
+        "tests/test_syntax.py",
+        "(?:(?:0|[1-9][0-9]{{0,{MAX_DIGITS - 1}}}),)+",
+        "(?:[0-9]{{1,{MAX_DIGITS}}},)+",
+        "killed",
+    ),
+    (
         "limit-settles-every-support",
         "src/bhfix/limits.py",
         "tests/test_acceptance.py",

@@ -12,13 +12,19 @@ Token syntaxes (bit-exact, used by the term grammar):
 
 from __future__ import annotations
 
+import re
 from itertools import combinations_with_replacement, islice
 
-from .dilator import Dilator, Enumeration, Token, parse_nat
+from .dilator import MAX_DIGITS, Dilator, Enumeration, Token, parse_nat
 from .errors import TermSyntaxError, TermTypeError
 from .finite_orders import EQ, GT, LT, sgn
 
 TOP = "top"
+
+# An omega entry as ``_parse_nat`` accepts it (ASCII digits, no leading
+# zero, at most MAX_DIGITS), then a comma: an entry list with a comma
+# appended is a run of these.
+_ENTRIES = re.compile(rf"(?:(?:0|[1-9][0-9]{{0,{MAX_DIGITS - 1}}}),)+")
 
 
 def _parse_nat(text: str, what: str) -> int:
@@ -186,7 +192,7 @@ class OmegaPowerDilator(Dilator):
         return tuple(index[x] for x in tok)
 
     def format_token(self, n, tok):
-        return "w[" + ",".join(str(x) for x in tok) + "]"
+        return "w[" + ",".join(map(str, tok)) + "]"
 
     def parse_token(self, n, text):
         if not (text.startswith("w[") and text.endswith("]")):
@@ -194,10 +200,14 @@ class OmegaPowerDilator(Dilator):
         inner = text[2:-1]
         if inner == "":
             return ()
-        entries = tuple(_parse_nat(p, "an entry of w[...]") for p in inner.split(","))
-        if any(x >= n for x in entries):
+        parts = inner.split(",")
+        if not _ENTRIES.fullmatch(inner + ","):
+            for p in parts:
+                _parse_nat(p, "an entry of w[...]")  # raises on the first bad entry
+        entries = tuple(map(int, parts))
+        if max(entries) >= n:
             raise TermTypeError(f"{text} has an entry not below {n}")
-        if any(a < b for a, b in zip(entries, entries[1:])):
+        if list(entries) != sorted(entries, reverse=True):
             raise TermTypeError(f"{text} is not weakly descending")
         return entries
 

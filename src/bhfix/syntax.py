@@ -11,22 +11,24 @@ element directly, checking that the term lives in the stage it is read at
 serialized element round-trips to the identical element.
 
 Neither direction recurses per term level.  Reading is one left-to-right
-scan, which keeps a stack of the open terms, finds each token's end by
-searching for the next of ``;()[]`` and emits one event per term as it
-closes (support count, token text); then one build replays the events on
-a stack of values, parsing each distinct token once.  Of several faults
-the first in this order is reported: (1) the head: ``@``, the stage, its
-``MAX_STAGE`` bound, ``:``; (2) the syntax of the whole term; (3) the type
-checks in the order a recursive reader meets them: a support list at
-stage 0 at its ``;``, and after a term's supports its token's parse, full
-support and the strict increase of the supports; (4) trailing input.
+scan, which keeps a stack of the open terms and emits one event per term
+as it closes (support count, token text); then one build replays the
+events on a stack of values, parsing each distinct token once.  The scan
+reads a level, ``th(``, its token and the ``;`` or the run of ``)`` after
+it, by one pattern match when the token holds no bracket or whitespace;
+it finds the end of any other token by walking its brackets.  Of several faults the first in this order
+is reported: (1) the head: ``@``, the stage, its ``MAX_STAGE`` bound,
+``:``; (2) the syntax of the whole term; (3) the type checks in the order
+a recursive reader meets them: a support list at stage 0 at its ``;``,
+and after a term's supports its token's parse, full support and the
+strict increase of the supports; (4) trailing input.
 """
 
 from __future__ import annotations
 
 import re
 
-from .dilator import CodedElement, Dilator, parse_nat
+from .dilator import Dilator, _coded, parse_nat
 from .errors import TermSyntaxError, TermTypeError
 from .limits import Tower, birth_stage
 from .systems import System, ThetaTerm
@@ -34,6 +36,10 @@ from .systems import System, ThetaTerm
 # The largest stage index the grammar accepts; an absurd index in the input
 # is rejected up front.
 MAX_STAGE = 10_000
+
+# "th(", a token with no bracket or whitespace, and the ';' or the run of
+# ')' after it: the bracket walk of ``_scan`` reads the same token there.
+_LEVEL = re.compile(r"th\(([^;()\[\]\s]+)(;|\)+)")
 
 # The characters that can end a token or change its bracket depth.
 _TOKEN_STOP = re.compile(r"[;()\[\]]")
@@ -80,58 +86,65 @@ def _scan(text: str, pos: int, n: int) -> tuple[list, int | None, int]:
     at stage 0 (None if none), and the position past it and whitespace."""
     events = []
     stage0 = None
-    open_terms = []  # [token text, supports so far] of each open support list
+    open_terms = []  # (supports so far, token text) of each open support list
     while True:
-        if text.startswith("th(", pos):
-            pos += 3
+        if level := _LEVEL.match(text, pos):
+            token_text, delimiter = level.groups()
+            pos = level.end()
         else:
-            pos = _expect(text, _expect(text, pos, "th"), "(")
-        # the token ends at the first ';' or ')' outside its own brackets
-        start = pos
-        depth = 0
-        while match := _TOKEN_STOP.search(text, pos):
-            pos = match.start()
-            ch = text[pos]
-            if ch == "(" or ch == "[":
-                depth += 1
-            elif ch == ";":
-                if not depth:
-                    break
-            elif depth:
-                depth -= 1
-            elif ch == ")":
-                break
+            if text.startswith("th(", pos):
+                pos += 3
             else:
-                raise TermSyntaxError(f"unbalanced bracket at position {pos}")
-            pos += 1
-        else:  # no stop character: the token runs to the end of input
-            pos = len(text)
-        token_text = "".join(text[start:pos].split())
-        if not token_text:
-            raise TermSyntaxError(f"missing token at position {start}")
-        if text.startswith(";", pos):
+                pos = _expect(text, _expect(text, pos, "th"), "(")
+            # the token ends at the first ';' or ')' outside its own brackets
+            start = pos
+            depth = 0
+            while match := _TOKEN_STOP.search(text, pos):
+                pos = match.start()
+                ch = text[pos]
+                if ch == "(" or ch == "[":
+                    depth += 1
+                elif ch == ";":
+                    if not depth:
+                        break
+                elif depth:
+                    depth -= 1
+                elif ch == ")":
+                    break
+                else:
+                    raise TermSyntaxError(f"unbalanced bracket at position {pos}")
+                pos += 1
+            else:  # no stop character: the token runs to the end of input
+                pos = len(text)
+            token_text = "".join(text[start:pos].split())
+            if not token_text:
+                raise TermSyntaxError(f"missing token at position {start}")
+            delimiter = ";" if text.startswith(";", pos) else ")"
+            pos = _expect(text, pos, delimiter)
+        if delimiter == ";":
             # the term's stage is n less one per enclosing support list
             if stage0 is None and len(open_terms) == n:
                 stage0 = len(events)
-            open_terms.append([token_text, 1])
-            pos += 1
+            open_terms.append((1, token_text))
             continue
-        pos = _expect(text, pos, ")")
         events.append((0, token_text))
-        while open_terms:
-            if text.startswith(")", pos):
+        closers = len(delimiter) - 1  # the ')' read past the term's own
+        while True:
+            if run := min(closers, len(open_terms)):
+                closed = open_terms[-run:]
+                del open_terms[-run:]
+                closed.reverse()
+                events += closed
+            if not open_terms:  # any ')' past the last open term is trailing input
+                return events, stage0, _skip_ws(text, pos - closers + run)
+            pos = _skip_ws(text, pos)
+            if text.startswith(",", pos):
+                k, top = open_terms[-1]
+                open_terms[-1] = (k + 1, top)
                 pos += 1
-            else:
-                pos = _skip_ws(text, pos)
-                if text.startswith(",", pos):
-                    open_terms[-1][1] += 1
-                    pos += 1
-                    break
-                pos = _expect(text, pos, ")")
-            token_text, k = open_terms.pop()
-            events.append((k, token_text))
-        if not open_terms:
-            return events, stage0, _skip_ws(text, pos)
+                break
+            pos = _expect(text, pos, ")")
+            closers = 1
 
 
 def parse_bh(tower: Tower, text: str) -> ThetaTerm:
@@ -147,22 +160,29 @@ def parse_bh(tower: Tower, text: str) -> ThetaTerm:
         raise TermTypeError(f"stage {n} exceeds the supported bound {MAX_STAGE}")
     events, stage0, end = _scan(text, _expect(text, pos, ":"), n)
     dilator = tower.dilator
+    collapse = System.collapse
     tokens = {}  # event -> its parsed token, checked for full support
     values = []
     for event in events[:stage0]:
-        k, token_text = event
-        if event not in tokens:
-            tokens[event] = dilator.parse_token(k, token_text)
-            if dilator.supp_at(k, tokens[event]) != tuple(range(k)):
-                raise TermTypeError(f"token {token_text} must use every listed support term")
-        token = tokens[event]
-        subs = tuple(values[len(values) - k :])
-        del values[len(values) - k :]
-        for a, b in zip(subs, subs[1:]):
-            if tower.compare(a, b) >= 0:
-                raise TermTypeError("support terms must be strictly increasing")
+        k = event[0]
+        try:
+            token = tokens[event]
+        except KeyError:
+            token = tokens[event] = dilator.parse_token(k, event[1])
+            if dilator.supp_at(k, token) != tuple(range(k)):
+                raise TermTypeError(f"token {event[1]} must use every listed support term")
+        if k == 1:
+            subs = (values.pop(),)
+        elif k:
+            subs = tuple(values[-k:])
+            del values[-k:]
+            for a, b in zip(subs, subs[1:]):
+                if tower.compare(a, b) >= 0:
+                    raise TermTypeError("support terms must be strictly increasing")
+        else:
+            subs = ()
         # checked above, with the grammar's messages: intern without rechecking
-        values.append(System.collapse(tower, CodedElement(subs, token)))
+        values.append(collapse(tower, _coded((subs, token))))
     if stage0 is not None:
         raise TermTypeError("a stage-0 term cannot have support terms")
     if end < len(text):

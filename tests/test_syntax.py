@@ -1,5 +1,6 @@
 """Term grammar round trips and error classification."""
 
+import re
 import sys
 
 import pytest
@@ -15,6 +16,9 @@ from bhfix.standard_dilators import (
     SumDilator,
 )
 from bhfix.syntax import format_bh, format_term, parse_bh
+from bhfix.systems import System
+from test_limits import BATTERY
+from test_verify import _TREES
 
 # Malformed inputs with the exact error each raises: (dilator selector,
 # text, exception class name, message).  Every raise of the grammar and of
@@ -89,6 +93,10 @@ ERROR_CORPUS = [
     ("successor", "@0:th(top))", "TermSyntaxError", "trailing input at position 10"),
     ("successor", "@0:th(top) x", "TermSyntaxError", "trailing input at position 11"),
     ("successor", "@0:th(top)@0:th(top)", "TermSyntaxError", "trailing input at position 10"),
+    ("successor", "@2:th(v0;th(v0;th(v5)]))", "TermSyntaxError",
+     "expected ')' at position 21, found ']'"),
+    ("successor", "@2:th(v0;th(v0;th(v5))))", "TermTypeError",
+     "token v5 out of range (bound 0) for successor"),
     ("successor", "@0:th(v01)", "TermSyntaxError",
      "the index of a successor token has a leading zero: '01'"),
     ("successor", "@0:th(v)", "TermSyntaxError",
@@ -103,6 +111,13 @@ ERROR_CORPUS = [
     ("omega", "@0:th(w[x])", "TermSyntaxError",
      "an entry of w[...] must be a natural number, got 'x'"),
     ("omega", "@0:th(w[00])", "TermSyntaxError", "an entry of w[...] has a leading zero: '00'"),
+    ("omega", "@0:th(w[0,,0])", "TermSyntaxError",
+     "an entry of w[...] must be a natural number, got ''"),
+    ("omega", "@0:th(w[0,00])", "TermSyntaxError", "an entry of w[...] has a leading zero: '00'"),
+    ("omega", "@0:th(w[0,²])", "TermSyntaxError",
+     "an entry of w[...] must be a natural number, got '²'"),
+    ("omega", "@0:th(w[" + "1" * 4301 + "])", "TermSyntaxError",
+     "an entry of w[...] has 4301 digits, more than 4300"),
     ("omega", "@0:th(w[0])", "TermTypeError", "w[0] has an entry not below 0"),
     ("omega", "@2:th(w[0,1];th(w[]),th(w[0];th(w[])))", "TermTypeError",
      "w[0,1] is not weakly descending"),
@@ -116,6 +131,8 @@ ERROR_CORPUS = [
      "expected L(...) or R(...), got 'X(top)'"),
     ("sum(successor,omega)", "@0:th(L(w[]))", "TermSyntaxError", "unknown successor token 'w[]'"),
     ("sum(successor,omega)", "@0:th(R(top))", "TermSyntaxError", "expected w[...], got 'top'"),
+    ("sum(successor,omega)", "@0:th(L( v 3 ))", "TermTypeError",
+     "token v3 out of range (bound 0) for successor"),
     ("product(successor,constant:2)", "@0:th(Q(top,c0))", "TermSyntaxError",
      "expected P(...,...), got 'Q(top,c0)'"),
     ("product(successor,constant:2)", "@0:th(P(top))", "TermSyntaxError",
@@ -241,14 +258,57 @@ def test_nested_omega_term_example(omega_tower):
     assert len(term.body.support) == 2
 
 
-def test_whitespace_insensitive(succ_tower, omega_tower):
+def test_whitespace_examples(succ_tower, omega_tower):
     a = parse_bh(succ_tower, " @1 : th( v0 ; th( top ) ) ")
     b = parse_bh(succ_tower, "@1:th(v0;th(top))")
     assert a is b
-    for ws in SPACES:
-        assert parse_bh(succ_tower, spread_whitespace("@1:th(v0;th(top))", ws)) is b
     c = parse_stage_term(omega_tower, 1, "th( w[ 0 , 0 ] ; th(w[]) )")
     assert format_term(omega_tower.dilator, c) == "th(w[0,0];th(w[]))"
+
+
+@pytest.mark.parametrize("selector", list(dict.fromkeys(BATTERY + _TREES)))
+def test_whitespace_insensitive(selector):
+    dilator = parse_selector(selector)
+    tower = Tower(dilator)
+    for e in tower.enumerate(3, 12):
+        text = format_bh(dilator, e)
+        for ws in SPACES:
+            assert parse_bh(tower, spread_whitespace(text, ws)) is e, (text, ws)
+
+
+def test_whitespace_is_str_isspace():
+    # the parser skips str.isspace characters and its patterns exclude \s:
+    # the two must be the same set
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = "".join(filter(str.isspace, chars))
+    assert "".join(re.findall(r"\s", chars)) == spaces
+    assert "\u2003" in spaces and "\x1c" in spaces
+    tower = Tower(parse_selector("sum(successor,omega)"))
+    text = "@2:th(L(v0);th(R(w[0,0]);th(L(top))))"
+    e = parse_bh(tower, text)
+    for ws in spaces:
+        assert parse_bh(tower, spread_whitespace(text, ws)) is e, ws
+
+
+@pytest.mark.parametrize("height", [1, 150, 5000])
+def test_parse_interns_each_level_once(height, monkeypatch):
+    calls = []
+    collapse = System.collapse
+
+    def counting(system, coded):
+        calls.append(coded)
+        return collapse(system, coded)
+
+    monkeypatch.setattr(System, "collapse", counting)
+    tower = Tower(SuccessorDilator())
+    text = successor_element(height)
+    before = len(tower._intern)
+    e = parse_bh(tower, text)
+    assert len(tower._intern) - before == height
+    assert len(calls) == height
+    interned = len(tower._intern)
+    assert parse_bh(tower, text) is e
+    assert len(tower._intern) == interned
 
 
 def test_parse_canonicalizes_birth_stage(omega_tower):

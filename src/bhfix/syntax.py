@@ -16,12 +16,13 @@ as it closes (support count, token text); then one build replays the
 events on a stack of values, parsing each distinct token once.  The scan
 reads a level, ``th(``, its token and the ``;`` or the run of ``)`` after
 it, by one pattern match when the token holds no bracket or whitespace;
-it finds the end of any other token by walking its brackets.  Of several faults the first in this order
-is reported: (1) the head: ``@``, the stage, its ``MAX_STAGE`` bound,
-``:``; (2) the syntax of the whole term; (3) the type checks in the order
-a recursive reader meets them: a support list at stage 0 at its ``;``,
-and after a term's supports its token's parse, full support and the
-strict increase of the supports; (4) trailing input.
+it finds the end of any other token by walking its brackets.  Of several
+faults the first in this order is reported: (1) the head: ``@``, the
+stage, its ``MAX_STAGE`` bound, ``:``; (2) the syntax of the whole term;
+(3) the type checks in the order a recursive reader meets them: a support
+list at stage 0 at its ``;``, and after a term's supports its token's
+parse, full support and the strict increase of the supports; (4) trailing
+input.
 """
 
 from __future__ import annotations

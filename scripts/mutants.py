@@ -59,6 +59,30 @@ MUTANTS = [
         "killed",
     ),
     (
+        "selector-appends-without-compare",
+        "src/bhfix/dilator.py",
+        "tests/test_dilator.py",
+        "                if kept and order(v, kept[-1]) < 0:\n",
+        "                if False:\n",
+        "killed",
+    ),
+    (
+        "selector-bisects-every-value",
+        "src/bhfix/dilator.py",
+        "tests/test_dilator.py",
+        "                if kept and order(v, kept[-1]) < 0:\n",
+        "                if len(kept) < k or order(v, kept[-1]) < 0:\n",
+        "killed",
+    ),
+    (
+        "enumerate-builds-last-capped-listing",
+        "src/bhfix/limits.py",
+        "tests/test_limits.py",
+        "if n < stage_bound and self.listing(n, cap)",
+        "if self.listing(n, cap)",
+        "killed",
+    ),
+    (
         "settled-bisects-at-first-support",
         "src/bhfix/limits.py",
         "tests/test_limits.py",

@@ -371,6 +371,11 @@ def least_coded(
     walk skips that block, and when the run is the whole support it leaves
     the arity.  So values past a first miss are never built.
 
+    Each value is compared with the last kept one first: one at or past it
+    goes at the end, where bisection would put it in a transitive order,
+    or is the first miss when k are kept; only one below it is bisected in.
+    On one support values rise in token order, so most cost one compare.
+
     The result is exhaustive when the sample and every per-arity token
     listing are, and the sum over arities a of C(|sample|, a) times the
     number of tokens is at most k; that count builds no element.
@@ -406,11 +411,14 @@ def least_coded(
                 continue
             for tok in tokens:
                 v = value(_coded((subset, tok)))
-                if len(kept) == k:
-                    if order(v, kept[-1]) >= 0:
-                        break
-                    kept.pop()
-                insort(kept, v, key=key)
+                if kept and order(v, kept[-1]) < 0:
+                    if len(kept) == k:
+                        kept.pop()
+                    insort(kept, v, key=key)
+                elif len(kept) == k:
+                    break
+                else:
+                    kept.append(v)
             else:
                 continue
             # a first miss at t0: every later support above this one misses too

@@ -149,7 +149,9 @@ class Tower(System):
 
     def enumerate(self, stage_bound: int, budget: int) -> Enumeration:
         """All limit elements born below stage_bound that the listings reach,
-        sorted; it stops once the capped listings repeat, as all later ones do."""
+        sorted; it stops once the capped listings repeat, as all later ones do.
+        The last stage needs no repeat test, so its capped listing, the base
+        of a stage past the bound, is not built."""
         out: list[ThetaTerm] = []
         exhaustive = True
         cap = min(budget, BASE_SAMPLE_CAP)
@@ -157,7 +159,7 @@ class Tower(System):
             xs = self.listing(n, budget)
             exhaustive &= xs.exhaustive
             out.extend(e for e in xs if e.length == n)
-            if self.listing(n, cap) == self.listing(n - 1, cap):
+            if n < stage_bound and self.listing(n, cap) == self.listing(n - 1, cap):
                 break
         out.sort(key=cmp_to_key(self.compare))
         return Enumeration(tuple(out), exhaustive)

@@ -246,6 +246,22 @@ def test_each_arity_is_listed_once_per_budget():
     assert len(dilator.listed) == len(set(dilator.listed)) == 26
 
 
+def test_a_value_past_the_cut_end_costs_one_compare():
+    # over one carrier element omega's values come in ascending order,
+    # (), (0,), (0, 0), ...; bisecting each one made 94 and 7 order calls
+    carried = Enumeration((7,), True)
+    order = partial(compare_coded, omega, int_cmp)
+    for k, built in ((100, 30), (5, 6)):
+        calls, values = [], []
+        out = least_coded(
+            omega, carried, 30, k, int_cmp,
+            lambda c: values.append(c) or c,
+            lambda a, b: calls.append(a) or order(a, b),
+        )
+        assert (len(out), len(values), len(calls)) == (min(k, 30), built, built - 1)
+        assert list(out) == values[:k]
+
+
 def test_token_tables_die_with_their_dilator():
     gc.collect()
     held = len(dilator_module._TOKENS)

@@ -335,17 +335,26 @@ def test_enumerate_builds_no_stage_system(selector):
 
 @pytest.mark.parametrize("selector", BATTERY)
 def test_enumerate_stops_where_every_later_listing_repeats(selector):
-    # the early stop agrees with walking every stage up to the bound
+    # the early stop, and the last stage's skipped repeat test, agree with
+    # walking every stage up to the bound
     tower = Tower(parse_selector(selector))
-    for budget in (0, 3, 12, 13):
-        out, exhaustive = [], True
-        for n in range(1, 9):
-            listed = tower.listing(n, budget)
-            exhaustive &= listed.exhaustive
-            out.extend(e for e in listed if e.length == n)
-        out.sort(key=cmp_to_key(tower.compare))
-        listed = tower.enumerate(8, budget)
-        assert (listed.items, listed.exhaustive) == (tuple(out), exhaustive), budget
+    for budget in (0, 3, 12, 13, 50):
+        for bound in (1, 2, 3, 4, 8):
+            listed = tower.enumerate(bound, budget)
+            out, exhaustive = [], True
+            for n in range(1, bound + 1):
+                xs = tower.listing(n, budget)
+                exhaustive &= xs.exhaustive
+                out.extend(e for e in xs if e.length == n)
+            out.sort(key=cmp_to_key(tower.compare))
+            assert (listed.items, listed.exhaustive) == (tuple(out), exhaustive), (budget, bound)
+
+
+def test_enumerate_builds_no_capped_listing_at_its_last_stage(omega_tower):
+    # the repeat test at the bound could only end the loop a step early;
+    # the stages below keep their capped listings, each the next one's base
+    omega_tower.enumerate(3, 50)
+    assert sorted(omega_tower._listings) == [(1, 12), (1, 50), (2, 12), (2, 50), (3, 50)]
 
 
 def test_deep_listing_is_built_without_recursion(omega_tower):

@@ -18,7 +18,8 @@ product selectors (``PRODUCT_ELEMENTS``), and one ``enumerate`` and one
 ``CHECKOUT/src`` (default: this checkout), so two checkouts can be compared
 with ``diff`` on their snapshots.  A CHECKOUT
 without ``src/bhfix`` is an error (exit 2), never a silent fallback to
-whatever ``bhfix`` is importable.
+whatever ``bhfix`` is importable.  Imported as a module it runs no request;
+``requests()`` yields the argv of each request.
 """
 
 import contextlib
@@ -30,16 +31,9 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKOUT = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT
-if not (CHECKOUT / "src" / "bhfix").is_dir():
-    print(f"error: {CHECKOUT} has no src/bhfix to import the program from", file=sys.stderr)
-    sys.exit(2)
-sys.path.insert(0, str(CHECKOUT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "tests"))
 import workloads  # noqa: E402
-from bhfix.cli import main  # noqa: E402
-from test_syntax import ERROR_CORPUS, SPACES, spread_whitespace  # noqa: E402
 
 ENUMERATE = ["successor", "identity", "constant:0", "constant:2", "constant:3", "omega",
              "sum(successor,omega)", "product(successor,constant:2)", "product(omega,successor)"]
@@ -66,6 +60,10 @@ PRODUCT_ELEMENTS = {
 
 
 def requests():
+    # imported here, so that run as a script the program is imported from
+    # CHECKOUT first
+    from test_syntax import ERROR_CORPUS, SPACES, spread_whitespace
+
     for seed in (401, 7):
         for name in workloads.WORKLOADS:
             yield from (r.argv for r in workloads.build(name, seed))
@@ -92,10 +90,18 @@ def requests():
     yield ["verify", "--dilator", "product(omega,successor)"]
 
 
-os.environ.pop("BH_BUDGET_DEFAULT", None)
-for argv in requests():
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    print(json.dumps({"argv": argv, "exit": code, "stdout": out.getvalue(),
-                      "stderr": err.getvalue()}))
+if __name__ == "__main__":
+    CHECKOUT = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT
+    if not (CHECKOUT / "src" / "bhfix").is_dir():
+        print(f"error: {CHECKOUT} has no src/bhfix to import the program from", file=sys.stderr)
+        sys.exit(2)
+    sys.path.insert(0, str(CHECKOUT / "src"))
+    from bhfix.cli import main
+
+    os.environ.pop("BH_BUDGET_DEFAULT", None)
+    for argv in requests():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        print(json.dumps({"argv": argv, "exit": code, "stdout": out.getvalue(),
+                          "stderr": err.getvalue()}))

@@ -333,6 +333,22 @@ MUTANTS = [
         "killed",
     ),
     (
+        "plain-reader-skips-choices",
+        "src/bhfix/cli.py",
+        "tests/test_cli.py",
+        "if action.choices is not None and value not in action.choices:",
+        "if False:",
+        "killed",
+    ),
+    (
+        "plain-reader-takes-dash-value",
+        "src/bhfix/cli.py",
+        "tests/test_cli.py",
+        'if i == n or argv[i][:1] == "-":',
+        "if i == n:",
+        "killed",
+    ),
+    (
         "minimality-drops-xs1-flag",
         "src/bhfix/verify.py",
         "tests/test_verify.py",

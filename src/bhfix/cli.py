@@ -6,6 +6,9 @@ orders two serialized elements, ``verify`` runs a check suite, and
 line-oriented UTF-8, one record per line; the environment variable
 ``BH_BUDGET_DEFAULT`` sets the default budget.  A budget above
 ``MAX_BUDGET`` or a ``--stages`` above ``MAX_STAGE`` is a usage error.
+A plain argv (``_read_plain``) is read directly from a table of the
+parser's actions; argparse reads every other form and writes every help
+and usage message.
 
 Exit codes: 0 success or all checks pass, 1 verification failure,
 2 usage or parse error, 3 semantic mismatch.
@@ -149,6 +152,80 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _plain_table() -> dict:
+    # subcommand -> (its options by option string, its positionals, the
+    # defaults of its options, the dests of its required options), read from
+    # the actions of ``_build_parser`` on the first ``main`` call.  A
+    # subcommand with an action of another kind is left out, so argparse
+    # reads all of its argv.
+    (sub,) = (a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, parser in sub.choices.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        if all(type(a) is argparse._StoreAction and a.nargs is None
+               or isinstance(a, argparse._StoreConstAction) for a in actions):
+            options = {s: a for a in actions for s in a.option_strings}
+            table[name] = (
+                options,
+                [a for a in actions if not a.option_strings],
+                {a.dest: a.default for a in options.values()},
+                {a.dest for a in options.values() if a.required},
+            )
+    return table
+
+
+def _plain_value(action, text: str):
+    # ``text`` through the action's ``type``, then its ``choices``; either
+    # refusal raises one of the errors argparse turns into a usage message
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(text)
+    return value
+
+
+def _read_plain(argv):
+    """The namespace ``parse_args(argv)`` gives for a plain argv, else None.
+
+    Plain: a subcommand, then each of its options at most once as ``--opt
+    value`` or a flag and exactly its positionals, in any order, with no
+    value or positional that starts with ``-`` and each value passing its
+    option's ``type`` and ``choices``.  ``None`` sends every other argv to
+    argparse, which then writes each help and usage message itself.
+    """
+    spec = _plain_table().get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    options, positionals, defaults, required = spec
+    values, given = {}, []
+    i, n = 1, len(argv)
+    try:
+        while i < n:
+            arg = argv[i]
+            i += 1
+            if arg[:1] != "-":
+                given.append(arg)
+                continue
+            action = options.get(arg)
+            if action is None or action.dest in values:
+                return None
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            if i == n or argv[i][:1] == "-":
+                return None
+            values[action.dest] = _plain_value(action, argv[i])
+            i += 1
+        if len(given) != len(positionals) or not required <= values.keys():
+            return None
+        for action, text in zip(positionals, given):
+            values[action.dest] = _plain_value(action, text)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(command=argv[0], **{**defaults, **values})
+
+
 def _cmd_enumerate(args) -> int:
     dilator = parse_selector(args.dilator)
     bounded(args.stages, MAX_STAGE, "--stages")
@@ -207,20 +284,25 @@ def _cmd_interpret(args) -> int:
     return EXIT_OK
 
 
+_HANDLERS = {
+    "enumerate": _cmd_enumerate,
+    "compare": _cmd_compare,
+    "verify": _cmd_verify,
+    "interpret": _cmd_interpret,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    handlers = {
-        "enumerate": _cmd_enumerate,
-        "compare": _cmd_compare,
-        "verify": _cmd_verify,
-        "interpret": _cmd_interpret,
-    }
-    try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except (SelectorError, TermSyntaxError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from bhfix import cli
 from bhfix.cli import MAX_BUDGET, main, parse_selector
 from bhfix.errors import SelectorError
 
@@ -462,3 +463,99 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "@0:th(top)"
+
+
+_ODD_ARGV = {
+    "option-between-positionals":
+        ["compare", "@0:th(top)", "--dilator", "successor", "@1:th(v0;th(top))"],
+    "options-after-positionals":
+        ["interpret", "@1:th(v0;th(top))", "--witness", "omega-successor", "--dilator", "successor"],
+    "flag-between-options":
+        ["verify", "--suite", "laws", "--break-naturality", "--dilator", "successor", "--budget", "5"],
+    "abbreviation": ["enumerate", "--dil", "successor", "--stages", "2"],
+    "equals-form": ["enumerate", "--dilator=omega", "--stages", "2", "--budget", "3"],
+    "repeated-budget":
+        ["enumerate", "--dilator", "omega", "--stages", "2", "--budget", "3", "--budget", "4"],
+    "repeated-flag":
+        ["verify", "--dilator", "constant:3", "--break-naturality", "--budget", "4",
+         "--break-naturality"],
+    "double-dash": ["compare", "--dilator", "successor", "--", "@0:th(top)", "@0:th(top)"],
+    "help-alone": ["-h"],
+    "help-first": ["--help", "compare"],
+    "help-after-command": ["compare", "-h"],
+    "help-last": ["verify", "--dilator", "omega", "--help"],
+    "help-as-value": ["enumerate", "--dilator", "-h", "--stages", "1"],
+    "dash-value": ["compare", "--dilator", "-x", "@0:th(top)", "@0:th(top)"],
+    "negative-budget": ["verify", "--dilator", "successor", "--budget", "-1"],
+    "negative-positional": ["compare", "--dilator", "successor", "-1", "@0:th(top)"],
+    "arabic-indic-budget": ["verify", "--dilator", "successor", "--budget", "٣"],
+    "bad-suite": ["verify", "--dilator", "successor", "--suite", "bogus"],
+    "bad-witness": ["interpret", "--dilator", "successor", "--witness", "nope", "@0:th(top)"],
+    "missing-value": ["enumerate", "--dilator", "successor", "--stages"],
+    "missing-option": ["enumerate", "--dilator", "successor"],
+    "missing-positional": ["compare", "--dilator", "successor", "@0:th(top)"],
+    "extra-positional":
+        ["compare", "--dilator", "successor", "@0:th(top)", "@0:th(top)", "@0:th(top)"],
+    "extra-positional-verify": ["verify", "--dilator", "successor", "laws"],
+    "empty-term": ["interpret", "--dilator", "successor", ""],
+    "empty-selector": ["compare", "--dilator", "", "@0:th(top)", "@0:th(top)"],
+    "empty-command": [""],
+    "unknown-command": ["frob", "--dilator", "successor"],
+    "term-with-spaces": ["compare", "--dilator", "successor", "@1:th( v0 ; th(top) )", "@0:th(top)"],
+    "empty-argv": [],
+}
+
+
+def _snapshot_requests():
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import cli_snapshot
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    return list(cli_snapshot.requests())
+
+
+def test_plain_reader_agrees_with_argparse():
+    # every request of the CLI snapshot is plain, so the reader reads it, and
+    # into the namespace argparse builds; for each odd shape the reader either
+    # leaves the argv to argparse or builds the same namespace.  Run on each
+    # Python version CI tests, this also catches a change in argparse.
+    parser = cli._build_parser()
+
+    def parse_args(argv):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None
+
+    for argv in _snapshot_requests():
+        args = cli._read_plain(argv)
+        assert args is not None and args == parse_args(argv), argv
+    for argv in _ODD_ARGV.values():
+        args = cli._read_plain(argv)
+        assert args is None or args == parse_args(argv), argv
+
+
+@pytest.mark.parametrize("argv", _ODD_ARGV.values(), ids=_ODD_ARGV.keys())
+def test_odd_argv_answer_as_argparse_alone_does(capsys, monkeypatch, argv):
+    # exit code, stdout and stderr (usage and help text included) are those
+    # of a run in which argparse reads the argv
+    read = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_read_plain", lambda argv: None)
+    assert read == run_cli(capsys, *argv)
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # the console script and ``python -m bhfix`` call main() with no argv
+    seen = []
+    reader = cli._read_plain
+    monkeypatch.setattr(cli, "_read_plain", lambda argv: seen.append(argv) or reader(argv))
+    argv = ["compare", "--dilator", "successor", "@1:th(v0;th(top))", "@0:th(top)"]
+    monkeypatch.setattr(sys, "argv", ["bhfix", *argv])
+    assert main() == 0
+    assert capsys.readouterr() == ("GT\n", "")
+    assert seen == [argv]
+    monkeypatch.setattr(sys, "argv", ["bhfix", "compare", "--dilator=successor", "@0:th(top)"])
+    assert main() == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: bhfix compare")

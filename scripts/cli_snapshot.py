@@ -3,7 +3,7 @@
 
     python3 scripts/cli_snapshot.py [CHECKOUT] > snapshot.jsonl
 
-Runs ``bhfix.cli.main`` in-process on a fixed list of 1517 requests: every
+Runs ``bhfix.cli.main`` in-process on a fixed list of 1547 requests: every
 request of the three perfbench workloads at seeds 401 and 7, ``enumerate``
 on 9 selectors x stages 0-6 x 9 budgets, ``verify --suite all`` on 7
 selectors x budgets 0-7, with and without ``--break-naturality``, a
@@ -14,7 +14,10 @@ spread through its terms, a ``compare`` of every pair (equal ones too) and
 an ``interpret --witness bh-self`` of each of six elements of each of two
 product selectors (``PRODUCT_ELEMENTS``), and one ``enumerate`` and one
 ``verify`` without ``--budget``, which read the default budget of 50
-(``BH_BUDGET_DEFAULT`` is cleared).  The program is imported from
+(``BH_BUDGET_DEFAULT`` is cleared), and last the 30 argv of ``ODD_ARGV``:
+help requests, usage errors and other forms that argparse reads, so that
+every help and usage message is compared too (``COLUMNS`` is set to 80, so
+argparse wraps help the same in any terminal).  The program is imported from
 ``CHECKOUT/src`` (default: this checkout), so two checkouts can be compared
 with ``diff`` on their snapshots.  A CHECKOUT
 without ``src/bhfix`` is an error (exit 2), never a silent fallback to
@@ -58,6 +61,49 @@ PRODUCT_ELEMENTS = {
     ],
 }
 
+# argv of odd shapes: help requests, forms other than the plain one, which
+# bhfix.cli._read_plain leaves to argparse, and plain argv close to them.
+# Their lines pin argparse's help and usage messages byte for byte.
+ODD_ARGV = {
+    "option-between-positionals":
+        ["compare", "@0:th(top)", "--dilator", "successor", "@1:th(v0;th(top))"],
+    "options-after-positionals":
+        ["interpret", "@1:th(v0;th(top))", "--witness", "omega-successor", "--dilator", "successor"],
+    "flag-between-options":
+        ["verify", "--suite", "laws", "--break-naturality", "--dilator", "successor", "--budget", "5"],
+    "abbreviation": ["enumerate", "--dil", "successor", "--stages", "2"],
+    "equals-form": ["enumerate", "--dilator=omega", "--stages", "2", "--budget", "3"],
+    "repeated-budget":
+        ["enumerate", "--dilator", "omega", "--stages", "2", "--budget", "3", "--budget", "4"],
+    "repeated-flag":
+        ["verify", "--dilator", "constant:3", "--break-naturality", "--budget", "4",
+         "--break-naturality"],
+    "double-dash": ["compare", "--dilator", "successor", "--", "@0:th(top)", "@0:th(top)"],
+    "help-alone": ["-h"],
+    "help-first": ["--help", "compare"],
+    "help-after-command": ["compare", "-h"],
+    "help-last": ["verify", "--dilator", "omega", "--help"],
+    "help-as-value": ["enumerate", "--dilator", "-h", "--stages", "1"],
+    "dash-value": ["compare", "--dilator", "-x", "@0:th(top)", "@0:th(top)"],
+    "negative-budget": ["verify", "--dilator", "successor", "--budget", "-1"],
+    "negative-positional": ["compare", "--dilator", "successor", "-1", "@0:th(top)"],
+    "arabic-indic-budget": ["verify", "--dilator", "successor", "--budget", "٣"],
+    "bad-suite": ["verify", "--dilator", "successor", "--suite", "bogus"],
+    "bad-witness": ["interpret", "--dilator", "successor", "--witness", "nope", "@0:th(top)"],
+    "missing-value": ["enumerate", "--dilator", "successor", "--stages"],
+    "missing-option": ["enumerate", "--dilator", "successor"],
+    "missing-positional": ["compare", "--dilator", "successor", "@0:th(top)"],
+    "extra-positional":
+        ["compare", "--dilator", "successor", "@0:th(top)", "@0:th(top)", "@0:th(top)"],
+    "extra-positional-verify": ["verify", "--dilator", "successor", "laws"],
+    "empty-term": ["interpret", "--dilator", "successor", ""],
+    "empty-selector": ["compare", "--dilator", "", "@0:th(top)", "@0:th(top)"],
+    "empty-command": [""],
+    "unknown-command": ["frob", "--dilator", "successor"],
+    "term-with-spaces": ["compare", "--dilator", "successor", "@1:th( v0 ; th(top) )", "@0:th(top)"],
+    "empty-argv": [],
+}
+
 
 def requests():
     # imported here, so that run as a script the program is imported from
@@ -88,6 +134,7 @@ def requests():
             yield ["interpret", "--dilator", sel, "--witness", "bh-self", a]
     yield ["enumerate", "--dilator", "product(omega,successor)", "--stages", "3"]
     yield ["verify", "--dilator", "product(omega,successor)"]
+    yield from ODD_ARGV.values()
 
 
 if __name__ == "__main__":
@@ -99,6 +146,7 @@ if __name__ == "__main__":
     from bhfix.cli import main
 
     os.environ.pop("BH_BUDGET_DEFAULT", None)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
     for argv in requests():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

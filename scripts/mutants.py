@@ -336,7 +336,7 @@ MUTANTS = [
         "plain-reader-skips-choices",
         "src/bhfix/cli.py",
         "tests/test_cli.py",
-        "if action.choices is not None and value not in action.choices:",
+        "if choices is not None and value not in choices:",
         "if False:",
         "killed",
     ),
@@ -346,6 +346,14 @@ MUTANTS = [
         "tests/test_cli.py",
         'if i == n or argv[i][:1] == "-":',
         "if i == n:",
+        "killed",
+    ),
+    (
+        "parser-builder-drops-choices",
+        "src/bhfix/cli.py",
+        "tests/test_cli.py",
+        '{"type": kind, "choices": choices}',
+        '{"type": kind}',
         "killed",
     ),
     (

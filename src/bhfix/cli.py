@@ -6,9 +6,10 @@ orders two serialized elements, ``verify`` runs a check suite, and
 line-oriented UTF-8, one record per line; the environment variable
 ``BH_BUDGET_DEFAULT`` sets the default budget.  A budget above
 ``MAX_BUDGET`` or a ``--stages`` above ``MAX_STAGE`` is a usage error.
-A plain argv (``_read_plain``) is read directly from a table of the
-parser's actions; argparse reads every other form and writes every help
-and usage message.
+``_COMMANDS`` is the one declaration of the command line.  A plain argv
+is read from it by ``_read_plain`` without importing argparse; for every
+other form ``_build_parser`` builds argparse's parser from the same table,
+and argparse reads the argv and writes every help and usage message.
 
 Exit codes: 0 success or all checks pass, 1 verification failure,
 2 usage or parse error, 3 semantic mismatch.
@@ -16,10 +17,10 @@ Exit codes: 0 success or all checks pass, 1 verification failure,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from . import SUITES
 from .dilator import Dilator, parse_nat
@@ -111,119 +112,112 @@ def _budget(args) -> int:
     return bounded(budget, MAX_BUDGET, "BH_BUDGET_DEFAULT")
 
 
+# The command line, declared once: subcommand -> (help line, options,
+# positionals).  Each option maps its flag to (dest, type, choices, default,
+# required, help); a flag whose type is ``bool`` takes no value and stores
+# True.  ``_read_plain`` reads a plain argv from this table and
+# ``_build_parser`` builds argparse's parser from it for every other argv.
+_COMMANDS = {
+    "enumerate": ("list canonical limit elements", {
+        "--dilator": ("dilator", str, None, None, True, None),
+        "--stages": ("stages", natural, None, None, True, None),
+        "--budget": ("budget", natural, None, None, False, None),
+        "--format": ("format", str, ("text", "lines"), "text", False, None),
+    }, ()),
+    "compare": ("order two serialized elements", {
+        "--dilator": ("dilator", str, None, None, True, None),
+    }, ("term_a", "term_b")),
+    "verify": ("run a verification suite", {
+        "--dilator": ("dilator", str, None, None, True, None),
+        "--suite": ("suite", str, SUITES, "all", False, None),
+        "--budget": ("budget", natural, None, None, False, None),
+        "--break-naturality": (
+            "break_naturality", bool, None, False, False,
+            "test hook: erase all supports before checking; this fails unless "
+            "the supports are already empty, as for constant dilators",
+        ),
+    }, ()),
+    "interpret": ("evaluate an element in a witness", {
+        "--dilator": ("dilator", str, None, None, True, None),
+        "--witness": ("witness", str, ("omega-successor", "bh-self"), "omega-successor",
+                      False, None),
+    }, ("term",)),
+}
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built on the first ``main`` call and reused by later in-process calls;
-    # ``parse_args`` leaves the parser unchanged.
+def _build_parser():
+    # argparse's parser for the argv ``_read_plain`` refuses, built from
+    # ``_COMMANDS`` on the first such call and reused by later in-process
+    # calls; ``parse_args`` leaves the parser unchanged.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bhfix",
         description="Enumerate, compare, verify and interpret minimal "
         "Bachmann-Howard fixed points of coded prae-dilators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_enum = sub.add_parser("enumerate", help="list canonical limit elements")
-    p_enum.add_argument("--dilator", required=True)
-    p_enum.add_argument("--stages", type=natural, required=True)
-    p_enum.add_argument("--budget", type=natural, default=None)
-    p_enum.add_argument("--format", choices=("text", "lines"), default="text")
-
-    p_cmp = sub.add_parser("compare", help="order two serialized elements")
-    p_cmp.add_argument("--dilator", required=True)
-    p_cmp.add_argument("term_a")
-    p_cmp.add_argument("term_b")
-
-    p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("--dilator", required=True)
-    p_ver.add_argument("--suite", choices=SUITES, default="all")
-    p_ver.add_argument("--budget", type=natural, default=None)
-    p_ver.add_argument(
-        "--break-naturality",
-        action="store_true",
-        help="test hook: erase all supports before checking; this fails unless "
-        "the supports are already empty, as for constant dilators",
-    )
-
-    p_int = sub.add_parser("interpret", help="evaluate an element in a witness")
-    p_int.add_argument("--dilator", required=True)
-    p_int.add_argument("--witness", choices=("omega-successor", "bh-self"),
-                       default="omega-successor")
-    p_int.add_argument("term")
+    for name, (help_line, options, positionals) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, (dest, kind, choices, default, required, help_) in options.items():
+            action = ({"action": "store_true"} if kind is bool
+                      else {"type": kind, "choices": choices})
+            command.add_argument(flag, dest=dest, default=default, required=required,
+                                 help=help_, **action)
+        for dest in positionals:
+            command.add_argument(dest)
     return parser
 
 
-@functools.cache
-def _plain_table() -> dict:
-    # subcommand -> (its options by option string, its positionals, the
-    # defaults of its options, the dests of its required options), read from
-    # the actions of ``_build_parser`` on the first ``main`` call.  A
-    # subcommand with an action of another kind is left out, so argparse
-    # reads all of its argv.
-    (sub,) = (a for a in _build_parser()._actions
-              if isinstance(a, argparse._SubParsersAction))
-    table = {}
-    for name, parser in sub.choices.items():
-        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
-        if all(type(a) is argparse._StoreAction and a.nargs is None
-               or isinstance(a, argparse._StoreConstAction) for a in actions):
-            options = {s: a for a in actions for s in a.option_strings}
-            table[name] = (
-                options,
-                [a for a in actions if not a.option_strings],
-                {a.dest: a.default for a in options.values()},
-                {a.dest for a in options.values() if a.required},
-            )
-    return table
-
-
-def _plain_value(action, text: str):
-    # ``text`` through the action's ``type``, then its ``choices``; either
-    # refusal raises one of the errors argparse turns into a usage message
-    value = text if action.type is None else action.type(text)
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(text)
-    return value
-
-
 def _read_plain(argv):
-    """The namespace ``parse_args(argv)`` gives for a plain argv, else None.
+    """The namespace argparse gives for a plain argv, else None.
 
     Plain: a subcommand, then each of its options at most once as ``--opt
     value`` or a flag and exactly its positionals, in any order, with no
     value or positional that starts with ``-`` and each value passing its
-    option's ``type`` and ``choices``.  ``None`` sends every other argv to
-    argparse, which then writes each help and usage message itself.
+    option's type and choices.  Read from ``_COMMANDS`` without argparse;
+    ``None`` sends every other argv to argparse, which then writes each
+    help and usage message itself.
     """
-    spec = _plain_table().get(argv[0]) if argv else None
-    if spec is None:
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         return None
-    options, positionals, defaults, required = spec
-    values, given = {}, []
+    _, options, positionals = command
+    values, given = {"command": argv[0]}, []
     i, n = 1, len(argv)
-    try:
-        while i < n:
-            arg = argv[i]
-            i += 1
-            if arg[:1] != "-":
-                given.append(arg)
-                continue
-            action = options.get(arg)
-            if action is None or action.dest in values:
-                return None
-            if action.nargs == 0:
-                values[action.dest] = action.const
-                continue
-            if i == n or argv[i][:1] == "-":
-                return None
-            values[action.dest] = _plain_value(action, argv[i])
-            i += 1
-        if len(given) != len(positionals) or not required <= values.keys():
+    while i < n:
+        arg = argv[i]
+        i += 1
+        if arg[:1] != "-":
+            given.append(arg)
+            continue
+        option = options.get(arg)
+        if option is None or option[0] in values:
             return None
-        for action, text in zip(positionals, given):
-            values[action.dest] = _plain_value(action, text)
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        dest, kind, choices, _, _, _ = option
+        if kind is bool:
+            values[dest] = True
+            continue
+        if i == n or argv[i][:1] == "-":
+            return None
+        try:
+            value = kind(argv[i])
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        i += 1
+    if len(given) != len(positionals):
         return None
-    return argparse.Namespace(command=argv[0], **{**defaults, **values})
+    for dest, _, _, default, required, _ in options.values():
+        if dest not in values:
+            if required:
+                return None
+            values[dest] = default
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
 
 
 def _cmd_enumerate(args) -> int:
@@ -298,7 +292,7 @@ def main(argv=None) -> int:
     args = _read_plain(argv)
     if args is None:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _build_parser().parse_args(argv, SimpleNamespace())
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from bisect import insort
 from functools import cmp_to_key, partial
-from heapq import nsmallest
 from itertools import combinations, compress
 from math import comb
 from operator import itemgetter
@@ -76,6 +75,9 @@ def least(items: Enumeration, k: int, cmp: Cmp) -> Enumeration:
     otherwise.  Selection costs O(n log k) comparisons, so a large listing
     cut to a small budget is never sorted in full.
     """
+    # imported here, its only use, so that importing the package leaves heapq out
+    from heapq import nsmallest
+
     if k < 0:
         raise ValueError(f"cannot select {k} items")
     key = cmp_to_key(cmp)

@@ -423,30 +423,48 @@ import json, sys
 before = set(sys.modules)
 import bhfix.cli
 added = sorted(set(sys.modules) - before)
+code = bhfix.cli.main(sys.argv[1:])
+ran = sorted(set(sys.modules) - before)
 import bhfix
 listed = [name for name in bhfix.__all__ if name in dir(bhfix)]
 namespace = {}
 exec("from bhfix import *", namespace)
 bound = [name for name in bhfix.__all__ if name in namespace]
-print(json.dumps({"added": added, "listed": listed, "bound": bound}))
+print(json.dumps({"added": added, "code": code, "ran": ran, "listed": listed, "bound": bound}))
 """
+
+
+def _import_probe(*argv):
+    # the probe's JSON line, and the lines ``main(argv)`` printed before it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *printed, probe = proc.stdout.splitlines()
+    return json.loads(probe), printed
 
 
 def test_cli_import_leaves_out_the_checks_and_dataclasses():
     # only `verify` needs bhfix.verify, and dataclasses pulls in inspect,
-    # ast, dis and tokenize; modules the interpreter loaded before the
-    # import (e.g. through site) do not count
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env,
+    # ast, dis and tokenize; a plain argv is read without argparse (and the
+    # gettext it imports), and only a cut listing needs heapq.  Modules the
+    # interpreter loaded before the import (e.g. through site) do not count.
+    probe, printed = _import_probe(
+        "compare", "--dilator", "omega", "@1:th(w[0];th(w[]))", "@0:th(w[])"
     )
-    assert proc.returncode == 0, proc.stderr
-    probe = json.loads(proc.stdout)
+    assert (probe["code"], printed) == (0, ["GT"])
     assert "bhfix.cli" in probe["added"]
     assert not {"bhfix.verify", "dataclasses", "inspect"} & set(probe["added"])
+    assert not {"argparse", "gettext", "heapq"} & set(probe["ran"])
     import bhfix
 
     assert probe["listed"] == probe["bound"] == bhfix.__all__
+    # any other argv goes to argparse, which writes the help
+    probe, printed = _import_probe("compare", "-h")
+    assert probe["code"] == 0 and "argparse" in probe["ran"]
+    assert printed[0].startswith("usage: bhfix compare")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "bhfix", "verify", "--dilator", "successor", "--budget", "8"],
         capture_output=True, text=True, env=env,
@@ -465,78 +483,66 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "@0:th(top)"
 
 
-_ODD_ARGV = {
-    "option-between-positionals":
-        ["compare", "@0:th(top)", "--dilator", "successor", "@1:th(v0;th(top))"],
-    "options-after-positionals":
-        ["interpret", "@1:th(v0;th(top))", "--witness", "omega-successor", "--dilator", "successor"],
-    "flag-between-options":
-        ["verify", "--suite", "laws", "--break-naturality", "--dilator", "successor", "--budget", "5"],
-    "abbreviation": ["enumerate", "--dil", "successor", "--stages", "2"],
-    "equals-form": ["enumerate", "--dilator=omega", "--stages", "2", "--budget", "3"],
-    "repeated-budget":
-        ["enumerate", "--dilator", "omega", "--stages", "2", "--budget", "3", "--budget", "4"],
-    "repeated-flag":
-        ["verify", "--dilator", "constant:3", "--break-naturality", "--budget", "4",
-         "--break-naturality"],
-    "double-dash": ["compare", "--dilator", "successor", "--", "@0:th(top)", "@0:th(top)"],
-    "help-alone": ["-h"],
-    "help-first": ["--help", "compare"],
-    "help-after-command": ["compare", "-h"],
-    "help-last": ["verify", "--dilator", "omega", "--help"],
-    "help-as-value": ["enumerate", "--dilator", "-h", "--stages", "1"],
-    "dash-value": ["compare", "--dilator", "-x", "@0:th(top)", "@0:th(top)"],
-    "negative-budget": ["verify", "--dilator", "successor", "--budget", "-1"],
-    "negative-positional": ["compare", "--dilator", "successor", "-1", "@0:th(top)"],
-    "arabic-indic-budget": ["verify", "--dilator", "successor", "--budget", "٣"],
-    "bad-suite": ["verify", "--dilator", "successor", "--suite", "bogus"],
-    "bad-witness": ["interpret", "--dilator", "successor", "--witness", "nope", "@0:th(top)"],
-    "missing-value": ["enumerate", "--dilator", "successor", "--stages"],
-    "missing-option": ["enumerate", "--dilator", "successor"],
-    "missing-positional": ["compare", "--dilator", "successor", "@0:th(top)"],
-    "extra-positional":
-        ["compare", "--dilator", "successor", "@0:th(top)", "@0:th(top)", "@0:th(top)"],
-    "extra-positional-verify": ["verify", "--dilator", "successor", "laws"],
-    "empty-term": ["interpret", "--dilator", "successor", ""],
-    "empty-selector": ["compare", "--dilator", "", "@0:th(top)", "@0:th(top)"],
-    "empty-command": [""],
-    "unknown-command": ["frob", "--dilator", "successor"],
-    "term-with-spaces": ["compare", "--dilator", "successor", "@1:th( v0 ; th(top) )", "@0:th(top)"],
-    "empty-argv": [],
-}
-
-
-def _snapshot_requests():
-    sys.path.insert(0, str(ROOT / "scripts"))
-    try:
-        import cli_snapshot
-    finally:
-        sys.path.remove(str(ROOT / "scripts"))
-    return list(cli_snapshot.requests())
+sys.path.insert(0, str(ROOT / "scripts"))
+try:
+    import cli_snapshot  # the snapshot's requests, ending with its ODD_ARGV
+finally:
+    sys.path.remove(str(ROOT / "scripts"))
+ODD_ARGV = cli_snapshot.ODD_ARGV
 
 
 def test_plain_reader_agrees_with_argparse():
-    # every request of the CLI snapshot is plain, so the reader reads it, and
-    # into the namespace argparse builds; for each odd shape the reader either
-    # leaves the argv to argparse or builds the same namespace.  Run on each
-    # Python version CI tests, this also catches a change in argparse.
+    # every request of the CLI snapshot before its odd shapes is plain, so
+    # the reader reads it, into the namespace argparse builds; for each odd
+    # shape the reader either leaves the argv to argparse or builds the same
+    # namespace.  Run on each Python version CI tests, this also catches a
+    # change in argparse.
     parser = cli._build_parser()
 
     def parse_args(argv):
         try:
-            return parser.parse_args(argv)
+            return vars(parser.parse_args(argv))
         except SystemExit:
             return None
 
-    for argv in _snapshot_requests():
+    requests = list(cli_snapshot.requests())
+    odd = list(ODD_ARGV.values())
+    assert requests[-len(odd):] == odd
+    for argv in requests[:-len(odd)]:
         args = cli._read_plain(argv)
-        assert args is not None and args == parse_args(argv), argv
-    for argv in _ODD_ARGV.values():
+        assert args is not None and vars(args) == parse_args(argv), argv
+    for argv in odd:
         args = cli._read_plain(argv)
-        assert args is None or args == parse_args(argv), argv
+        assert args is None or vars(args) == parse_args(argv), argv
 
 
-@pytest.mark.parametrize("argv", _ODD_ARGV.values(), ids=_ODD_ARGV.keys())
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_help_names_every_option_of_the_table(capsys, name):
+    # argparse's parser is built from _COMMANDS; compared with whitespace
+    # removed, since argparse wraps help to the terminal width
+    _, options, positionals = cli._COMMANDS[name]
+    code, out, err = run_cli(capsys, name, "-h")
+    assert (code, err) == (0, "") and out.startswith(f"usage: bhfix {name}")
+    text = "".join(out.split())
+    for flag, (_, _, choices, _, _, help_) in options.items():
+        assert flag in text
+        if choices is not None:
+            assert "{" + ",".join(choices) + "}" in text
+        if help_ is not None:
+            assert "".join(help_.split()) in text
+    for dest in positionals:
+        assert dest in text
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    code, out, err = run_cli(capsys, "-h")
+    assert (code, err) == (0, "") and out.startswith("usage: bhfix")
+    text = " ".join(out.split())
+    for name, (help_line, _, _) in cli._COMMANDS.items():
+        assert f" {name} {help_line}" in text
+
+
+@pytest.mark.parametrize("argv", ODD_ARGV.values(), ids=ODD_ARGV.keys())
 def test_odd_argv_answer_as_argparse_alone_does(capsys, monkeypatch, argv):
     # exit code, stdout and stderr (usage and help text included) are those
     # of a run in which argparse reads the argv

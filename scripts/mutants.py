@@ -195,6 +195,22 @@ MUTANTS = [
         "killed",
     ),
     (
+        "tower-collapse-skips-full-support",
+        "src/bhfix/limits.py",
+        "tests/test_limits.py",
+        "if supp != tuple(range(k)):",
+        "if False:",
+        "killed",
+    ),
+    (
+        "order-reversed-above-omega",
+        "src/bhfix/systems.py",
+        "tests/test_differential.py",
+        "        return verdict\n",
+        "        return -verdict if s.length > 2 and t.length > 2 else verdict\n",
+        "killed",
+    ),
+    (
         "parser-drops-strict-increase",
         "src/bhfix/syntax.py",
         "tests/test_syntax.py",

@@ -185,18 +185,6 @@ class CodedElement(tuple):
 _coded = partial(tuple.__new__, CodedElement)
 
 
-def make_coded(dilator: Dilator, support: Sequence, token: Token) -> CodedElement:
-    """Build a coded element, checking the full-support invariant."""
-    k = len(support)
-    supp = dilator.supp_at(k, token)
-    if supp != tuple(range(k)):
-        raise DilatorLawError(
-            f"{dilator.name}: token {dilator.format_token(k, token)} does not use "
-            f"its whole arity-{k} support (supp = {supp})"
-        )
-    return CodedElement(tuple(support), token)
-
-
 def normal_form(dilator: Dilator, n: int, tok: Token) -> CodedElement:
     """Factor a raw token through the inclusion of its support.
 

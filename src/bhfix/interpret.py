@@ -38,8 +38,6 @@ LIMIT_STAGES = 3
 class Witness:
     """Contract for an order Y with a claimed collapse of T_Y into Y."""
 
-    name = "witness"
-
     def compare(self, a: Any, b: Any) -> int:
         raise NotImplementedError
 
@@ -85,8 +83,6 @@ class SelfWitness(Witness):
     Available for every dilator; embedding the limit into itself through
     this witness must be the identity, which makes it a sharp self-test.
     """
-
-    name = "bh-self"
 
     def __init__(self, tower: Tower):
         self.tower = tower

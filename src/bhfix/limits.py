@@ -64,13 +64,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cmp_to_key
 
-from .dilator import (
-    CodedElement,
-    Dilator,
-    Enumeration,
-    least_coded,
-    make_coded,
-)
+from .dilator import CodedElement, Dilator, Enumeration, least_coded
+from .errors import DilatorLawError
 from .finite_orders import is_strictly_sorted
 from .systems import Stage, System, ThetaTerm
 
@@ -117,14 +112,22 @@ class Tower(System):
         return bisect_right(ps, pt[-1]) if pt else 0
 
     def collapse(self, coded: CodedElement) -> ThetaTerm:
-        """Collapse a coded element over the limit order.
+        """Collapse a coded element over the limit order and intern it.
 
-        The support must be a strictly increasing tuple of limit elements
-        and the token must use all of it.
+        Raises ``ValueError`` unless the support is a strictly increasing
+        tuple of limit elements, and ``DilatorLawError`` unless the token
+        uses all of it (its arity-k support is 0..k-1).
         """
         if not is_strictly_sorted(coded.support, self.compare):
             raise ValueError("support must be strictly increasing in the limit order")
-        return super().collapse(make_coded(self.dilator, coded.support, coded.token))
+        dilator, k, token = self.dilator, coded.arity, coded.token
+        supp = dilator.supp_at(k, token)
+        if supp != tuple(range(k)):
+            raise DilatorLawError(
+                f"{dilator.name}: token {dilator.format_token(k, token)} does "
+                f"not use its whole arity-{k} support (supp = {supp})"
+            )
+        return super().collapse(coded)
 
     # -- enumeration -------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from itertools import combinations_with_replacement, islice
 
-from .dilator import MAX_DIGITS, Dilator, Enumeration, Token, parse_nat
+from .dilator import MAX_DIGITS, Dilator, Enumeration, parse_nat
 from .errors import TermSyntaxError, TermTypeError
 from .finite_orders import EQ, GT, LT, sgn
 
@@ -28,9 +28,10 @@ _ENTRIES = re.compile(rf"(?:(?:0|[1-9][0-9]{{0,{MAX_DIGITS - 1}}}),)+")
 
 
 def _parse_nat(text: str, what: str) -> int:
+    value = parse_nat(text, what, TermSyntaxError)
     if text.startswith("0") and text != "0":
         raise TermSyntaxError(f"{what} has a leading zero: {text!r}")
-    return parse_nat(text, what, TermSyntaxError)
+    return value
 
 
 def _split_args(text: str) -> list[str]:

@@ -67,19 +67,12 @@ class CheckReport:
 
     __slots__ = ("name", "exhaustive", "instances", "failures", "overflow")
 
-    def __init__(
-        self,
-        name: str,
-        exhaustive: bool = True,
-        instances: int = 0,
-        failures: list[str] | None = None,
-        overflow: int = 0,
-    ) -> None:
+    def __init__(self, name: str, exhaustive: bool = True) -> None:
         self.name = name
         self.exhaustive = exhaustive
-        self.instances = instances
-        self.failures = [] if failures is None else failures
-        self.overflow = overflow
+        self.instances = 0
+        self.failures: list[str] = []
+        self.overflow = 0
 
     def __repr__(self) -> str:
         return (

@@ -18,11 +18,9 @@ from bhfix.dilator import (
     full_support_tokens,
     least,
     least_coded,
-    make_coded,
     map_coded,
     normal_form,
 )
-from bhfix.errors import DilatorLawError
 from bhfix.finite_orders import EQ, GT, LT, Embedding, all_embeddings, compose, finset_map, sgn
 from bhfix.limits import Tower
 from bhfix.standard_dilators import (
@@ -56,11 +54,6 @@ def test_normal_form_full_support_is_identity():
     nf = normal_form(omega, 2, (1, 0))
     assert nf.support == (0, 1)
     assert nf.token == (1, 0)
-
-
-def test_make_coded_rejects_partial_support():
-    with pytest.raises(DilatorLawError):
-        make_coded(succ, (4, 7), TOP)  # TOP has empty support, arity 2 claimed
 
 
 def test_compare_coded_successor_over_naturals():

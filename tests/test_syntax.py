@@ -70,7 +70,7 @@ ERROR_CORPUS = [
     ("successor", "@0:th(v0;th(top)) )", "TermTypeError",
      "a stage-0 term cannot have support terms"),
     ("successor", "@1:th(v0 th(top))", "TermSyntaxError",
-     "the index of a successor token has a leading zero: '0th(top)'"),
+     "the index of a successor token must be a natural number, got '0th(top)'"),
     ("successor", "@0:th(v0;th(top))", "TermTypeError",
      "a stage-0 term cannot have support terms"),
     ("successor", "@0:th(v0;th(top)))", "TermTypeError",
@@ -114,6 +114,8 @@ ERROR_CORPUS = [
     ("omega", "@0:th(w[0,,0])", "TermSyntaxError",
      "an entry of w[...] must be a natural number, got ''"),
     ("omega", "@0:th(w[0,00])", "TermSyntaxError", "an entry of w[...] has a leading zero: '00'"),
+    ("omega", "@0:th(w[0,0x])", "TermSyntaxError",
+     "an entry of w[...] must be a natural number, got '0x'"),
     ("omega", "@0:th(w[0,²])", "TermSyntaxError",
      "an entry of w[...] must be a natural number, got '²'"),
     ("omega", "@0:th(w[" + "1" * 4301 + "])", "TermSyntaxError",

@@ -203,6 +203,22 @@ MUTANTS = [
         "killed",
     ),
     (
+        "tower-sample-two-stages",
+        "src/bhfix/limits.py",
+        "tests/test_interpret.py",
+        "least(self.enumerate(LIMIT_STAGES, budget), budget, self.compare)",
+        "least(self.enumerate(LIMIT_STAGES - 1, budget), budget, self.compare)",
+        "killed",
+    ),
+    (
+        "tower-format-drops-stage",
+        "src/bhfix/limits.py",
+        "tests/test_cli.py",
+        "return format_bh(self.dilator, e)\n",
+        'return format_bh(self.dilator, e).partition(":")[2]\n',
+        "killed",
+    ),
+    (
         "order-reversed-above-omega",
         "src/bhfix/systems.py",
         "tests/test_differential.py",

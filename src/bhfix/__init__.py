@@ -15,7 +15,7 @@ imports; import :func:`bhfix.verify.run_suite` from there.
 SUITES = ("all", "laws", "theta", "fixedpoint", "minimality")
 
 from .dilator import CodedElement, Dilator
-from .interpret import OmegaSuccessorWitness, SelfWitness, Witness, embed_bh
+from .interpret import OmegaSuccessorWitness, embed_bh
 from .limits import Tower
 from .standard_dilators import (
     ConstantDilator,
@@ -37,11 +37,9 @@ __all__ = [
     "LexProductDilator",
     "OmegaPowerDilator",
     "OmegaSuccessorWitness",
-    "SelfWitness",
     "SuccessorDilator",
     "SumDilator",
     "Tower",
-    "Witness",
     "embed_bh",
     "format_bh",
     "parse_bh",

@@ -32,7 +32,7 @@ from .errors import (
     TermTypeError,
     WitnessLawError,
 )
-from .interpret import OmegaSuccessorWitness, SelfWitness, embed_bh
+from .interpret import OmegaSuccessorWitness, embed_bh
 from .limits import Tower
 from .standard_dilators import (
     ConstantDilator,
@@ -264,15 +264,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_interpret(args) -> int:
     dilator = parse_selector(args.dilator)
-    tower = Tower(dilator)
+    # bh-self is the limit itself
+    tower = witness = Tower(dilator)
     if args.witness == "omega-successor":
         if dilator.name != "successor":
             raise TermTypeError(
                 "the omega-successor witness only collapses the successor dilator"
             )
         witness = OmegaSuccessorWitness()
-    else:
-        witness = SelfWitness(tower)
     element = parse_bh(tower, args.term)
     print(witness.format(embed_bh(witness, element)))
     return EXIT_OK

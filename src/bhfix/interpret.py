@@ -1,10 +1,14 @@
 """Collapse witnesses and the embedding of the limit into them.
 
-A witness is an external order Y together with a function from coded
-elements over Y to Y that is claimed to satisfy the two collapse
-conditions; validity is only ever *sampled* (see
-:func:`bhfix.verify.check_witness`), never proven, since the conditions
-quantify over all of T_Y.
+A witness is an order Y with a function from coded elements over Y to Y
+that is claimed to satisfy the two collapse conditions.  It has four
+methods: ``compare(a, b)``, ``collapse(coded)``, ``sample(budget)``, a
+sorted :class:`~bhfix.dilator.Enumeration` of Y, and ``format(value)``,
+a value as printed by the CLI and in failure lines.  Validity is only ever
+*sampled* (see :func:`bhfix.verify.check_witness`), never proven, since the
+conditions quantify over all of T_Y.  The two witnesses are
+:class:`OmegaSuccessorWitness` and ``bh-self``, the
+:class:`~bhfix.limits.Tower` itself with its glued collapse.
 
 The interpretation of the limit into a witness is the order map h : lim -> Y
 given by the recursion
@@ -15,51 +19,28 @@ given by the recursion
 X_n is a subset of X_{n+1} and of the limit, and the interpretation of X_n
 that the paper builds stage by stage is this one h restricted to X_n: the
 extension equation h_{n+1} o iota_n = h_n and the gluing of the h_n hold by
-construction.
+construction.  Into ``bh-self`` h is the identity.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from .dilator import CodedElement, Enumeration, least
+from .dilator import CodedElement, Enumeration
 from .errors import WitnessLawError
 from .finite_orders import sgn
-from .limits import Tower
 from .standard_dilators import TOP
-from .syntax import format_bh
 from .systems import ThetaTerm
 
-# How many stages the samples cover (X_1..X_3): the self witness's order
-# sample and every check of :mod:`bhfix.verify` that walks the stages.
-LIMIT_STAGES = 3
 
-
-class Witness:
-    """Contract for an order Y with a claimed collapse of T_Y into Y."""
-
-    def compare(self, a: Any, b: Any) -> int:
-        raise NotImplementedError
-
-    def collapse(self, coded: CodedElement) -> Any:
-        raise NotImplementedError
-
-    def enumerate(self, budget: int) -> Enumeration:
-        raise NotImplementedError
-
-    def format(self, value: Any) -> str:
-        """A witness value as printed by the CLI and in failure lines."""
-        return str(value)
-
-
-class OmegaSuccessorWitness(Witness):
+class OmegaSuccessorWitness:
     """The naturals as a collapse target for the successor dilator.
 
     The new maximum collapses to 0 and a carrier element n to n + 1; this is
     the canonical external oracle for the successor limit.
     """
 
-    name = "omega-successor"
+    format = str
 
     def compare(self, a, b):
         return sgn(a - b)
@@ -69,39 +50,13 @@ class OmegaSuccessorWitness(Witness):
             return 0
         if coded.token == 0 and len(coded.support) == 1:
             return coded.support[0] + 1
-        raise WitnessLawError(
-            f"{self.name}: not a successor-dilator element: {coded!r}"
-        )
+        raise WitnessLawError(f"omega-successor: not a successor-dilator element: {coded!r}")
 
-    def enumerate(self, budget):
+    def sample(self, budget):
         return Enumeration(tuple(range(budget)), False)
 
 
-class SelfWitness(Witness):
-    """The limit order of a tower, witnessed by its own glued collapse.
-
-    Available for every dilator; embedding the limit into itself through
-    this witness must be the identity, which makes it a sharp self-test.
-    """
-
-    def __init__(self, tower: Tower):
-        self.tower = tower
-
-    def compare(self, a, b):
-        return self.tower.compare(a, b)
-
-    def collapse(self, coded):
-        return self.tower.collapse(coded)
-
-    def enumerate(self, budget):
-        listed = self.tower.enumerate(LIMIT_STAGES, budget)
-        return least(listed, budget, self.compare)
-
-    def format(self, value):
-        return format_bh(self.tower.dilator, value)
-
-
-def interpretation(witness: Witness) -> Callable[[ThetaTerm], Any]:
+def interpretation(witness) -> Callable[[ThetaTerm], Any]:
     """The interpretation h of the limit into the witness,
     th(sigma) |-> collapse_Y(h[sigma]), memoized per term and filled on
     demand in call order, so each distinct term is collapsed once."""
@@ -116,6 +71,6 @@ def interpretation(witness: Witness) -> Callable[[ThetaTerm], Any]:
     return h
 
 
-def embed_bh(witness: Witness, e: ThetaTerm) -> Any:
+def embed_bh(witness, e: ThetaTerm) -> Any:
     """Image of a limit element in the witness order."""
     return interpretation(witness)(e)

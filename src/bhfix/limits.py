@@ -54,7 +54,10 @@ lies above it by induction.  Two rules rest on the lemma.
   first clause: the selector skips the block of supports above S.
 
 The glued collapse is the limit system's collapse; a stage containing the
-support collapses to the same element.
+support collapses to the same element.  So the tower is itself a collapse
+witness, ``bh-self`` (:mod:`bhfix.interpret`): it has the witness methods
+``compare``, ``collapse``, ``sample`` and ``format``, and minimality embeds
+it into itself by the identity.
 
 All caches are append-only; elements are immutable.
 """
@@ -64,8 +67,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cmp_to_key
 
-from .dilator import CodedElement, Dilator, Enumeration, least_coded
-from .errors import DilatorLawError
+from .dilator import CodedElement, Dilator, Enumeration, least, least_coded
+from .errors import DilatorLawError, SystemDefectError
 from .finite_orders import is_strictly_sorted
 from .systems import Stage, System, ThetaTerm
 
@@ -73,10 +76,24 @@ from .systems import Stage, System, ThetaTerm
 # the sample stays at desk scale even for generous budgets.
 BASE_SAMPLE_CAP = 12
 
+# How many stages the samples cover (X_1..X_3): the tower's witness sample
+# and every check of :mod:`bhfix.verify` that walks the stages.
+LIMIT_STAGES = 3
+
 
 def birth_stage(e: ThetaTerm) -> int:
     """The stage n at which a limit element is new, i.e. first in X_{n+1}."""
     return e.length - 1
+
+
+def diagnose_unsorted(owner: System, listing: Enumeration, cmp) -> None:
+    """Called on a ``ValueError`` of a selection over ``listing``: raise
+    ``SystemDefectError`` when the listing is not sorted under ``cmp``, as
+    then the tower's order and ``owner``'s disagree."""
+    if not is_strictly_sorted(listing.items, cmp):
+        raise SystemDefectError(
+            f"{owner!r}: the tower's listing of its carrier is not sorted in its order"
+        ) from None
 
 
 class Tower(System):
@@ -134,7 +151,8 @@ class Tower(System):
     def listing(self, n: int, budget: int) -> Enumeration:
         """The least ``budget`` collapses over ``listing(n - 1, min(budget,
         BASE_SAMPLE_CAP))``, sorted; X_0 is empty.  The one listing generator,
-        cached per (n, budget) and filled bottom-up."""
+        cached per (n, budget) and filled bottom-up.  A listing one stage down
+        that is not sorted in the limit order is a ``SystemDefectError``."""
         if n == 0 or (n, budget) in self._listings:
             return self._listings.get((n, budget), Enumeration((), True))
         cap = min(budget, BASE_SAMPLE_CAP)
@@ -145,9 +163,13 @@ class Tower(System):
         cmp, collapse = self.compare, super().collapse
         for k in range(m + 1, n + 1):
             b = budget if k == n else cap
-            listing = self._listings[k, b] = least_coded(
-                self.dilator, listing, b, b, cmp, collapse, cmp
-            )
+            try:
+                listing = self._listings[k, b] = least_coded(
+                    self.dilator, listing, b, b, cmp, collapse, cmp
+                )
+            except ValueError:
+                diagnose_unsorted(self, listing, cmp)
+                raise
         return listing
 
     def enumerate(self, stage_bound: int, budget: int) -> Enumeration:
@@ -166,3 +188,16 @@ class Tower(System):
                 break
         out.sort(key=cmp_to_key(self.compare))
         return Enumeration(tuple(out), exhaustive)
+
+    # -- the witness methods -----------------------------------------------------
+
+    def sample(self, budget: int) -> Enumeration:
+        """The least ``budget`` limit elements born below ``LIMIT_STAGES``."""
+        return least(self.enumerate(LIMIT_STAGES, budget), budget, self.compare)
+
+    def format(self, e: ThetaTerm) -> str:
+        """A limit element in the term grammar."""
+        # imported here: bhfix.syntax imports this module
+        from .syntax import format_bh
+
+        return format_bh(self.dilator, e)

@@ -34,16 +34,9 @@ from .finite_orders import (
     compose,
     finset_map,
     identity_embedding,
-    is_strictly_sorted,
 )
-from .interpret import (
-    LIMIT_STAGES,
-    OmegaSuccessorWitness,
-    SelfWitness,
-    Witness,
-    interpretation,
-)
-from .limits import BASE_SAMPLE_CAP, Tower, birth_stage
+from .interpret import OmegaSuccessorWitness, interpretation
+from .limits import BASE_SAMPLE_CAP, LIMIT_STAGES, Tower, birth_stage, diagnose_unsorted
 from .syntax import format_bh, format_term
 from .systems import System, ThetaTerm
 
@@ -262,9 +255,10 @@ def check_theta_linear(system: System, budget: int) -> CheckReport:
     """The term order over the system's carrier is linear: trichotomy and
     antisymmetry on all pairs (clause-level cross check included) and
     transitivity on all triples of the sample."""
-    terms = system.tower.listing(system.n + 1, budget)
-    report = CheckReport(f"theta-linear:X{system.n + 1}", terms.exhaustive)
+    report = CheckReport(f"theta-linear:X{system.n + 1}", False)
     with report:
+        terms = system.tower.listing(system.n + 1, budget)
+        report.exhaustive = terms.exhaustive
         items, size = terms.items, len(terms)
         matrix = [[system.compare(s, t) for t in items] for s in items]
         less = [[s is not t and _clause_less(system, s, t) for t in items] for s in items]
@@ -316,11 +310,8 @@ def _coded_sample(system: System, budget: int) -> Enumeration:
         try:
             sample = _least_coded(system.dilator, base, budget, budget, system.carrier_compare)
         except ValueError:
-            if is_strictly_sorted(base.items, system.carrier_compare):
-                raise
-            raise SystemDefectError(
-                f"{system!r}: the tower's listing of its carrier is not sorted in its order"
-            ) from None
+            diagnose_unsorted(system, base, system.carrier_compare)
+            raise
         samples[budget] = sample
     return sample
 
@@ -363,10 +354,11 @@ def check_goodness(system: System, budget: int) -> CheckReport:
     length equation holds by construction; its lines stay as the paper's
     law.  The listing is in the limit order and the stage compares in the
     full order, so the order lines test the two against each other."""
-    xs = system.tower.listing(system.n, budget)
-    report = CheckReport(f"goodness:X{system.n}", xs.exhaustive)
+    report = CheckReport(f"goodness:X{system.n}", False)
     fmt = lambda t: format_term(system.dilator, t)  # noqa: E731
     with report:
+        xs = system.tower.listing(system.n, budget)
+        report.exhaustive = xs.exhaustive
         for x in xs:
             report.check(
                 system.embed(x).length == system.length_of(x),
@@ -426,11 +418,12 @@ def check_fixed_point(
     element of T over the limit comes from a finite stage.  The terms are
     shared across the stages, so stage independence and absorption hold by
     construction; their lines stay as the paper's laws."""
-    carried = least(tower.enumerate(stage_bound, budget), carrier_cap, tower.compare)
-    coded = _least_coded(tower.dilator, carried, budget, sample_cap, tower.compare)
-    report = CheckReport("fixed-point", coded.exhaustive)
+    report = CheckReport("fixed-point", False)
     show = partial(format_bh, tower.dilator)
     with report:
+        carried = least(tower.enumerate(stage_bound, budget), carrier_cap, tower.compare)
+        coded = _least_coded(tower.dilator, carried, budget, sample_cap, tower.compare)
+        report.exhaustive = coded.exhaustive
         values = []
         for sigma in coded:
             value = tower.collapse(sigma)
@@ -459,10 +452,11 @@ def check_limit_order(tower: Tower, budget: int) -> CheckReport:
     every clause, and the limit settles supports through the merge: so this
     tests the settled recursion against the full one.  Their memos are
     apart, so neither reads the other's verdicts."""
-    elements = tower.enumerate(LIMIT_STAGES, budget)
-    report = CheckReport("limit-order", elements.exhaustive)
+    report = CheckReport("limit-order", False)
     dil = tower.dilator
     with report:
+        elements = tower.enumerate(LIMIT_STAGES, budget)
+        report.exhaustive = elements.exhaustive
         for e in elements:
             for m in range(birth_stage(e), LIMIT_STAGES):
                 report.check(
@@ -485,23 +479,25 @@ def check_limit_order(tower: Tower, budget: int) -> CheckReport:
 
 
 def check_witness(
-    witness: Witness, dilator: Dilator, budget: int, carrier_cap: int = BASE_SAMPLE_CAP
+    witness, dilator: Dilator, budget: int, carrier_cap: int = BASE_SAMPLE_CAP
 ) -> CheckReport:
-    """Both collapse conditions for an external witness, on a sample of
-    coded elements over the witness order."""
-    carried = least(witness.enumerate(budget), carrier_cap, witness.compare)
-    items = _least_coded(dilator, carried, budget, budget, witness.compare)
-    report = CheckReport("witness", items.exhaustive)
-    try:
-        values = [witness.collapse(sigma) for sigma in items]
-    except WitnessLawError as err:
-        report.fail(f"collapse undefined on a sampled element: {err}")
-        return report
-    _collapse_conditions(report, items, values, witness.compare, _identity, witness.format)
+    """Both collapse conditions for a witness (:mod:`bhfix.interpret`), on
+    a sample of coded elements over the witness order."""
+    report = CheckReport("witness", False)
+    with report:
+        carried = least(witness.sample(budget), carrier_cap, witness.compare)
+        items = _least_coded(dilator, carried, budget, budget, witness.compare)
+        report.exhaustive = items.exhaustive
+        try:
+            values = [witness.collapse(sigma) for sigma in items]
+        except WitnessLawError as err:
+            report.fail(f"collapse undefined on a sampled element: {err}")
+            return report
+        _collapse_conditions(report, items, values, witness.compare, _identity, witness.format)
     return report
 
 
-def check_minimality(tower: Tower, witness: Witness, budget: int) -> CheckReport:
+def check_minimality(tower: Tower, witness, budget: int) -> CheckReport:
     """The interpretation h of the limit into the witness, restricted to
     each stage, satisfies the extension equation and is an order embedding;
     on the limit it is an order embedding that agrees with its stage
@@ -621,7 +617,7 @@ def run_suite(dilator: Dilator, suite: str = "all", budget: int = 50) -> list[Ch
         reports.append(check_fixed_point(tower, terms, sample_cap=sample_cap))
         reports.append(check_limit_order(tower, terms))
     if suite in ("all", "minimality"):
-        w = OmegaSuccessorWitness() if dilator.name == "successor" else SelfWitness(tower)
+        w = OmegaSuccessorWitness() if dilator.name == "successor" else tower
         reports.append(check_witness(w, dilator, sample_cap))
         reports.append(check_minimality(tower, w, terms))
     reports.sort(key=lambda r: r.name)

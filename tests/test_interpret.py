@@ -4,16 +4,11 @@ import pytest
 
 from bhfix.dilator import CodedElement
 from bhfix.errors import WitnessLawError
-from bhfix.interpret import (
-    OmegaSuccessorWitness,
-    SelfWitness,
-    Witness,
-    embed_bh,
-    interpretation,
-)
+from bhfix.interpret import OmegaSuccessorWitness, embed_bh, interpretation
 from bhfix.limits import Tower, birth_stage
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
 from bhfix.dilator import Enumeration
+from bhfix.cli import parse_selector
 from bhfix.verify import check_witness
 
 
@@ -88,9 +83,8 @@ def test_embed_bh_is_order_preserving_and_stage_consistent(succ_tower):
 def test_self_witness_embeds_identically(dilator):
     # the limit collapses into itself; the induced embedding is the identity
     tower = Tower(dilator)
-    w = SelfWitness(tower)
     for e in tower.enumerate(3, 8):
-        assert embed_bh(w, e) is e
+        assert embed_bh(tower, e) is e
 
 
 def test_omega_witness_self_check_at_scale(succ_tower):
@@ -102,8 +96,8 @@ def test_omega_witness_self_check_at_scale(succ_tower):
     assert report.instances > 400
 
 
-class _ZeroWitness(Witness):
-    name = "zero"
+class _ZeroWitness:
+    format = str
 
     def compare(self, a, b):
         return (a > b) - (a < b)
@@ -111,7 +105,7 @@ class _ZeroWitness(Witness):
     def collapse(self, coded):
         return 0
 
-    def enumerate(self, budget):
+    def sample(self, budget):
         return Enumeration(tuple(range(budget)), False)
 
 
@@ -134,3 +128,17 @@ def test_support_element_equal_to_its_collapse_is_caught():
     assert not report.passed
     assert all(line.startswith("condition (ii) broken: ") for line in report.failures)
     assert "condition (ii) broken: 3 not below 3" in report.failures
+
+
+def test_the_tower_is_its_own_witness():
+    # bh-self: the least elements born below LIMIT_STAGES, printed in the
+    # term grammar; the successor sample holds every limit element of X_3
+    tower = Tower(SuccessorDilator())
+    assert [tower.format(e) for e in tower.sample(5)] == [
+        "@0:th(top)", "@1:th(v0;th(top))", "@2:th(v0;th(v0;th(top)))"
+    ]
+    report = check_witness(tower, tower.dilator, 10)
+    assert (report.passed, report.instances, report.exhaustive) == (True, 15, True)
+    product = Tower(parse_selector("product(successor,constant:2)"))
+    report = check_witness(product, product.dilator, 30)
+    assert (report.passed, report.instances) == (True, 674)

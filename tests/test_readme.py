@@ -18,9 +18,7 @@ DOCUMENTED = {
     "Dilator",
     "CodedElement",
     "Tower",
-    "Witness",
     "OmegaSuccessorWitness",
-    "SelfWitness",
     "embed_bh",
     "format_bh",
     "parse_bh",

@@ -2,7 +2,7 @@
 
 import heapq
 from functools import cmp_to_key, partial
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -19,10 +19,9 @@ from bhfix.dilator import (
     least_coded,
 )
 from bhfix.finite_orders import EQ, GT, LT
-from bhfix.interpret import LIMIT_STAGES
-from bhfix.limits import BASE_SAMPLE_CAP, Tower
+from bhfix.limits import BASE_SAMPLE_CAP, LIMIT_STAGES, Tower
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
-from bhfix.syntax import format_term
+from bhfix.syntax import format_term, parse_bh
 from bhfix.systems import System
 from bhfix.verify import check_dilator_laws, run_suite
 from test_verify import _TREES, coded_elements
@@ -401,6 +400,53 @@ def test_a_dilator_that_fails_the_gate_is_never_pruned(monkeypatch):
     monkeypatch.setattr(limits, "least_coded", _full_generation)
     monkeypatch.setattr(verify, "least_coded", _full_generation)
     assert [r.format() for r in run_suite(_ReversedOmega(), "all", 12)] == pruned
+
+
+class _Sequences(OmegaPowerDilator):
+    """``seq``: every finite sequence over n, in Python's tuple order (a
+    proper prefix is below), with the set of its entries as support.  A
+    prae-dilator but not a dilator: s[1] > s[0,1] > s[0,0,1] > ... descends
+    forever at arity 2, so its limit is not well founded."""
+
+    name = "seq"
+
+    def sample_at(self, n, budget):
+        # by length, each length in tuple order; at arity 0 the empty
+        # sequence is the only token
+        if n == 0:
+            return Enumeration(((),) if budget >= 1 else (), budget >= 1)
+        items = []
+        length = 0
+        while len(items) < budget:
+            items.extend(islice(product(range(n), repeat=length), budget - len(items)))
+            length += 1
+        return Enumeration(tuple(items), False)
+
+    def format_token(self, n, tok):
+        return "s[" + ",".join(map(str, tok)) + "]"
+
+    def parse_token(self, n, text):
+        assert text.startswith("s[") and text.endswith("]"), text
+        return tuple(map(int, text[2:-1].split(","))) if text != "s[]" else ()
+
+
+@pytest.mark.parametrize("budget", [20, 40])
+def test_a_prae_dilator_that_is_no_dilator_passes_every_check(budget):
+    # the checks are finite, so a pass is no proof of well-foundedness
+    reports = run_suite(_Sequences(), "all", budget)
+    assert len(reports) == 17 and all(r.passed for r in reports)
+
+
+def test_the_seq_limit_descends_forever():
+    tower = Tower(_Sequences())
+    a, b = parse_bh(tower, "@0:th(s[])"), parse_bh(tower, "@1:th(s[0];th(s[]))")
+    chain = [tower.collapse(CodedElement((a, b), (0,) * k + (1,))) for k in range(1, 200)]
+    assert all(tower.compare(t, s) == LT for s, t in zip(chain, chain[1:]))
+    assert format_term(tower.dilator, chain[0]) == "th(s[0,1];th(s[]),th(s[0];th(s[])))"
+
+
+def test_seq_listings_and_coded_samples_are_the_sorted_cut():
+    _assert_full_generation_cut(Tower(_Sequences()), (1, 2, 3, 4), (0, 1, 5, 12, 13, 40))
 
 
 def _listings_and_samples(selector):

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from bhfix import cli, verify
+from bhfix import cli, limits, verify
 from bhfix.cli import parse_selector
 from bhfix.dilator import (
     CodedElement,
@@ -19,8 +19,7 @@ from bhfix.dilator import (
 )
 from bhfix.errors import WitnessLawError
 from bhfix.finite_orders import EQ
-from bhfix.interpret import SelfWitness
-from bhfix.limits import BASE_SAMPLE_CAP, Tower, birth_stage
+from bhfix.limits import BASE_SAMPLE_CAP, LIMIT_STAGES, Tower, birth_stage
 from bhfix.standard_dilators import (
     ConstantDilator,
     IdentityDilator,
@@ -311,11 +310,18 @@ def test_unknown_suite_rejected():
         run_suite(SuccessorDilator(), "bogus")
 
 
-class _ReversedSelfWitness(SelfWitness):
+class _ReversedLimit:
     """The limit witnessing itself with its order reversed."""
 
+    def __init__(self, tower):
+        self.tower = tower
+        self.collapse, self.format = tower.collapse, tower.format
+
     def compare(self, a, b):
-        return -super().compare(a, b)
+        return -self.tower.compare(a, b)
+
+    def sample(self, budget):
+        return least(self.tower.enumerate(LIMIT_STAGES, budget), budget, self.compare)
 
 
 def test_failure_lines_use_term_grammar():
@@ -324,7 +330,7 @@ def test_failure_lines_use_term_grammar():
     tower = Tower(SuccessorDilator())
     for report in (
         check_goodness(_ZeroLengthSystem(tower.full_order, 1), 10),
-        check_witness(_ReversedSelfWitness(tower), tower.dilator, 10),
+        check_witness(_ReversedLimit(tower), tower.dilator, 10),
     ):
         assert not report.passed
         assert any("th(" in line for line in report.failures), report.format()
@@ -571,6 +577,31 @@ def test_a_birth_guard_fault_fails_checks_instead_of_raising(monkeypatch, capsys
     assert "CHECK goodness:X3 fail instances=" in out and f"\n  {defect}\n" in out
 
 
+def _unsorted_least_coded(*args):
+    """``least_coded`` with its values kept in reverse order, as a selector
+    that appends each value without a compare keeps them unsorted."""
+    kept = least_coded(*args)
+    return Enumeration(kept.items[::-1], kept.exhaustive)
+
+
+def test_an_unsorted_listing_fails_checks_instead_of_raising(monkeypatch, capsys):
+    # a listing built over an unsorted one is a system defect, and each
+    # check builds its sample inside its report, so it fails with one line
+    monkeypatch.setattr(limits, "least_coded", _unsorted_least_coded)
+    defect = "system defect: lim: the tower's listing of its carrier is not sorted in its order"
+    reports = {r.name: r for r in run_suite(parse_selector("sum(successor,omega)"), "all", 40)}
+    for name in ("theta-linear:X3", "goodness:X3", "fixed-point", "limit-order", "witness"):
+        report = reports[name]
+        assert (report.failures, report.instances, report.exhaustive) == ([defect], 1, False)
+    assert reports["collapse-admissible:X2"].failures == [
+        "system defect: X1: the tower's listing of its carrier is not sorted in its order"
+    ]
+    # the CLI prints every check, with no traceback
+    assert cli.main(["verify", "--dilator", "sum(successor,omega)", "--budget", "40"]) == 1
+    out = capsys.readouterr().out
+    assert [line.split()[1] for line in out.splitlines() if _HEAD.match(line)] == list(reports)
+
+
 def test_stage_checks_name_themselves_after_the_stage():
     tower = Tower(SuccessorDilator())
     for n in range(3):
@@ -590,7 +621,7 @@ def test_limit_checks_cover_the_shared_stage_count():
     # the omega counts of `verify --suite all --budget 40` (tests/golden)
     tower = Tower(OmegaPowerDilator())
     assert check_limit_order(tower, 40).instances == 861
-    assert check_minimality(tower, SelfWitness(tower), 40).instances == 2421
+    assert check_minimality(tower, tower, 40).instances == 2421
 
 
 def test_budgets_past_the_caps_reach_only_the_dilator_laws():
@@ -602,12 +633,13 @@ def test_budgets_past_the_caps_reach_only_the_dilator_laws():
     assert [r.format() for r in without_laws(41)] == [r.format() for r in without_laws(40)]
 
 
-class _CountingSelfWitness(SelfWitness):
+class _CountingTower(Tower):
     """The limit witnessing itself, recording the coded elements it is
-    asked to collapse."""
+    asked to collapse.  Its listings intern through ``System.collapse``,
+    so only the interpretation reaches this one."""
 
-    def __init__(self, tower):
-        super().__init__(tower)
+    def __init__(self, dilator):
+        super().__init__(dilator)
         self.collapsed = []
 
     def collapse(self, coded):
@@ -618,13 +650,12 @@ class _CountingSelfWitness(SelfWitness):
 def test_minimality_maps_each_term_once():
     # one interpretation serves every line, so no coded element reaches
     # the witness twice (40 collapses of 40 distinct elements here)
-    tower = Tower(OmegaPowerDilator())
-    w = _CountingSelfWitness(tower)
-    assert check_minimality(tower, w, 40).instances == 2421
-    assert len(w.collapsed) == len(set(w.collapsed))
+    tower = _CountingTower(OmegaPowerDilator())
+    assert check_minimality(tower, tower, 40).instances == 2421
+    assert len(tower.collapsed) == len(set(tower.collapsed))
 
 
-class _RefusingSelfWitness(SelfWitness):
+class _RefusingTower(Tower):
     """The limit witnessing itself, with no collapse for values born at
     stage 2 or later."""
 
@@ -638,8 +669,8 @@ class _RefusingSelfWitness(SelfWitness):
 def test_minimality_fails_at_the_first_refused_collapse():
     # the memoized maps are filled in call order, so the first refusal and
     # the instances counted before it stay those of mapping every time
-    tower = Tower(parse_selector("sum(successor,omega)"))
-    report = check_minimality(tower, _RefusingSelfWitness(tower), 40)
+    tower = _RefusingTower(parse_selector("sum(successor,omega)"))
+    report = check_minimality(tower, tower, 40)
     assert (report.passed, report.instances) == (False, 825)
     assert report.failures == ["witness law violation: refused 3"]
 

@@ -35,6 +35,30 @@ TIMEOUT_S = 900
 # "killed", or "equivalent: <reason>")
 MUTANTS = [
     (
+        "merge-tie-strict",
+        "src/bhfix/dilator.py",
+        "tests/test_dilator.py",
+        "            if c <= 0:\n",
+        "            if c < 0:\n",
+        "killed",
+    ),
+    (
+        "body-verdict-flipped-at-arity-2",
+        "src/bhfix/dilator.py",
+        "tests/test_differential.py",
+        "    verdict = dilator.compare_at(n, t1, t2)\n",
+        "    verdict = dilator.compare_at(n, t1, t2) * (-1 if n == 2 else 1)\n",
+        "killed",
+    ),
+    (
+        "skipped-table-flag-never-read",
+        "src/bhfix/dilator.py",
+        "tests/test_systems.py",
+        "                listed_all = dilator.sample_at(a, budget).exhaustive\n",
+        "                listed_all = False\n",
+        "killed",
+    ),
+    (
         "least-coded-exhaustive-off-by-one",
         "src/bhfix/dilator.py",
         "tests/test_dilator.py",
@@ -298,6 +322,22 @@ MUTANTS = [
         "tests/test_standard_dilators.py",
         "for i in range(max(0, d - len(rs) + 1), min(d + 1, len(ls)))",
         "for i in reversed(range(max(0, d - len(rs) + 1), min(d + 1, len(ls))))",
+        "killed",
+    ),
+    (
+        "omega-support-bound-one-short",
+        "src/bhfix/standard_dilators.py",
+        "tests/test_standard_dilators.py",
+        "return min(n, length)",
+        "return min(n, length - 1)",
+        "killed",
+    ),
+    (
+        "product-support-bound-takes-max",
+        "src/bhfix/standard_dilators.py",
+        "tests/test_standard_dilators.py",
+        "return min(n, self.left.support_bound(n, budget) + self.right.support_bound(n, budget))",
+        "return min(n, max(self.left.support_bound(n, budget), self.right.support_bound(n, budget)))",
         "killed",
     ),
     (

@@ -98,9 +98,11 @@ class Dilator:
     * every token is map_token(inclusion-of-its-support) of a unique
       full-support token, which ``restrict_token`` returns.
 
-    All seven methods are required.  ``normal_form`` (and through it the
-    ``dilator-laws`` check) verifies each ``restrict_token`` answer by
-    mapping it back and testing that it has full support.
+    Seven methods are required.  The eighth, ``support_bound``, is
+    optional: its default bound ``n`` says nothing.  ``normal_form``
+    (and through it the ``dilator-laws`` check) verifies each
+    ``restrict_token`` answer by mapping it back and testing that it has
+    full support.
 
     :func:`least_coded` lists and sorts each arity's tokens once per
     dilator instance and budget, so a dilator must be hashable and weakly
@@ -125,6 +127,13 @@ class Dilator:
         reports failures in it).  It need not be an initial segment, so an
         infinite token order can feed diverse tokens to the checks."""
         raise NotImplementedError
+
+    def support_bound(self, n: int, budget: int) -> int:
+        """An upper bound on the support size of every token that
+        ``sample_at(n, budget)`` lists.  Below ``n`` it proves that the
+        listing holds no full-support token, so :func:`least_coded` never
+        samples that arity's table."""
+        return n
 
     def restrict_token(self, n: int, tok: Token, positions: Sequence[int]) -> Token:
         raise NotImplementedError
@@ -295,7 +304,8 @@ def full_support_tokens(dilator: Dilator, k: int, budget: int) -> Enumeration:
 # Each dilator's full-support tokens by (arity, budget), sorted by
 # ``compare_at``, with their exhaustive flag and the verdict of
 # ``first_token_monotone`` on the least of them: they depend on the dilator
-# alone.  Weakly keyed, so that a dilator's table dies with it.
+# alone.  An arity skipped by its support bound has no tokens, and its flag
+# is None until read.  Weakly keyed, so that a dilator's table dies with it.
 _TOKENS: WeakKeyDictionary[Dilator, dict[tuple[int, int], tuple]] = WeakKeyDictionary()
 
 
@@ -349,13 +359,16 @@ def least_coded(
       support lemma.  An arity whose t0 fails the test is walked without
       this rule.
 
-    The tokens of each arity are listed, sorted and tested once per
-    dilator and budget, on first use, and kept in a table that dies with
-    the dilator.  The supports of an arity come in lexicographic order of
-    their sample indices.  Each walks the tokens in token order, keeps the
-    k least values so far, and stops at its first value that is not below
-    the k-th: no later token of that support can enter.  When that first
-    miss is at t0, no later support pointwise above this one can enter
+    The tokens of each arity are listed, sorted and tested once per dilator
+    and budget, on first use, and kept in a table that dies with the
+    dilator.  An arity a with ``support_bound(a, budget) < a`` gets an empty
+    table without a listing, since none of its sampled tokens has full
+    support; its listing's exhaustive flag is read only while the result can
+    still be exhaustive.  The supports of an arity come in lexicographic
+    order of their sample indices.  Each walks the tokens in token order,
+    keeps the k least values so far, and stops at its first value that is
+    not below the k-th: no later token of that support can enter.  When that
+    first miss is at t0, no later support pointwise above this one can enter
     either.  Those include the rest of the lexicographic block that shares
     the indices before the consecutive run that ends the support, so the
     walk skips that block, and when the run is the whole support it leaves
@@ -384,12 +397,19 @@ def least_coded(
     for a in range(m + 1):
         entry = table.get((a, budget))
         if entry is None:
-            full = full_support_tokens(dilator, a, budget)
-            tokens = tuple(sorted(full, key=cmp_to_key(partial(dilator.compare_at, a))))
-            monotone = bool(tokens) and first_token_monotone(dilator, a, tokens[0])
-            entry = table[a, budget] = tokens, full.exhaustive, monotone
+            if dilator.support_bound(a, budget) < a:
+                entry = table[a, budget] = (), None, False
+            else:
+                full = full_support_tokens(dilator, a, budget)
+                tokens = tuple(sorted(full, key=cmp_to_key(partial(dilator.compare_at, a))))
+                monotone = bool(tokens) and first_token_monotone(dilator, a, tokens[0])
+                entry = table[a, budget] = tokens, full.exhaustive, monotone
         tokens, listed_all, monotone = entry
-        exhaustive &= listed_all
+        if exhaustive:
+            if listed_all is None:
+                listed_all = dilator.sample_at(a, budget).exhaustive
+                table[a, budget] = tokens, listed_all, monotone
+            exhaustive = listed_all
         count += comb(m, a) * len(tokens)
         if not k or not tokens:
             continue

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import re
 from itertools import combinations_with_replacement, islice
+from math import comb
+from typing import Iterator
 
 from .dilator import MAX_DIGITS, Dilator, Enumeration, parse_nat
 from .errors import TermSyntaxError, TermTypeError
@@ -83,6 +85,9 @@ class SuccessorDilator(Dilator):
         items = list(range(n)) + [TOP]
         return Enumeration(tuple(items[:budget]), budget >= n + 1)
 
+    def support_bound(self, n, budget):
+        return min(n, 1)
+
     def restrict_token(self, n, tok, positions):
         return TOP if tok == TOP else tuple(positions).index(tok)
 
@@ -111,6 +116,9 @@ class IdentityDilator(Dilator):
 
     def sample_at(self, n, budget):
         return Enumeration(tuple(range(min(n, budget))), budget >= n)
+
+    def support_bound(self, n, budget):
+        return min(n, 1)
 
     def restrict_token(self, n, tok, positions):
         return tuple(positions).index(tok)
@@ -142,6 +150,9 @@ class ConstantDilator(Dilator):
 
     def sample_at(self, n, budget):
         return Enumeration(tuple(range(min(self.k, budget))), budget >= self.k)
+
+    def support_bound(self, n, budget):
+        return 0
 
     def restrict_token(self, n, tok, positions):
         return tok
@@ -180,13 +191,17 @@ class OmegaPowerDilator(Dilator):
         if n == 0:
             return Enumeration(((),) if budget >= 1 else (), budget >= 1)
         items: list[tuple[int, ...]] = []
-        length = 0
-        while len(items) < budget:
+        for length in _block_lengths(n, budget):
             block = list(combinations_with_replacement(range(n - 1, -1, -1), length))
             block.reverse()
             items.extend(block[: budget - len(items)])
-            length += 1
         return Enumeration(tuple(items), False)
+
+    def support_bound(self, n, budget):
+        # a sequence has at most as many distinct entries as its length,
+        # and the last block sampled is the longest
+        length = max(_block_lengths(n, budget), default=0) if n else 0
+        return min(n, length)
 
     def restrict_token(self, n, tok, positions):
         index = {p: i for i, p in enumerate(positions)}
@@ -211,6 +226,17 @@ class OmegaPowerDilator(Dilator):
         if list(entries) != sorted(entries, reverse=True):
             raise TermTypeError(f"{text} is not weakly descending")
         return entries
+
+
+def _block_lengths(n: int, budget: int) -> Iterator[int]:
+    """The lengths 0, 1, ... of the blocks that omega's sample draws from
+    at arity n >= 1: the blocks below length l hold C(l + n - 1, n)
+    sequences together, so the last is the least L with C(L + n, n) >=
+    budget, and there is none at budget 0."""
+    length = 0
+    while budget > comb(length + n - 1, n):
+        yield length
+        length += 1
 
 
 class SumDilator(Dilator):
@@ -245,6 +271,9 @@ class SumDilator(Dilator):
         items += left[len(right):] + right[len(left):]
         exhaustive = l.exhaustive and r.exhaustive and len(items) <= budget
         return Enumeration(tuple(items[:budget]), exhaustive)
+
+    def support_bound(self, n, budget):
+        return max(self.left.support_bound(n, budget), self.right.support_bound(n, budget))
 
     def restrict_token(self, n, tok, positions):
         side = self.left if tok[0] == "L" else self.right
@@ -291,6 +320,10 @@ class LexProductDilator(Dilator):
         )
         exhaustive = l.exhaustive and r.exhaustive and len(ls) * len(rs) <= budget
         return Enumeration(tuple(islice(items, budget)), exhaustive)
+
+    def support_bound(self, n, budget):
+        # a pair's support is the union of its sides' supports
+        return min(n, self.left.support_bound(n, budget) + self.right.support_bound(n, budget))
 
     def restrict_token(self, n, tok, positions):
         return (

@@ -574,6 +574,9 @@ class _ErasedSupports(Dilator):
     def supp_at(self, n, tok):
         return ()
 
+    def support_bound(self, n, budget):
+        return 0
+
     def restrict_token(self, n, tok, positions):
         # The erased support is always empty, and by the inner dilator's own
         # factorization a token factors through the empty inclusion exactly

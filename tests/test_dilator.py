@@ -233,10 +233,13 @@ class _CountingSum(SumDilator):
 
 
 def test_each_arity_is_listed_once_per_budget():
-    # listing the tokens on every least_coded call made 60 listings here
+    # listing the tokens on every least_coded call made 60 listings here,
+    # and listing every arity once made 26.  An arity above its support
+    # bound is not listed, not even for its flag: omega's listings are
+    # never exhaustive, so no result here can be
     dilator = _CountingSum(succ, omega)
     assert len(Tower(dilator).enumerate(4, 60)) == 75
-    assert len(dilator.listed) == len(set(dilator.listed)) == 26
+    assert len(dilator.listed) == len(set(dilator.listed)) == 9
 
 
 def test_a_value_past_the_cut_end_costs_one_compare():

@@ -20,7 +20,19 @@ from bhfix.standard_dilators import (
     SuccessorDilator,
     SumDilator,
 )
-from bhfix.verify import check_dilator_laws
+from bhfix.verify import check_dilator_laws, erase_supports
+from test_dilator import _CountingSum
+from test_systems import _ReversedOmega, _Sequences
+from test_verify import (
+    _TREES,
+    _DoubledHead,
+    _EvenArityReversed,
+    _FlatValues,
+    _IdentityMovesTokens,
+    _MergedRepeats,
+    _ReversedSupport,
+    _TopHasSupport,
+)
 
 succ = SuccessorDilator()
 ident = IdentityDilator()
@@ -47,26 +59,45 @@ def test_contract_laws_small(dilator):
 
 
 SAMPLE_BUDGETS = (0, 1, 2, 3, 5, 8, 20)
+# omega's sample at arity a reaches length a, and its bound a, one past
+# C(2a - 1, a) = 1, 3, 10, 35, 126 for a = 1..5
+BOUND_BUDGETS = (0, 1, 2, 3, 4, 10, 11, 12, 35, 36, 50, 60, 126, 127)
+_SELECTORS = [
+    "successor",
+    "identity",
+    "constant:3",
+    "omega",
+    "sum(successor,omega)",
+    "product(successor,constant:2)",
+    "sum(constant:2,successor)",
+    "product(omega,successor)",
+    "product(constant:0,successor)",
+]
+# the leaves that tier-1 defines for itself, each with the bound it
+# inherits or declares
+_TEST_LEAVES = [
+    _Sequences(),
+    _ReversedOmega(),
+    _CountingSum(succ, omega),
+    _IdentityMovesTokens(),
+    _FlatValues(),
+    _TopHasSupport(),
+    _EvenArityReversed(),
+    _MergedRepeats(),
+    _DoubledHead(),
+    _ReversedSupport(),
+    erase_supports(parse_selector("product(omega,successor)")),
+]
 
 
 @pytest.mark.parametrize(
-    "selector",
-    [
-        "successor",
-        "identity",
-        "constant:3",
-        "omega",
-        "sum(successor,omega)",
-        "product(successor,constant:2)",
-        "sum(constant:2,successor)",
-        "product(omega,successor)",
-        "product(constant:0,successor)",
-    ],
+    "dilator",
+    [pytest.param(parse_selector(s), id=s) for s in dict.fromkeys(_SELECTORS + _TREES)]
+    + [pytest.param(d, id=type(d).__name__) for d in _TEST_LEAVES],
 )
-def test_sample_at_contract(selector):
+def test_sample_at_contract(dilator):
     # sample_at is the one token listing: deterministic, within budget,
     # growing with the budget, and complete once it claims to be exhaustive
-    dilator = parse_selector(selector)
     for n in range(5):
         listings = [dilator.sample_at(n, b) for b in SAMPLE_BUDGETS]
         for budget, listed in zip(SAMPLE_BUDGETS, listings):
@@ -78,6 +109,13 @@ def test_sample_at_contract(selector):
                 assert set(small.items) <= set(large.items)
                 if small.exhaustive:
                     assert set(large.items) == set(small.items) and large.exhaustive
+    # no listed token has more support elements than support_bound says,
+    # which is what lets least_coded skip an arity above its bound
+    for n in range(13):
+        for budget in BOUND_BUDGETS:
+            bound = dilator.support_bound(n, budget)
+            for tok in dilator.sample_at(n, budget):
+                assert len(dilator.supp_at(n, tok)) <= bound, (n, budget, tok)
 
 
 def test_successor_enumeration_sizes():

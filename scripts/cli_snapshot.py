@@ -3,18 +3,21 @@
 
     python3 scripts/cli_snapshot.py [CHECKOUT] > snapshot.jsonl
 
-Runs ``bhfix.cli.main`` in-process on a fixed list of 1549 requests: every
+Runs ``bhfix.cli.main`` in-process on a fixed list of 1675 requests: every
 request of the three perfbench workloads at seeds 401 and 7, ``enumerate``
 on 9 selectors x stages 0-6 x 9 budgets, ``verify --suite all`` on 7
 selectors x budgets 0-7, with and without ``--break-naturality``, a
 ``compare`` and an ``interpret`` of each malformed term of the grammar's
-error corpus (``ERROR_CORPUS`` in tests/test_syntax.py), each ``compare``
+error corpus (``ERROR_CORPUS`` in tests/grammar_corpus.py, which imports
+nothing from ``bhfix``), each ``compare``
 and ``interpret`` of the ``cli-deep`` workload at seed 401 with whitespace
 spread through its terms, a ``compare`` of every pair (equal ones too) and
 an ``interpret --witness bh-self`` of each of six elements of each of two
 product selectors (``PRODUCT_ELEMENTS``), and one ``enumerate`` and one
 ``verify`` without ``--budget``, which read the default budget of 50
-(``BH_BUDGET_DEFAULT`` is cleared), and last the 30 argv of ``ODD_ARGV``:
+(``BH_BUDGET_DEFAULT`` is cleared), ``verify --suite all`` on the 7
+selectors at the budgets on either side of each sample cap (``CAP_EDGES``),
+with and without ``--break-naturality``, and last the 30 argv of ``ODD_ARGV``:
 help requests, usage errors and other forms that argparse reads, so that
 every help and usage message is compared too (``COLUMNS`` is set to 80, so
 argparse wraps help the same in any terminal).  The program is imported from
@@ -41,6 +44,9 @@ import workloads  # noqa: E402
 ENUMERATE = ["successor", "identity", "constant:0", "constant:2", "constant:3", "omega",
              "sum(successor,omega)", "product(successor,constant:2)", "product(omega,successor)"]
 VERIFY = workloads.BATTERY + ["constant:0"]
+# each sample cap of bhfix.limits and the budgets one below and one above
+# it: BASE_SAMPLE_CAP (12), SAMPLE_CAP (30) and TERMS_CAP (40)
+CAP_EDGES = (11, 12, 13, 29, 30, 31, 39, 40, 41)
 # valid product tokens, some with a comma inside brackets (w[0,0])
 PRODUCT_ELEMENTS = {
     "product(successor,constant:2)": [
@@ -108,7 +114,7 @@ ODD_ARGV = {
 def requests():
     # imported here, so that run as a script the program is imported from
     # CHECKOUT first
-    from test_syntax import ERROR_CORPUS, SPACES, spread_whitespace
+    from grammar_corpus import ERROR_CORPUS, SPACES, spread_whitespace
 
     for seed in (401, 7):
         for name in workloads.WORKLOADS:
@@ -134,6 +140,10 @@ def requests():
             yield ["interpret", "--dilator", sel, "--witness", "bh-self", a]
     yield ["enumerate", "--dilator", "product(omega,successor)", "--stages", "3"]
     yield ["verify", "--dilator", "product(omega,successor)"]
+    for sel in VERIFY:
+        for b in CAP_EDGES:
+            argv = ["verify", "--dilator", sel, "--suite", "all", "--budget", str(b)]
+            yield from (argv, argv + ["--break-naturality"])
     yield from ODD_ARGV.values()
 
 

@@ -33,6 +33,11 @@ TIMEOUT_S = 900
 
 # (name, file, killing test file, old text, new text, expected verdict:
 # "killed", or "equivalent: <reason>")
+#
+# Retired: "sample-cache-as-plain-dict" and "token-table-as-plain-dict"
+# held the coded samples and the token tables in plain dicts instead of
+# weakly keyed ones.  Both now live on the tower, and die with it, so no
+# module-level cache is left to mutate.
 MUTANTS = [
     (
         "merge-tie-strict",
@@ -131,14 +136,6 @@ MUTANTS = [
         "killed",
     ),
     (
-        "sample-cache-as-plain-dict",
-        "src/bhfix/verify.py",
-        "tests/test_verify.py",
-        "= WeakKeyDictionary()",
-        "= {}",
-        "killed",
-    ),
-    (
         "stage-merges-in-limit",
         "src/bhfix/systems.py",
         "tests/test_limits.py",
@@ -208,6 +205,30 @@ MUTANTS = [
         "tests/test_cli.py",
         "from .syntax import format_bh, parse_bh\n",
         "from .syntax import format_bh, parse_bh\nfrom .verify import run_suite\n",
+        "killed",
+    ),
+    (
+        "select-cap-one-past",
+        "src/bhfix/limits.py",
+        "tests/test_limits.py",
+        "if len(carrier) > cap:",
+        "if len(carrier) > cap + 1:",
+        "killed",
+    ),
+    (
+        "select-skips-unsorted-diagnosis",
+        "src/bhfix/limits.py",
+        "tests/test_verify.py",
+        "if not is_strictly_sorted(carrier.items, cmp):",
+        "if False:",
+        "killed",
+    ),
+    (
+        "dilator-laws-skip-support-bound",
+        "src/bhfix/verify.py",
+        "tests/test_verify.py",
+        "len(supp) <= bound,",
+        "True,",
         "killed",
     ),
     (
@@ -301,14 +322,6 @@ MUTANTS = [
         "killed",
     ),
     (
-        "token-table-as-plain-dict",
-        "src/bhfix/dilator.py",
-        "tests/test_dilator.py",
-        "= WeakKeyDictionary()",
-        "= {}",
-        "killed",
-    ),
-    (
         "omega-block-unreversed",
         "src/bhfix/standard_dilators.py",
         "tests/test_standard_dilators.py",
@@ -366,7 +379,7 @@ MUTANTS = [
     ),
     (
         "terms-cap-raised",
-        "src/bhfix/verify.py",
+        "src/bhfix/limits.py",
         "tests/test_verify.py",
         "TERMS_CAP = 40 ",
         "TERMS_CAP = 41 ",
@@ -374,7 +387,7 @@ MUTANTS = [
     ),
     (
         "sample-cap-lowered",
-        "src/bhfix/verify.py",
+        "src/bhfix/limits.py",
         "tests/test_cli.py",
         "SAMPLE_CAP = 30 ",
         "SAMPLE_CAP = 29 ",

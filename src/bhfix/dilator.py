@@ -23,7 +23,6 @@ from itertools import combinations, compress
 from math import comb
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
-from weakref import WeakKeyDictionary
 
 from .errors import DilatorLawError
 from .finite_orders import EQ, Embedding, Frozen, finset_map, is_strictly_sorted
@@ -102,11 +101,8 @@ class Dilator:
     optional: its default bound ``n`` says nothing.  ``normal_form``
     (and through it the ``dilator-laws`` check) verifies each
     ``restrict_token`` answer by mapping it back and testing that it has
-    full support.
-
-    :func:`least_coded` lists and sorts each arity's tokens once per
-    dilator instance and budget, so a dilator must be hashable and weakly
-    referenceable, as plain subclasses are.
+    full support, and ``dilator-laws`` tests each sampled token's support
+    size against ``support_bound``.
     """
 
     name = "dilator"
@@ -301,14 +297,6 @@ def full_support_tokens(dilator: Dilator, k: int, budget: int) -> Enumeration:
     return Enumeration(tuple(full), sample.exhaustive)
 
 
-# Each dilator's full-support tokens by (arity, budget), sorted by
-# ``compare_at``, with their exhaustive flag and the verdict of
-# ``first_token_monotone`` on the least of them: they depend on the dilator
-# alone.  An arity skipped by its support bound has no tokens, and its flag
-# is None until read.  Weakly keyed, so that a dilator's table dies with it.
-_TOKENS: WeakKeyDictionary[Dilator, dict[tuple[int, int], tuple]] = WeakKeyDictionary()
-
-
 def first_token_monotone(dilator: Dilator, a: int, tok: Token) -> bool:
     """Whether raising one support element of an arity-a token raises it.
 
@@ -330,6 +318,7 @@ def first_token_monotone(dilator: Dilator, a: int, tok: Token) -> bool:
 
 def least_coded(
     dilator: Dilator,
+    table: dict,
     carrier_sample: Enumeration,
     budget: int,
     k: int,
@@ -359,11 +348,14 @@ def least_coded(
       support lemma.  An arity whose t0 fails the test is walked without
       this rule.
 
-    The tokens of each arity are listed, sorted and tested once per dilator
-    and budget, on first use, and kept in a table that dies with the
-    dilator.  An arity a with ``support_bound(a, budget) < a`` gets an empty
-    table without a listing, since none of its sampled tokens has full
-    support; its listing's exhaustive flag is read only while the result can
+    ``table`` holds the dilator's full-support tokens by (arity, budget),
+    sorted by ``compare_at``, with their exhaustive flag and the verdict of
+    ``first_token_monotone`` on the least of them; they depend on the
+    dilator alone, so one table serves every call on it (a
+    :class:`~bhfix.limits.Tower` keeps one).  An entry is filled on first
+    use.  An arity a with ``support_bound(a, budget) < a`` gets no tokens
+    without a listing, since none of its sampled tokens has full support;
+    its flag is None until read, and it is read only while the result can
     still be exhaustive.  The supports of an arity come in lexicographic
     order of their sample indices.  Each walks the tokens in token order,
     keeps the k least values so far, and stops at its first value that is
@@ -389,7 +381,6 @@ def least_coded(
     if not is_strictly_sorted(sample, cmp):
         raise ValueError("carrier sample must be strictly sorted")
     m = len(sample)
-    table = _TOKENS.setdefault(dilator, {})
     key = cmp_to_key(order)
     kept: list = []
     count = 0

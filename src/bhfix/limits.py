@@ -42,14 +42,16 @@ lies above it by induction.  Two rules rest on the lemma.
   against a full recursion.
 * A listing is the least ``budget`` collapses th(S, t) over the listing
   one stage down, chosen by :func:`bhfix.dilator.least_coded` without
-  building them all.  On one support S the collapse order is the token
-  order: by the lemma, whichever of t1, t2 is less, the clause that
-  decides finds S below the other collapse, so th(S, t1) < th(S, t2)
-  exactly when t1 < t2.  The selector walks each support's tokens in token
-  order and leaves the support at its first collapse that cannot enter
-  the cut.  When that first miss is at the arity's least token t0, and t0
-  passes :func:`bhfix.dilator.first_token_monotone`, a support S' pointwise
-  above S has (S, t0) < (S', t0), and every member of S lies at or below a
+  building them all (:meth:`Tower.select`, which cuts every sample of the
+  tower and the checks over the tower's one token table).  On one support
+  S the collapse order is the token order: by the lemma, whichever of t1,
+  t2 is less, the clause that decides finds S below the other collapse,
+  so th(S, t1) < th(S, t2) exactly when t1 < t2.  The selector walks
+  each support's tokens in token order and leaves the support at its
+  first collapse that cannot enter the cut.  When that first miss is at
+  the arity's least token t0, and t0 passes
+  :func:`bhfix.dilator.first_token_monotone`, a support S' pointwise above
+  S has (S, t0) < (S', t0), and every member of S lies at or below a
   member of S', hence below th(S', t0), so th(S, t0) < th(S', t0) by the
   first clause: the selector skips the block of supports above S.
 
@@ -65,20 +67,24 @@ All caches are append-only; elements are immutable.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 
-from .dilator import CodedElement, Dilator, Enumeration, least, least_coded
+from .dilator import CodedElement, Dilator, Enumeration, compare_coded, least, least_coded
 from .errors import DilatorLawError, SystemDefectError
 from .finite_orders import is_strictly_sorted
 from .systems import Stage, System, ThetaTerm
 
-# Base samples feeding a listing are capped so that the subset lattice over
-# the sample stays at desk scale even for generous budgets.
+# The caps of every sample.  Base samples feeding a listing or a coded
+# sample are capped so that the subset lattice over the sample stays at
+# desk scale even for generous budgets.
 BASE_SAMPLE_CAP = 12
 
 # How many stages the samples cover (X_1..X_3): the tower's witness sample
 # and every check of :mod:`bhfix.verify` that walks the stages.
 LIMIT_STAGES = 3
+
+TERMS_CAP = 40   # cap on the per-stage term budget of a verify suite
+SAMPLE_CAP = 30  # cap on the coded-element samples feeding its pair loops
 
 
 def birth_stage(e: ThetaTerm) -> int:
@@ -86,14 +92,8 @@ def birth_stage(e: ThetaTerm) -> int:
     return e.length - 1
 
 
-def diagnose_unsorted(owner: System, listing: Enumeration, cmp) -> None:
-    """Called on a ``ValueError`` of a selection over ``listing``: raise
-    ``SystemDefectError`` when the listing is not sorted under ``cmp``, as
-    then the tower's order and ``owner``'s disagree."""
-    if not is_strictly_sorted(listing.items, cmp):
-        raise SystemDefectError(
-            f"{owner!r}: the tower's listing of its carrier is not sorted in its order"
-        ) from None
+def _identity(x):
+    return x
 
 
 class Tower(System):
@@ -109,6 +109,10 @@ class Tower(System):
         self.full_order = System(self)
         self._stages: dict[int, Stage] = {}
         self._listings: dict[tuple[int, int], Enumeration] = {}
+        # the coded samples of the stages by (n, budget), and the token
+        # table of every selection (:func:`bhfix.dilator.least_coded`)
+        self._samples: dict[tuple[int, int], Enumeration] = {}
+        self._tokens: dict[tuple[int, int], tuple] = {}
 
     def __repr__(self) -> str:
         return "lim"
@@ -146,7 +150,35 @@ class Tower(System):
             )
         return super().collapse(coded)
 
-    # -- enumeration -------------------------------------------------------------
+    # -- samples -----------------------------------------------------------------
+
+    def select(
+        self, carrier: Enumeration, cap: int, budget: int, k: int, owner, collapse=None
+    ) -> Enumeration:
+        """The one sample cut: the least ``k`` coded elements over the first
+        ``cap`` elements of ``carrier``, with tokens within ``budget``,
+        sorted; or, given ``collapse``, their least ``k`` collapses.
+
+        ``owner`` is the system or witness whose ``compare`` orders the
+        carrier, and it orders the collapses too.  The carrier must be
+        sorted in that order, as the listings and witness samples are; one
+        that is not is a ``SystemDefectError`` naming ``owner``, since then
+        the tower's order and the owner's disagree."""
+        cmp = owner.compare
+        if len(carrier) > cap:
+            carrier = Enumeration(carrier.items[:cap], False)
+        if collapse is None:
+            value, order = _identity, partial(compare_coded, self.dilator, cmp)
+        else:
+            value, order = collapse, cmp
+        try:
+            return least_coded(self.dilator, self._tokens, carrier, budget, k, cmp, value, order)
+        except ValueError:
+            if not is_strictly_sorted(carrier.items, cmp):
+                raise SystemDefectError(
+                    f"{owner!r}: the tower's listing of its carrier is not sorted in its order"
+                ) from None
+            raise
 
     def listing(self, n: int, budget: int) -> Enumeration:
         """The least ``budget`` collapses over ``listing(n - 1, min(budget,
@@ -160,17 +192,24 @@ class Tower(System):
         while m and (m, cap) not in self._listings:
             m -= 1
         listing = self._listings[m, cap] if m else Enumeration((), True)
-        cmp, collapse = self.compare, super().collapse
+        collapse = super().collapse
         for k in range(m + 1, n + 1):
             b = budget if k == n else cap
-            try:
-                listing = self._listings[k, b] = least_coded(
-                    self.dilator, listing, b, b, cmp, collapse, cmp
-                )
-            except ValueError:
-                diagnose_unsorted(self, listing, cmp)
-                raise
+            listing = self._listings[k, b] = self.select(listing, cap, b, b, self, collapse)
         return listing
+
+    def coded_sample(self, n: int, budget: int) -> Enumeration:
+        """X_n's least ``budget`` coded elements over ``listing(n,
+        min(budget, BASE_SAMPLE_CAP))``, in the stage order: the sample that
+        the stage checks share, cached per (n, budget).  A listing that is not
+        sorted in the stage order is a ``SystemDefectError`` naming X_n."""
+        sample = self._samples.get((n, budget))
+        if sample is None:
+            cap = min(budget, BASE_SAMPLE_CAP)
+            sample = self._samples[n, budget] = self.select(
+                self.listing(n, cap), cap, budget, budget, self.stage(n)
+            )
+        return sample
 
     def enumerate(self, stage_bound: int, budget: int) -> Enumeration:
         """All limit elements born below stage_bound that the listings reach,

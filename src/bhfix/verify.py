@@ -13,18 +13,9 @@ inputs, same instance counts, same verdicts.
 from __future__ import annotations
 
 from functools import partial
-from weakref import WeakKeyDictionary
 
 from . import SUITES
-from .dilator import (
-    Dilator,
-    Enumeration,
-    compare_coded,
-    least,
-    least_coded,
-    map_coded,
-    normal_form,
-)
+from .dilator import Dilator, compare_coded, map_coded, normal_form
 from .errors import DilatorLawError, SystemDefectError, WitnessLawError
 from .finite_orders import (
     EQ,
@@ -36,15 +27,13 @@ from .finite_orders import (
     identity_embedding,
 )
 from .interpret import OmegaSuccessorWitness, interpretation
-from .limits import BASE_SAMPLE_CAP, LIMIT_STAGES, Tower, birth_stage, diagnose_unsorted
+from .limits import BASE_SAMPLE_CAP, LIMIT_STAGES, SAMPLE_CAP, TERMS_CAP, Tower, birth_stage
 from .syntax import format_bh, format_term
 from .systems import System, ThetaTerm
 
 _MAX_RECORDED_FAILURES = 12
 
 MAX_ORDER = 4    # largest finite order for the dilator-law checks
-TERMS_CAP = 40   # cap on the per-stage term budget of a suite
-SAMPLE_CAP = 30  # cap on the coded-element samples feeding pair loops
 
 
 class CheckReport:
@@ -156,7 +145,8 @@ def check_dilator_laws(
 ) -> CheckReport:
     """Functoriality, strict monotonicity, support naturality, and the
     support factorization condition, over all embeddings between orders of
-    size <= max_n and all sampled tokens."""
+    size <= max_n and all sampled tokens; the factorization instance of a
+    token also tests its support size against ``support_bound``."""
     samples = {n: dilator.sample_at(n, budget) for n in range(max_n + 1)}
     report = CheckReport("dilator-laws", all(s.exhaustive for s in samples.values()))
     embeddings = {
@@ -221,12 +211,20 @@ def check_dilator_laws(
                     ))
 
     # support factorization: every token is the image of a unique
-    # full-support token under the inclusion of its support
+    # full-support token under the inclusion of its support, which is no
+    # larger than the dilator's support bound
     for n, toks in samples.items():
-        for tok in toks:
+        bound = dilator.support_bound(n, budget)
+        for tok, supp in zip(toks, supports[n]):
             try:
                 normal_form(dilator, n, tok)
-                report.check(True, "")
+                report.check(
+                    len(supp) <= bound,
+                    lambda tok=tok, size=len(supp): (
+                        f"support of {fmt(n, tok)} has {size} elements, above "
+                        f"support_bound({n}, {budget}) = {bound}"
+                    ),
+                )
             except DilatorLawError as err:
                 report.fail(str(err))
     return report
@@ -285,43 +283,12 @@ def check_theta_linear(system: System, budget: int) -> CheckReport:
     return report
 
 
-def _least_coded(
-    dilator: Dilator, carried: Enumeration, budget: int, cap: int, cmp
-) -> Enumeration:
-    """The least ``cap`` coded elements over a carrier sample, sorted."""
-    return least_coded(
-        dilator, carried, budget, cap, cmp, _identity, partial(compare_coded, dilator, cmp)
-    )
-
-
-# Each stage's coded samples by budget, shared by the stage checks.  Weakly
-# keyed, so that the samples die with their tower.
-_SAMPLES: WeakKeyDictionary[System, dict[int, Enumeration]] = WeakKeyDictionary()
-
-
-def _coded_sample(system: System, budget: int) -> Enumeration:
-    """The stage's least ``budget`` coded elements over the tower's listing
-    of its carrier.  A listing that is not sorted in the stage order is a
-    system defect: the tower's order and the stage's disagree."""
-    samples = _SAMPLES.setdefault(system, {})
-    sample = samples.get(budget)
-    if sample is None:
-        base = system.tower.listing(system.n, min(budget, BASE_SAMPLE_CAP))
-        try:
-            sample = _least_coded(system.dilator, base, budget, budget, system.carrier_compare)
-        except ValueError:
-            diagnose_unsorted(system, base, system.carrier_compare)
-            raise
-        samples[budget] = sample
-    return sample
-
-
 def check_collapse_admissible(system: System, budget: int) -> CheckReport:
     """The stage collapse satisfies both collapse conditions, the subterm
     bound, and the redundancy of the order test in the second clause."""
     report = CheckReport(f"collapse-admissible:X{system.n + 1}", False)
     with report:
-        coded = _coded_sample(system, budget)
+        coded = system.tower.coded_sample(system.n, budget)
         report.exhaustive = coded.exhaustive
         terms = [system.collapse(c) for c in coded]
         show = partial(format_term, system.dilator)
@@ -386,7 +353,7 @@ def check_commuting_square(system: System, budget: int) -> CheckReport:
     the square holds by construction; it stays as the paper's law."""
     report = CheckReport(f"commuting-square:X{system.n + 1}", False)
     with report:
-        coded = _coded_sample(system, budget)
+        coded = system.tower.coded_sample(system.n, budget)
         report.exhaustive = coded.exhaustive
         nxt = system.tower.stage(system.n + 1)
         for sigma in coded:
@@ -421,8 +388,8 @@ def check_fixed_point(
     report = CheckReport("fixed-point", False)
     show = partial(format_bh, tower.dilator)
     with report:
-        carried = least(tower.enumerate(stage_bound, budget), carrier_cap, tower.compare)
-        coded = _least_coded(tower.dilator, carried, budget, sample_cap, tower.compare)
+        elements = tower.enumerate(stage_bound, budget)
+        coded = tower.select(elements, carrier_cap, budget, sample_cap, tower)
         report.exhaustive = coded.exhaustive
         values = []
         for sigma in coded:
@@ -479,14 +446,15 @@ def check_limit_order(tower: Tower, budget: int) -> CheckReport:
 
 
 def check_witness(
-    witness, dilator: Dilator, budget: int, carrier_cap: int = BASE_SAMPLE_CAP
+    witness, tower: Tower, budget: int, carrier_cap: int = BASE_SAMPLE_CAP
 ) -> CheckReport:
-    """Both collapse conditions for a witness (:mod:`bhfix.interpret`), on
-    a sample of coded elements over the witness order."""
+    """Both collapse conditions for a witness (:mod:`bhfix.interpret`) of the
+    tower's dilator, on a sample of coded elements over the witness order,
+    cut by the tower.  A witness sample that is not sorted in the witness
+    order fails the check with a ``system defect`` line."""
     report = CheckReport("witness", False)
     with report:
-        carried = least(witness.sample(budget), carrier_cap, witness.compare)
-        items = _least_coded(dilator, carried, budget, budget, witness.compare)
+        items = tower.select(witness.sample(budget), carrier_cap, budget, budget, witness)
         report.exhaustive = items.exhaustive
         try:
             values = [witness.collapse(sigma) for sigma in items]
@@ -621,7 +589,7 @@ def run_suite(dilator: Dilator, suite: str = "all", budget: int = 50) -> list[Ch
         reports.append(check_limit_order(tower, terms))
     if suite in ("all", "minimality"):
         w = OmegaSuccessorWitness() if dilator.name == "successor" else tower
-        reports.append(check_witness(w, dilator, sample_cap))
+        reports.append(check_witness(w, tower, sample_cap))
         reports.append(check_minimality(tower, w, terms))
     reports.sort(key=lambda r: r.name)
     return reports

@@ -8,7 +8,7 @@ tolerances are the stated runtime bounds.
 import functools
 import time
 
-from bhfix.dilator import CodedElement, least
+from bhfix.dilator import CodedElement
 from bhfix.finite_orders import LT
 from bhfix.interpret import OmegaSuccessorWitness, embed_bh
 from bhfix.limits import Tower, birth_stage
@@ -21,7 +21,6 @@ from bhfix.standard_dilators import (
 )
 from bhfix.syntax import format_bh, parse_bh
 from bhfix.verify import (
-    _least_coded,
     check_collapse_admissible,
     check_commuting_square,
     check_dilator_laws,
@@ -140,8 +139,7 @@ def test_criterion_7_fixed_point():
     )
     assert report.passed and report.exhaustive, report.format()
     om_tower = Tower(OmegaPowerDilator())
-    elements = least(om_tower.enumerate(2, 40), 12, om_tower.compare)
-    coded = _least_coded(om_tower.dilator, elements, 40, 40, om_tower.compare)
+    coded = om_tower.select(om_tower.enumerate(2, 40), 12, 40, 40, om_tower)
     pairs = min(len(coded), 40)
     assert pairs * (pairs - 1) >= 100
     report = check_fixed_point(

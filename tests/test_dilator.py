@@ -1,7 +1,6 @@
 """Coded-element operations against the successor and omega dilators."""
 
 import copy
-import gc
 import pickle
 from functools import lru_cache, partial
 
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bhfix import dilator as dilator_module
 from bhfix.dilator import (
     CodedElement,
     Enumeration,
@@ -94,9 +92,10 @@ def test_support_naturality_at_coded_level():
 
 
 def coded_sample(dilator, carried, budget, k):
-    """The k least coded elements over a carrier sample of naturals."""
+    """The k least coded elements over a carrier sample of naturals, with
+    a token table of their own."""
     order = partial(compare_coded, dilator, int_cmp)
-    return least_coded(dilator, carried, budget, k, int_cmp, lambda c: c, order)
+    return least_coded(dilator, {}, carried, budget, k, int_cmp, lambda c: c, order)
 
 
 def sorted_coded(dilator, sample, budget):
@@ -250,23 +249,12 @@ def test_a_value_past_the_cut_end_costs_one_compare():
     for k, built in ((100, 30), (5, 6)):
         calls, values = [], []
         out = least_coded(
-            omega, carried, 30, k, int_cmp,
+            omega, {}, carried, 30, k, int_cmp,
             lambda c: values.append(c) or c,
             lambda a, b: calls.append(a) or order(a, b),
         )
         assert (len(out), len(values), len(calls)) == (min(k, 30), built, built - 1)
         assert list(out) == values[:k]
-
-
-def test_token_tables_die_with_their_dilator():
-    gc.collect()
-    held = len(dilator_module._TOKENS)
-    dilator = OmegaPowerDilator()
-    coded_sample(dilator, Enumeration((1, 2), True), 10, 5)
-    assert len(dilator_module._TOKENS) == held + 1
-    del dilator
-    gc.collect()
-    assert len(dilator_module._TOKENS) == held
 
 
 def test_coded_elements_keeps_the_sample_flag():

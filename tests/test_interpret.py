@@ -90,7 +90,7 @@ def test_self_witness_embeds_identically(dilator):
 def test_omega_witness_self_check_at_scale(succ_tower):
     # both collapse conditions on every element with support inside 0..20
     report = check_witness(
-        OmegaSuccessorWitness(), succ_tower.dilator, budget=21, carrier_cap=21
+        OmegaSuccessorWitness(), succ_tower, budget=21, carrier_cap=21
     )
     assert report.passed, report.format()
     assert report.instances > 400
@@ -110,7 +110,7 @@ class _ZeroWitness:
 
 
 def test_violating_witness_is_caught():
-    report = check_witness(_ZeroWitness(), SuccessorDilator(), budget=6)
+    report = check_witness(_ZeroWitness(), Tower(SuccessorDilator()), budget=6)
     assert not report.passed
 
 
@@ -124,10 +124,28 @@ class _FixedPointWitness(OmegaSuccessorWitness):
 
 def test_support_element_equal_to_its_collapse_is_caught():
     # condition (ii) asks for strictly below; condition (i) holds here
-    report = check_witness(_FixedPointWitness(), SuccessorDilator(), budget=6)
+    report = check_witness(_FixedPointWitness(), Tower(SuccessorDilator()), budget=6)
     assert not report.passed
     assert all(line.startswith("condition (ii) broken: ") for line in report.failures)
     assert "condition (ii) broken: 3 not below 3" in report.failures
+
+
+class _DescendingSample(OmegaSuccessorWitness):
+    """The naturals with their sample listed from the top down."""
+
+    def __repr__(self):
+        return "descending"
+
+    def sample(self, budget):
+        return Enumeration(tuple(reversed(range(budget))), False)
+
+
+def test_an_unsorted_witness_sample_is_a_system_defect():
+    # the tower cuts the witness sample as it is, without sorting it
+    report = check_witness(_DescendingSample(), Tower(SuccessorDilator()), budget=6)
+    assert report.failures == [
+        "system defect: descending: the tower's listing of its carrier is not sorted in its order"
+    ]
 
 
 def test_the_tower_is_its_own_witness():
@@ -137,8 +155,8 @@ def test_the_tower_is_its_own_witness():
     assert [tower.format(e) for e in tower.sample(5)] == [
         "@0:th(top)", "@1:th(v0;th(top))", "@2:th(v0;th(v0;th(top)))"
     ]
-    report = check_witness(tower, tower.dilator, 10)
+    report = check_witness(tower, tower, 10)
     assert (report.passed, report.instances, report.exhaustive) == (True, 15, True)
     product = Tower(parse_selector("product(successor,constant:2)"))
-    report = check_witness(product, product.dilator, 30)
+    report = check_witness(product, product, 30)
     assert (report.passed, report.instances) == (True, 674)

@@ -5,7 +5,7 @@ from functools import cmp_to_key
 import pytest
 
 from bhfix.cli import parse_selector
-from bhfix.dilator import CodedElement
+from bhfix.dilator import CodedElement, Enumeration
 from bhfix.errors import DilatorLawError
 from bhfix.finite_orders import EQ, LT
 from bhfix.limits import Tower, birth_stage
@@ -107,6 +107,18 @@ def test_listing_stops_each_support_at_its_first_miss(omega_tower):
     # skipping the supports pointwise above a first-token miss interns 53
     assert len(omega_tower.enumerate(3, 50)) == 50
     assert len(omega_tower._intern) <= 100
+
+
+def test_select_cuts_the_carrier_to_its_first_cap_elements(succ_tower):
+    # a carrier one longer than the cap selects over its first cap
+    # elements, and the cut clears the exhaustive flag
+    carrier = succ_tower.enumerate(4, 50)
+    assert len(carrier) == 4 and carrier.exhaustive
+    whole = succ_tower.select(carrier, 4, 50, 100, succ_tower)
+    cut = succ_tower.select(carrier, 3, 50, 100, succ_tower)
+    first = Enumeration(carrier.items[:3], False)
+    assert cut == succ_tower.select(first, 3, 50, 100, succ_tower)
+    assert whole.exhaustive and not cut.exhaustive and len(cut) < len(whole)
 
 
 def _chain(tower, bottom, token, height):

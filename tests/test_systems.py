@@ -6,7 +6,7 @@ from itertools import combinations, islice, product
 
 import pytest
 
-from bhfix import limits, systems, verify
+from bhfix import limits, systems
 from bhfix.cli import parse_selector
 from bhfix.dilator import (
     CodedElement,
@@ -339,7 +339,7 @@ def _assert_full_generation_cut(tower, stages, budgets):
             assert (listed.items, listed.exhaustive) == _sorted_then_cut(
                 tower, n, budget, refs
             ), (n, budget)
-            sample = verify._coded_sample(tower.stage(n), budget)
+            sample = tower.coded_sample(n, budget)
             assert sample == _coded_sample_reference(tower, n, budget, refs), (n, budget)
 
 
@@ -360,8 +360,9 @@ class _ReversedOmega(OmegaPowerDilator):
         return (s < t) - (s > t)
 
 
-def _full_generation(dilator, carrier_sample, budget, k, cmp, value, order):
-    """``least_coded`` without pruning: every value, cut to the least k."""
+def _full_generation(dilator, table, carrier_sample, budget, k, cmp, value, order):
+    """``least_coded`` without pruning or token table: every value, cut to
+    the least k."""
     coded = coded_elements(dilator, carrier_sample, budget)
     return least(Enumeration(tuple(map(value, coded)), coded.exhaustive), k, order)
 
@@ -398,7 +399,6 @@ def test_a_dilator_that_fails_the_gate_is_never_pruned(monkeypatch):
     _assert_full_generation_cut(Tower(_ReversedOmega()), (1, 2, 3, 4), (0, 1, 5, 12, 13, 40))
     pruned = [r.format() for r in run_suite(_ReversedOmega(), "all", 12)]
     monkeypatch.setattr(limits, "least_coded", _full_generation)
-    monkeypatch.setattr(verify, "least_coded", _full_generation)
     assert [r.format() for r in run_suite(_ReversedOmega(), "all", 12)] == pruned
 
 
@@ -459,9 +459,9 @@ def _listings_and_samples(selector):
         for n in range(1, LIMIT_STAGES + 1):
             listed = tower.listing(n, budget)
             out.append(([show(t) for t in listed], listed.exhaustive))
-        samples = [verify._coded_sample(tower.stage(n), budget) for n in range(LIMIT_STAGES)]
-        carried = least(tower.enumerate(LIMIT_STAGES, budget), BASE_SAMPLE_CAP, tower.compare)
-        samples.append(verify._least_coded(tower.dilator, carried, budget, budget, tower.compare))
+        samples = [tower.coded_sample(n, budget) for n in range(LIMIT_STAGES)]
+        elements = tower.enumerate(LIMIT_STAGES, budget)
+        samples.append(tower.select(elements, BASE_SAMPLE_CAP, budget, budget, tower))
         for coded in samples:
             out.append(([(tuple(map(show, c.support)), c.token) for c in coded], coded.exhaustive))
     return out
@@ -471,10 +471,9 @@ def _listings_and_samples(selector):
 def test_token_table_selects_what_fresh_tokens_select(selector, monkeypatch):
     kept = _listings_and_samples(selector)
 
-    def fresh(dilator, *rest):
-        # a new dilator per call starts with an empty token table
-        return least_coded(parse_selector(selector), *rest)
+    def fresh(dilator, table, *rest):
+        # a new dilator and an empty token table per call
+        return least_coded(parse_selector(selector), {}, *rest)
 
     monkeypatch.setattr(limits, "least_coded", fresh)
-    monkeypatch.setattr(verify, "least_coded", fresh)
     assert _listings_and_samples(selector) == kept

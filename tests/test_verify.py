@@ -1,6 +1,5 @@
 """The check harness itself: reports, determinism, failure detection."""
 
-import gc
 import re
 from functools import partial
 from itertools import combinations
@@ -30,7 +29,6 @@ from bhfix.standard_dilators import (
 from bhfix.systems import Stage, System, ThetaTerm
 from bhfix.verify import (
     CheckReport,
-    _least_coded,
     check_collapse_admissible,
     check_commuting_square,
     check_dilator_laws,
@@ -147,7 +145,7 @@ def test_pruned_selection_is_the_cut_of_full_generation(selector):
             coded = coded_elements(tower.dilator, base, budget)
             terms = Enumeration(tuple(map(tower.collapse, coded)), coded.exhaustive)
             assert listed == least(terms, budget, cmp), (n, budget)
-            sample = _least_coded(tower.dilator, base, budget, budget, cmp)
+            sample = tower.select(base, BASE_SAMPLE_CAP, budget, budget, tower)
             order = partial(compare_coded, tower.dilator, cmp)
             assert sample == least(coded, budget, order), (n, budget)
 
@@ -218,6 +216,15 @@ class _ReversedSupport(OmegaPowerDilator):
         return super().supp_at(n, tok)[::-1]
 
 
+class _BoundOneShort(OmegaPowerDilator):
+    """A support bound one too small at every arity: at arity 0 it is -1,
+    below the empty support of w[].  Tested in each token's factorization
+    instance, so the instance count is omega's own."""
+
+    def support_bound(self, n, budget):
+        return super().support_bound(n, budget) - 1
+
+
 @pytest.mark.parametrize(
     "mutant,instances,exhaustive,first,alone",
     [
@@ -237,10 +244,14 @@ class _ReversedSupport(OmegaPowerDilator):
             _ReversedSupport, 483, False,
             "omega: support (1, 0) of w[1,0] is not strictly increasing within 0..1", True,
         ),
+        (
+            _BoundOneShort, 483, False,
+            "support of w[] has 0 elements, above support_bound(0, 6) = -1", True,
+        ),
     ],
     ids=[
         "identity", "token-order", "naturality", "order-monotonicity", "map-monotonicity",
-        "composition", "support-order",
+        "composition", "support-order", "support-bound",
     ],
 )
 def test_dilator_laws_report_each_broken_law(mutant, instances, exhaustive, first, alone):
@@ -330,7 +341,7 @@ def test_failure_lines_use_term_grammar():
     tower = Tower(SuccessorDilator())
     for report in (
         check_goodness(_ZeroLengthSystem(tower.full_order, 1), 10),
-        check_witness(_ReversedLimit(tower), tower.dilator, 10),
+        check_witness(_ReversedLimit(tower), tower, 10),
     ):
         assert not report.passed
         assert any("th(" in line for line in report.failures), report.format()
@@ -625,8 +636,8 @@ def test_limit_checks_cover_the_shared_stage_count():
 
 
 def test_budgets_past_the_caps_reach_only_the_dilator_laws():
-    # every other check reads the budget only through TERMS_CAP, SAMPLE_CAP
-    # or BASE_SAMPLE_CAP, none of them above 40
+    # every other check reads the budget only through the caps of
+    # bhfix.limits (TERMS_CAP, SAMPLE_CAP, BASE_SAMPLE_CAP), none above 40
     def without_laws(budget):
         return [r for r in run_suite(OmegaPowerDilator(), "all", budget) if r.name != "dilator-laws"]
 
@@ -724,20 +735,11 @@ def test_dilator_laws_map_each_token_once_per_embedding():
 
 def test_stage_checks_share_each_coded_sample(monkeypatch):
     # one sample per stage for collapse-admissible and commuting-square,
-    # plus fixed-point and witness: 5 selections, where selecting per
-    # check made 8
+    # plus fixed-point and witness: 5 coded selections, ordered by
+    # compare_coded, where selecting per check made 8; the listings select
+    # collapses in the limit order
     calls = []
-    monkeypatch.setattr(verify, "least_coded", lambda *a: calls.append(a) or least_coded(*a))
+    monkeypatch.setattr(limits, "least_coded", lambda *a: calls.append(a) or least_coded(*a))
     run_suite(OmegaPowerDilator(), "all", 40)
-    assert len(calls) == 5
-
-
-def test_coded_samples_die_with_their_tower():
-    gc.collect()
-    held = len(verify._SAMPLES)
-    tower = Tower(OmegaPowerDilator())
-    check_commuting_square(tower.stage(1), 8)
-    assert len(verify._SAMPLES) == held + 1
-    del tower
-    gc.collect()
-    assert len(verify._SAMPLES) == held
+    coded = [order for *_, order in calls if getattr(order, "func", None) is compare_coded]
+    assert len(coded) == 5

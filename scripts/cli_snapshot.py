@@ -3,7 +3,7 @@
 
     python3 scripts/cli_snapshot.py [CHECKOUT] > snapshot.jsonl
 
-Runs ``bhfix.cli.main`` in-process on a fixed list of 1675 requests: every
+Runs ``bhfix.cli.main`` in-process on a fixed list of 2107 requests: every
 request of the three perfbench workloads at seeds 401 and 7, ``enumerate``
 on 9 selectors x stages 0-6 x 9 budgets, ``verify --suite all`` on 7
 selectors x budgets 0-7, with and without ``--break-naturality``, a
@@ -17,7 +17,10 @@ product selectors (``PRODUCT_ELEMENTS``), and one ``enumerate`` and one
 ``verify`` without ``--budget``, which read the default budget of 50
 (``BH_BUDGET_DEFAULT`` is cleared), ``verify --suite all`` on the 7
 selectors at the budgets on either side of each sample cap (``CAP_EDGES``),
-with and without ``--break-naturality``, and last the 30 argv of ``ODD_ARGV``:
+with and without ``--break-naturality``, a ``compare`` (against the chain of
+height 9 - h at stage 8) and an ``interpret`` with each witness of every
+successor chain of height h = 1-8 read at each stage 0-8, as written and with
+whitespace spread through it, and last the 30 argv of ``ODD_ARGV``:
 help requests, usage errors and other forms that argparse reads, so that
 every help and usage message is compared too (``COLUMNS`` is set to 80, so
 argparse wraps help the same in any terminal).  The program is imported from
@@ -144,6 +147,15 @@ def requests():
         for b in CAP_EDGES:
             argv = ["verify", "--dilator", sel, "--suite", "all", "--budget", str(b)]
             yield from (argv, argv + ["--break-naturality"])
+    for height in range(1, 9):
+        term = "th(v0;" * (height - 1) + "th(top)" + ")" * (height - 1)
+        other = "@8:" + "th(v0;" * (8 - height) + "th(top)" + ")" * (8 - height)
+        for n in range(9):
+            text = f"@{n}:{term}"
+            for a in (text, spread_whitespace(text, SPACES[(height + n) % len(SPACES)])):
+                yield ["compare", "--dilator", "successor", a, other]
+                for witness in ("omega-successor", "bh-self"):
+                    yield ["interpret", "--dilator", "successor", "--witness", witness, a]
     yield from ODD_ARGV.values()
 
 

@@ -48,6 +48,14 @@ MUTANTS = [
         "killed",
     ),
     (
+        "single-merge-positions-swapped",
+        "src/bhfix/dilator.py",
+        "tests/test_dilator.py",
+        "p1, p2, n = (1,), (0,), 2",
+        "p1, p2, n = (0,), (1,), 2",
+        "killed",
+    ),
+    (
         "body-verdict-flipped-at-arity-2",
         "src/bhfix/dilator.py",
         "tests/test_differential.py",
@@ -200,6 +208,22 @@ MUTANTS = [
         "killed",
     ),
     (
+        "interpretation-supports-unreversed",
+        "src/bhfix/interpret.py",
+        "tests/test_interpret.py",
+        "for x in reversed(support))",
+        "for x in support)",
+        "killed",
+    ),
+    (
+        "bh-self-identity-for-every-witness",
+        "src/bhfix/cli.py",
+        "tests/test_cli.py",
+        "image = element if witness is tower else",
+        "image = element if True else",
+        "killed",
+    ),
+    (
         "verify-imported-eagerly",
         "src/bhfix/__init__.py",
         "tests/test_cli.py",
@@ -303,6 +327,14 @@ MUTANTS = [
         "tests/test_syntax.py",
         "_skip_ws(text, pos - closers + run)",
         "_skip_ws(text, pos)",
+        "killed",
+    ),
+    (
+        "unary-run-stage-off-by-one",
+        "src/bhfix/syntax.py",
+        "tests/test_syntax.py",
+        "depth <= n < depth + opened",
+        "depth < n < depth + opened",
         "killed",
     ),
     (

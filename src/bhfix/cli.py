@@ -273,7 +273,11 @@ def _cmd_interpret(args) -> int:
             )
         witness = OmegaSuccessorWitness()
     element = parse_bh(tower, args.term)
-    print(witness.format(embed_bh(witness, element)))
+    # parse_bh has checked each level in the tower's order, as
+    # Tower.collapse would, and interned it: into bh-self the element is
+    # its own image
+    image = element if witness is tower else embed_bh(witness, element)
+    print(witness.format(image))
     return EXIT_OK
 
 

@@ -241,6 +241,11 @@ def compare_coded(dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement
     return compare_merged(dilator, cmp, e1, e2)[0]
 
 
+# The positions of a support in itself, ``tuple(range(k))``, built once for
+# each arity up to a listing's carrier cap (``bhfix.limits.BASE_SAMPLE_CAP``).
+_POSITIONS = tuple(tuple(range(k)) for k in range(13))
+
+
 def compare_merged(
     dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement
 ) -> tuple[int, tuple, tuple]:
@@ -248,16 +253,26 @@ def compare_merged(
     both supports inside their merge under cmp.  Equal elements are EQ
     without a merge, with empty positions.  Identical supports are their
     own merge, so their tokens are compared unmapped, with no call to cmp:
-    every carrier order makes an element EQ to itself.  Other supports are
-    merged in one pass."""
+    every carrier order makes an element EQ to itself.  Two one-element
+    supports, the case of every level of a chain, take one call to cmp;
+    other supports are merged in one pass."""
     if e1 == e2:
         return EQ, (), ()
     s1, t1 = e1
     s2, t2 = e2
     l1, l2 = len(s1), len(s2)
     if s1 == s2:
-        p1 = p2 = tuple(range(l1))
+        p1 = p2 = _POSITIONS[l1] if l1 < len(_POSITIONS) else tuple(range(l1))
         n = l1
+    elif l1 == 1 == l2:
+        c = cmp(s1[0], s2[0])
+        if c < 0:
+            p1, p2, n = (0,), (1,), 2
+        elif c > 0:
+            p1, p2, n = (1,), (0,), 2
+        else:
+            p1 = p2 = (0,)
+            n = 1
     elif not l1 or not l2:
         p1, p2, n = tuple(range(l1)), tuple(range(l2)), l1 + l2
     else:

@@ -15,11 +15,16 @@ given by the recursion
 
     h(th(sigma)) = collapse_Y(h[sigma])
 
-(see :func:`interpretation`).  The stages intern into the limit's terms, so
-X_n is a subset of X_{n+1} and of the limit, and the interpretation of X_n
-that the paper builds stage by stage is this one h restricted to X_n: the
-extension equation h_{n+1} o iota_n = h_n and the gluing of the h_n hold by
-construction.  Into ``bh-self`` h is the identity.
+(see :func:`interpretation`, which walks an explicit stack, so it answers
+at any height).  The stages intern into the limit's terms, so X_n is a
+subset of X_{n+1} and of the limit, and the interpretation of X_n that the
+paper builds stage by stage is this one h restricted to X_n: the extension
+equation h_{n+1} o iota_n = h_n and the gluing of the h_n hold by
+construction.  Into ``bh-self`` h is the identity: an interned term is the
+collapse of its own body.  So ``interpret --witness bh-self`` prints the
+element it has read, whose levels the parser has checked as
+:meth:`~bhfix.limits.Tower.collapse` would, while ``check_minimality``
+still computes h into the tower.
 """
 
 from __future__ import annotations
@@ -59,13 +64,29 @@ class OmegaSuccessorWitness:
 def interpretation(witness) -> Callable[[ThetaTerm], Any]:
     """The interpretation h of the limit into the witness,
     th(sigma) |-> collapse_Y(h[sigma]), memoized per term and filled on
-    demand in call order, so each distinct term is collapsed once."""
+    demand, so each distinct term is collapsed once.
+
+    h walks an explicit stack in the recursion's own order: a term's
+    supports left to right, each with its own supports first, then the
+    term.  So it spends no Python frame per term level and answers at any
+    height, and the witness sees its ``collapse`` calls, and the first
+    ``WitnessLawError``, in the order the recursion would make them."""
     images: dict[ThetaTerm, Any] = {}
 
     def h(term: ThetaTerm) -> Any:
-        if term not in images:
-            support, token = term.body
-            images[term] = witness.collapse(CodedElement(tuple(map(h, support)), token))
+        stack = [(term, False)]  # (term, whether its supports are mapped)
+        while stack:
+            t, ready = stack.pop()
+            if t in images:  # mapped before, or through an earlier sibling
+                continue
+            support, token = t.body
+            if ready:
+                images[t] = witness.collapse(
+                    CodedElement(tuple(map(images.__getitem__, support)), token)
+                )
+            else:
+                stack.append((t, True))
+                stack.extend((x, False) for x in reversed(support))
         return images[term]
 
     return h

@@ -16,13 +16,18 @@ as it closes (support count, token text); then one build replays the
 events on a stack of values, parsing each distinct token once.  The scan
 reads a level, ``th(``, its token and the ``;`` or the run of ``)`` after
 it, by one pattern match when the token holds no bracket or whitespace;
-it finds the end of any other token by walking its brackets.  Of several
-faults the first in this order is reported: (1) the head: ``@``, the
-stage, its ``MAX_STAGE`` bound, ``:``; (2) the syntax of the whole term;
-(3) the type checks in the order a recursive reader meets them: a support
-list at stage 0 at its ``;``, and after a term's supports its token's
-parse, full support and the strict increase of the supports; (4) trailing
-input.
+it finds the end of any other token by walking its brackets.  A run of
+levels that repeat such a level's text, as ``th(v0;`` does along a
+successor chain, is read in one loop that keeps the stage-0 index exact,
+and the build puts a one-support term in place of its support on the
+value stack.  The build checks each level as
+:meth:`~bhfix.limits.Tower.collapse` would, so the element read is the
+tower's own collapse of it.  Of several faults the first in this order is
+reported: (1) the head: ``@``, the stage, its ``MAX_STAGE`` bound, ``:``;
+(2) the syntax of the whole term; (3) the type checks in the order a
+recursive reader meets them: a support list at stage 0 at its ``;``, and
+after a term's supports its token's parse, full support and the strict
+increase of the supports; (4) trailing input.
 """
 
 from __future__ import annotations
@@ -123,10 +128,18 @@ def _scan(text: str, pos: int, n: int) -> tuple[list, int | None, int]:
             delimiter = ";" if text.startswith(";", pos) else ")"
             pos = _expect(text, pos, delimiter)
         if delimiter == ";":
-            # the term's stage is n less one per enclosing support list
-            if stage0 is None and len(open_terms) == n:
+            # a run of levels that repeat this one's text opens together
+            depth = len(open_terms)
+            opened = 1
+            if level:
+                repeat = level.group()
+                while text.startswith(repeat, pos):
+                    pos += len(repeat)
+                    opened += 1
+            # a term's stage is n less one per enclosing support list
+            if stage0 is None and depth <= n < depth + opened:
                 stage0 = len(events)
-            open_terms.append((1, token_text))
+            open_terms += [(1, token_text)] * opened
             continue
         events.append((0, token_text))
         closers = len(delimiter) - 1  # the ')' read past the term's own
@@ -172,9 +185,13 @@ def parse_bh(tower: Tower, text: str) -> ThetaTerm:
             token = tokens[event] = dilator.parse_token(k, event[1])
             if dilator.supp_at(k, token) != tuple(range(k)):
                 raise TermTypeError(f"token {event[1]} must use every listed support term")
+        # Each term is checked in this loop, with the grammar's messages, and
+        # interned without rechecking; a one-support term takes the place of
+        # its support at the top of the stack.
         if k == 1:
-            subs = (values.pop(),)
-        elif k:
+            values[-1] = collapse(tower, _coded(((values[-1],), token)))
+            continue
+        if k:
             subs = tuple(values[-k:])
             del values[-k:]
             for a, b in zip(subs, subs[1:]):
@@ -182,7 +199,6 @@ def parse_bh(tower: Tower, text: str) -> ThetaTerm:
                     raise TermTypeError("support terms must be strictly increasing")
         else:
             subs = ()
-        # checked above, with the grammar's messages: intern without rechecking
         values.append(collapse(tower, _coded((subs, token))))
     if stage0 is not None:
         raise TermTypeError("a stage-0 term cannot have support terms")

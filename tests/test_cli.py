@@ -391,14 +391,26 @@ def _successor_element(height):
           _successor_element(800)], "799"),
         (["interpret", "--dilator", "successor", "--witness", "bh-self",
           _successor_element(800)], _successor_element(800)),
+    ]
+    + [
+        (["interpret", "--dilator", "successor", "--witness", "omega-successor",
+          _successor_element(height)], str(height - 1))
+        for height in (1000, 5000)
+    ]
+    + [
+        (["interpret", "--dilator", "successor", "--witness", "bh-self",
+          _successor_element(height)], _successor_element(height))
+        for height in (1000, 5000)
     ],
     ids=["compare-400-399", "compare-800-1", "interpret-omega-successor-800",
-         "interpret-bh-self-800"],
+         "interpret-bh-self-800", "interpret-omega-successor-1000",
+         "interpret-omega-successor-5000", "interpret-bh-self-1000", "interpret-bh-self-5000"],
 )
 def test_deep_requests_answer_at_the_default_recursion_limit(capsys, argv, expected):
-    # each term level of a comparison takes two Python frames and each level
-    # of an interpretation one; at four frames a level, every one of these
-    # exited 2 ("nested too deeply")
+    # each term level of a comparison takes two Python frames; at four
+    # frames a level, every compare here exited 2 ("nested too deeply").
+    # Reading, interpreting and printing take none, so an interpretation
+    # answers at any height the grammar accepts
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -406,6 +418,20 @@ def test_deep_requests_answer_at_the_default_recursion_limit(capsys, argv, expec
     finally:
         sys.setrecursionlimit(limit)
     assert (code, out, err) == (0, expected + "\n", "")
+
+
+def test_deep_compare_past_the_recursion_limit_fails_cleanly(capsys):
+    # the comparison still recurses, two frames a level (ROADMAP item 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run_cli(
+            capsys, "compare", "--dilator", "successor",
+            _successor_element(1000), _successor_element(999),
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out, err) == (2, "", "error: input is nested too deeply\n")
 
 
 def test_deeply_nested_input_fails_cleanly(capsys):

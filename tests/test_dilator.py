@@ -5,7 +5,7 @@ import pickle
 from functools import lru_cache, partial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bhfix.dilator import (
@@ -312,6 +312,11 @@ def test_compare_coded_invariant_under_larger_carrier():
 @given(
     st.sets(st.integers(-20, 20)), st.sets(st.integers(-20, 20)), st.booleans()
 )
+# one-element supports, merged by one cmp call: below, above and equal
+@example({0}, {1}, False)
+@example({1}, {0}, False)
+@example({0}, {1}, True)
+@example({0}, {0}, False)
 def test_compare_merged_positions_are_the_inclusions_into_the_union(xs, ys, descending):
     # the carrier order comes only from cmp: descending runs reverse it.
     # Omega's full-support tokens w[k-1,...,0] and w[k-1,...,0,0] keep the
@@ -332,6 +337,18 @@ def test_compare_merged_positions_are_the_inclusions_into_the_union(xs, ys, desc
     # the public constructor accepts what compare_merged builds unchecked
     assert Embedding(pa, n) == Embedding.trusted((pa, n))
     assert Embedding(pb, n) == Embedding.trusted((pb, n))
+
+
+def test_compare_merged_places_a_tie_of_one_element_supports_at_one_position():
+    # distinct carrier values that cmp ties share a position, as they do in
+    # the merge of longer supports
+    def cmp(a, b):
+        return int_cmp(ord(a.lower()), ord(b.lower()))
+
+    e1, e2 = CodedElement(("a",), (0,)), CodedElement(("A",), (0, 0))
+    assert compare_merged(omega, cmp, e1, e2) == (omega.compare_at(1, (0,), (0, 0)), (0,), (0,))
+    longer = CodedElement(("a", "b"), (1, 0)), CodedElement(("A", "c"), (1, 0, 0))
+    assert compare_merged(omega, cmp, *longer)[1:] == ((0, 1), (0, 2))
 
 
 def test_full_support_tokens_successor():

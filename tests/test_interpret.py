@@ -9,7 +9,9 @@ from bhfix.limits import Tower, birth_stage
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
 from bhfix.dilator import Enumeration
 from bhfix.cli import parse_selector
+from bhfix.syntax import format_bh, parse_bh
 from bhfix.verify import check_witness
+from test_verify import _TREES
 
 
 @pytest.fixture
@@ -160,3 +162,87 @@ def test_the_tower_is_its_own_witness():
     product = Tower(parse_selector("product(successor,constant:2)"))
     report = check_witness(product, product, 30)
     assert (report.passed, report.instances) == (True, 674)
+
+
+def _recursive_interpretation(witness):
+    """The interpretation as the plain recursion, one Python frame a level:
+    the reference for the order of the witness's collapse calls."""
+    images = {}
+
+    def h(term):
+        if term not in images:
+            support, token = term.body
+            images[term] = witness.collapse(CodedElement(tuple(map(h, support)), token))
+        return images[term]
+
+    return h
+
+
+class _Recording:
+    """A witness that records each coded element it is asked to collapse
+    and hands it on to ``base``."""
+
+    def __init__(self, base):
+        self.base, self.calls = base, []
+
+    def collapse(self, coded):
+        self.calls.append(coded)
+        return self.base.collapse(coded)
+
+
+class _StrictZeroWitness(_ZeroWitness):
+    """_ZeroWitness, which rejects a support that is not strictly
+    increasing: every element of arity 2 or more, since each image is 0."""
+
+    def collapse(self, coded):
+        if len(coded.support) > 1:
+            raise WitnessLawError(f"support {coded.support} of token {coded.token!r}")
+        return super().collapse(coded)
+
+
+def _collapse_calls(make_h, base, elements):
+    """The collapse calls and the images, or the first error, of one h on
+    the elements in turn, as check_minimality uses it, and of a fresh h on
+    each element alone."""
+    runs = [elements] + [[e] for e in elements]
+    out = []
+    for run in runs:
+        witness = _Recording(base)
+        h = make_h(witness)
+        try:
+            out.append((witness.calls, [h(e) for e in run]))
+        except WitnessLawError as err:
+            out.append((witness.calls, str(err)))
+    return out
+
+
+def _successor_chains():
+    tower = Tower(SuccessorDilator())
+    chain = [tower.collapse(CodedElement((), TOP))]
+    while len(chain) < 60:
+        chain.append(tower.collapse(CodedElement((chain[-1],), 0)))
+    # deepest first, so that one h meets the shallower ones already mapped
+    return tower, chain[::-3] + chain[::7]
+
+
+@pytest.mark.parametrize("selector", _TREES + ["successor-chains"])
+def test_interpretation_collapses_in_the_order_of_the_recursion(selector):
+    # the explicit stack makes the recursion's collapse calls in its order,
+    # and meets the same first WitnessLawError
+    if selector == "successor-chains":
+        tower, elements = _successor_chains()
+    else:
+        tower = Tower(parse_selector(selector))
+        # the last stage first, so that one h meets terms whose supports
+        # it has not mapped yet
+        elements = [e for n in (3, 2, 1) for e in tower.listing(n, 12)]
+    for base in (tower, _StrictZeroWitness()):
+        expected = _collapse_calls(_recursive_interpretation, base, elements)
+        assert _collapse_calls(interpretation, base, elements) == expected
+    # into bh-self h is the identity, also on an element read back into a
+    # fresh tower, as the CLI reads its input
+    for e in elements:
+        fresh = Tower(tower.dilator)
+        read = parse_bh(fresh, format_bh(tower.dilator, e))
+        assert embed_bh(fresh, read) is read
+        assert embed_bh(tower, e) is e

@@ -15,7 +15,7 @@ from bhfix.standard_dilators import (
     SuccessorDilator,
     SumDilator,
 )
-from bhfix.syntax import format_bh, format_term, parse_bh
+from bhfix.syntax import _scan, format_bh, format_term, parse_bh
 from bhfix.systems import System
 from grammar_corpus import ERROR_CORPUS, SPACES, spread_whitespace
 from test_limits import BATTERY
@@ -81,6 +81,51 @@ def test_deep_round_trip_at_default_recursion_limit(height):
         assert parse_bh(tower, format_bh(dilator, e)) is e
     finally:
         sys.setrecursionlimit(limit)
+
+
+def _levelwise_scan(text, n):
+    """``_scan``'s events and stage-0 index for a term whose tokens hold no
+    bracket, read one level at a time by a plain recursion."""
+    text = "".join(text.split())
+    events, stage0, pos = [], None, 0
+
+    def read(depth):
+        nonlocal pos, stage0
+        assert text.startswith("th(", pos)
+        end = re.compile(r"[;)]").search(text, pos).start()
+        token, pos, k = text[pos + 3 : end], end, 0
+        if text[pos] == ";":
+            if stage0 is None and depth == n:
+                stage0 = len(events)
+            while text[pos] in ";,":
+                pos += 1
+                read(depth + 1)
+                k += 1
+        assert text[pos] == ")"
+        pos += 1
+        events.append((k, token))
+
+    read(0)
+    return events, stage0
+
+
+# token patterns of a chain's levels: one run, runs of two, and a token
+# that is a prefix of the next
+_CHAIN_TOKENS = {"run": ["v0"], "pairs": ["v0", "v0", "v1", "v1"], "prefix": ["v0", "v00"]}
+
+
+@pytest.mark.parametrize("pattern", list(_CHAIN_TOKENS))
+@pytest.mark.parametrize("height", range(1, 9))
+def test_scan_reads_runs_of_levels_as_one_level_at_a_time(height, pattern):
+    tokens = _CHAIN_TOKENS[pattern]
+    term = "".join(f"th({tokens[i % len(tokens)]};" for i in range(height - 1))
+    term += "th(top)" + ")" * (height - 1)
+    for n in range(9):
+        expected = _levelwise_scan(term, n)
+        for ws in [""] + SPACES:
+            text = spread_whitespace(f"@{n}:{term}", ws) if ws else f"@{n}:{term}"
+            events, stage0, end = _scan(text, text.index(":") + 1, n)
+            assert ((events, stage0), end) == (expected, len(text)), (text, n)
 
 
 @pytest.mark.parametrize(

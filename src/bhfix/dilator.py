@@ -241,11 +241,6 @@ def compare_coded(dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement
     return compare_merged(dilator, cmp, e1, e2)[0]
 
 
-# The positions of a support in itself, ``tuple(range(k))``, built once for
-# each arity up to a listing's carrier cap (``bhfix.limits.BASE_SAMPLE_CAP``).
-_POSITIONS = tuple(tuple(range(k)) for k in range(13))
-
-
 def compare_merged(
     dilator: Dilator, cmp: Cmp, e1: CodedElement, e2: CodedElement
 ) -> tuple[int, tuple, tuple]:
@@ -262,7 +257,7 @@ def compare_merged(
     s2, t2 = e2
     l1, l2 = len(s1), len(s2)
     if s1 == s2:
-        p1 = p2 = _POSITIONS[l1] if l1 < len(_POSITIONS) else tuple(range(l1))
+        p1 = p2 = tuple(range(l1))
         n = l1
     elif l1 == 1 == l2:
         c = cmp(s1[0], s2[0])

@@ -121,6 +121,4 @@ def finset_map(f: Callable[[E], object], members: Iterable[E]) -> tuple:
 
 
 def is_strictly_sorted(items: Sequence[E], cmp: Cmp) -> bool:
-    if len(items) < 2:
-        return True
     return all(cmp(a, b) < 0 for a, b in zip(items, items[1:]))

@@ -3,7 +3,7 @@
 
     python3 scripts/cli_snapshot.py [CHECKOUT] > snapshot.jsonl
 
-Runs ``bhfix.cli.main`` in-process on a fixed list of 2107 requests: every
+Runs ``bhfix.cli.main`` in-process on a fixed list of 2110 requests: every
 request of the three perfbench workloads at seeds 401 and 7, ``enumerate``
 on 9 selectors x stages 0-6 x 9 budgets, ``verify --suite all`` on 7
 selectors x budgets 0-7, with and without ``--break-naturality``, a
@@ -20,7 +20,9 @@ selectors at the budgets on either side of each sample cap (``CAP_EDGES``),
 with and without ``--break-naturality``, a ``compare`` (against the chain of
 height 9 - h at stage 8) and an ``interpret`` with each witness of every
 successor chain of height h = 1-8 read at each stage 0-8, as written and with
-whitespace spread through it, and last the 30 argv of ``ODD_ARGV``:
+whitespace spread through it, an ``enumerate`` of each selector of
+``SELECTOR_ERRORS`` (unbalanced parentheses, an unknown combinator and an
+unknown parameterized dilator), and last the 30 argv of ``ODD_ARGV``:
 help requests, usage errors and other forms that argparse reads, so that
 every help and usage message is compared too (``COLUMNS`` is set to 80, so
 argparse wraps help the same in any terminal).  The program is imported from
@@ -69,6 +71,10 @@ PRODUCT_ELEMENTS = {
         "@2:th(P(w[0],v1);th(P(w[],top)),th(P(w[0],v0);th(P(w[],top))))",
     ],
 }
+
+# selectors that parse_selector refuses: unbalanced parentheses, an unknown
+# combinator and an unknown parameterized dilator
+SELECTOR_ERRORS = ("sum(omega", "foo(omega,omega)", "omega:3")
 
 # argv of odd shapes: help requests, forms other than the plain one, which
 # bhfix.cli._read_plain leaves to argparse, and plain argv close to them.
@@ -156,6 +162,8 @@ def requests():
                 yield ["compare", "--dilator", "successor", a, other]
                 for witness in ("omega-successor", "bh-self"):
                     yield ["interpret", "--dilator", "successor", "--witness", witness, a]
+    for sel in SELECTOR_ERRORS:
+        yield ["enumerate", "--dilator", sel, "--stages", "1"]
     yield from ODD_ARGV.values()
 
 

@@ -233,10 +233,26 @@ MUTANTS = [
     ),
     (
         "select-cap-one-past",
-        "src/bhfix/limits.py",
+        "src/bhfix/dilator.py",
         "tests/test_limits.py",
-        "if len(carrier) > cap:",
-        "if len(carrier) > cap + 1:",
+        "if len(self.items) <= k:",
+        "if len(self.items) <= k + 1:",
+        "killed",
+    ),
+    (
+        "cut-keeps-flag",
+        "src/bhfix/dilator.py",
+        "tests/test_dilator.py",
+        "return Enumeration(self.items[:k], False)",
+        "return Enumeration(self.items[:k], self.exhaustive)",
+        "killed",
+    ),
+    (
+        "cut-accepts-negative",
+        "src/bhfix/dilator.py",
+        "tests/test_limits.py",
+        '            raise ValueError(f"cannot cut a listing to {k} items")\n',
+        "            pass\n",
         "killed",
     ),
     (
@@ -275,8 +291,8 @@ MUTANTS = [
         "tower-sample-two-stages",
         "src/bhfix/limits.py",
         "tests/test_interpret.py",
-        "least(self.enumerate(LIMIT_STAGES, budget), budget, self.compare)",
-        "least(self.enumerate(LIMIT_STAGES - 1, budget), budget, self.compare)",
+        "self.enumerate(LIMIT_STAGES, budget).cut(budget)",
+        "self.enumerate(LIMIT_STAGES - 1, budget).cut(budget)",
         "killed",
     ),
     (

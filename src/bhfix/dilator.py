@@ -66,23 +66,16 @@ class Enumeration(Frozen):
     def __getitem__(self, i):
         return self.items[i]
 
-
-def least(items: Enumeration, k: int, cmp: Cmp) -> Enumeration:
-    """The k least items under cmp, sorted.
-
-    Keeps the listing's exhaustive flag when nothing is cut and clears it
-    otherwise.  Selection costs O(n log k) comparisons, so a large listing
-    cut to a small budget is never sorted in full.
-    """
-    # imported here, its only use, so that importing the package leaves heapq out
-    from heapq import nsmallest
-
-    if k < 0:
-        raise ValueError(f"cannot select {k} items")
-    key = cmp_to_key(cmp)
-    if len(items) <= k:
-        return Enumeration(tuple(sorted(items, key=key)), items.exhaustive)
-    return Enumeration(tuple(nsmallest(k, items, key=key)), False)
+    def cut(self, k: int) -> Enumeration:
+        """The first ``k`` items: the one cut of a sorted listing, which is
+        its least ``k``.  It keeps the exhaustive flag when no item is
+        dropped and clears it otherwise; a negative ``k`` is a
+        ``ValueError``."""
+        if k < 0:
+            raise ValueError(f"cannot cut a listing to {k} items")
+        if len(self.items) <= k:
+            return self
+        return Enumeration(self.items[:k], False)
 
 
 class Dilator:

@@ -43,17 +43,9 @@ lies above it by induction.  Two rules rest on the lemma.
 * A listing is the least ``budget`` collapses th(S, t) over the listing
   one stage down, chosen by :func:`bhfix.dilator.least_coded` without
   building them all (:meth:`Tower.select`, which cuts every sample of the
-  tower and the checks over the tower's one token table).  On one support
-  S the collapse order is the token order: by the lemma, whichever of t1,
-  t2 is less, the clause that decides finds S below the other collapse,
-  so th(S, t1) < th(S, t2) exactly when t1 < t2.  The selector walks
-  each support's tokens in token order and leaves the support at its
-  first collapse that cannot enter the cut.  When that first miss is at
-  the arity's least token t0, and t0 passes
-  :func:`bhfix.dilator.first_token_monotone`, a support S' pointwise above
-  S has (S, t0) < (S', t0), and every member of S lies at or below a
-  member of S', hence below th(S', t0), so th(S, t0) < th(S', t0) by the
-  first clause: the selector skips the block of supports above S.
+  tower and the checks over the tower's one token table).  The selector
+  rests on two rules, stated and proved for collapses from the lemma in
+  that function's docstring.
 
 The glued collapse is the limit system's collapse; a stage containing the
 support collapses to the same element.  So the tower is itself a collapse
@@ -69,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cmp_to_key, partial
 
-from .dilator import CodedElement, Dilator, Enumeration, compare_coded, least, least_coded
+from .dilator import CodedElement, Dilator, Enumeration, compare_coded, least_coded
 from .errors import DilatorLawError, SystemDefectError
 from .finite_orders import is_strictly_sorted
 from .systems import Stage, System, ThetaTerm
@@ -155,9 +147,10 @@ class Tower(System):
     def select(
         self, carrier: Enumeration, cap: int, budget: int, k: int, owner, collapse=None
     ) -> Enumeration:
-        """The one sample cut: the least ``k`` coded elements over the first
-        ``cap`` elements of ``carrier``, with tokens within ``budget``,
-        sorted; or, given ``collapse``, their least ``k`` collapses.
+        """The one sample cut: the least ``k`` coded elements over
+        ``carrier.cut(cap)``, with tokens within ``budget``, sorted; or,
+        given ``collapse``, their least ``k`` collapses.  A negative ``cap``
+        or ``k`` is a ``ValueError``.
 
         ``owner`` is the system or witness whose ``compare`` orders the
         carrier, and it orders the collapses too.  The carrier must be
@@ -165,8 +158,7 @@ class Tower(System):
         that is not is a ``SystemDefectError`` naming ``owner``, since then
         the tower's order and the owner's disagree."""
         cmp = owner.compare
-        if len(carrier) > cap:
-            carrier = Enumeration(carrier.items[:cap], False)
+        carrier = carrier.cut(cap)
         if collapse is None:
             value, order = _identity, partial(compare_coded, self.dilator, cmp)
         else:
@@ -231,8 +223,9 @@ class Tower(System):
     # -- the witness methods -----------------------------------------------------
 
     def sample(self, budget: int) -> Enumeration:
-        """The least ``budget`` limit elements born below ``LIMIT_STAGES``."""
-        return least(self.enumerate(LIMIT_STAGES, budget), budget, self.compare)
+        """The least ``budget`` limit elements born below ``LIMIT_STAGES``:
+        the cut of the sorted walk :meth:`enumerate`."""
+        return self.enumerate(LIMIT_STAGES, budget).cut(budget)
 
     def format(self, e: ThetaTerm) -> str:
         """A limit element in the term grammar."""

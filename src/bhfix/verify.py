@@ -27,7 +27,15 @@ from .finite_orders import (
     identity_embedding,
 )
 from .interpret import OmegaSuccessorWitness, interpretation
-from .limits import BASE_SAMPLE_CAP, LIMIT_STAGES, SAMPLE_CAP, TERMS_CAP, Tower, birth_stage
+from .limits import (
+    BASE_SAMPLE_CAP,
+    LIMIT_STAGES,
+    SAMPLE_CAP,
+    TERMS_CAP,
+    Tower,
+    _identity,
+    birth_stage,
+)
 from .syntax import format_bh, format_term
 from .systems import System, ThetaTerm
 
@@ -110,10 +118,6 @@ class CheckReport:
         if self.overflow:
             lines.append(f"  ... and {self.overflow} more failures")
         return "\n".join(lines)
-
-
-def _identity(x):
-    return x
 
 
 def _collapse_conditions(report: CheckReport, coded, values, compare, embed, show) -> None:

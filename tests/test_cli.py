@@ -99,6 +99,13 @@ def test_bad_selector_exit_2(capsys):
     for selector in ["frob", "sum(successor,omega,identity)"]:
         code, _, err = run_cli(capsys, "enumerate", "--dilator", selector, "--stages", "1")
         assert code == 2 and "selector" in err
+    for selector, message in [
+        ("sum(omega", "unbalanced parentheses in selector 'sum(omega'"),
+        ("foo(omega,omega)", "unknown combinator 'foo'"),
+        ("omega:3", "unknown parameterized dilator 'omega'"),
+    ]:
+        code, out, err = run_cli(capsys, "enumerate", "--dilator", selector, "--stages", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n"), selector
 
 
 def test_selector_grammar():

@@ -14,11 +14,11 @@ from bhfix.dilator import (
     compare_coded,
     compare_merged,
     full_support_tokens,
-    least,
     least_coded,
     map_coded,
     normal_form,
 )
+from bhfix.errors import DilatorLawError
 from bhfix.finite_orders import EQ, GT, LT, Embedding, all_embeddings, compose, finset_map, sgn
 from bhfix.limits import Tower
 from bhfix.standard_dilators import (
@@ -67,6 +67,18 @@ def test_compare_coded_omega_two_chain():
     eb = CodedElement(("b",), (0,))
     str_cmp = lambda a, b: (a > b) - (a < b)  # noqa: E731
     assert compare_coded(omega, str_cmp, ea, eb) == LT
+
+
+class _TiedConstant(ConstantDilator):
+    """constant:2 with every two tokens tied: not a linear order."""
+
+    def compare_at(self, n, s, t):
+        return EQ
+
+
+def test_compare_coded_rejects_distinct_elements_that_tie():
+    with pytest.raises(DilatorLawError, match="distinct coded elements compare equal"):
+        compare_coded(_TiedConstant(2), int_cmp, CodedElement((), 0), CodedElement((), 1))
 
 
 def test_map_coded_relabels_support_only():
@@ -136,15 +148,15 @@ def test_least_coded_is_exhaustive_exactly_when_nothing_is_cut():
         assert (len(out), out.exhaustive) == (min(k, 3), exhaustive), k
 
 
-def test_least_selects_sorts_and_flags_the_cut():
-    listing = Enumeration((5, 1, 4, 2, 3), True)
-    assert least(listing, 5, int_cmp) == Enumeration((1, 2, 3, 4, 5), True)
-    assert least(listing, 9, int_cmp) == Enumeration((1, 2, 3, 4, 5), True)
-    assert least(listing, 2, int_cmp) == Enumeration((1, 2), False)
-    assert least(listing, 0, int_cmp) == Enumeration((), False)
-    assert least(Enumeration((2, 1), False), 2, int_cmp) == Enumeration((1, 2), False)
-    with pytest.raises(ValueError):
-        least(listing, -1, int_cmp)
+def test_cut_keeps_the_first_k_and_clears_the_flag_on_a_drop():
+    listing = Enumeration((1, 2, 3, 4, 5), True)
+    assert listing.cut(5) == listing.cut(9) == listing
+    assert listing.cut(2) == Enumeration((1, 2), False)
+    assert listing.cut(0) == Enumeration((), False)
+    assert Enumeration((), True).cut(0) == Enumeration((), True)
+    assert Enumeration((1, 2), False).cut(2) == Enumeration((1, 2), False)
+    with pytest.raises(ValueError, match="cannot cut a listing to -1 items"):
+        listing.cut(-1)
 
 
 def test_value_classes_keep_their_value_semantics():

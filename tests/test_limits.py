@@ -6,11 +6,12 @@ import pytest
 
 from bhfix.cli import parse_selector
 from bhfix.dilator import CodedElement, Enumeration
-from bhfix.errors import DilatorLawError
+from bhfix.errors import DilatorLawError, SystemDefectError
 from bhfix.finite_orders import EQ, LT
-from bhfix.limits import Tower, birth_stage
+from bhfix.limits import LIMIT_STAGES, Tower, birth_stage
 from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
 from bhfix.syntax import format_bh, parse_bh
+from bhfix.systems import ThetaTerm
 from test_verify import _TREES, _FlippedTower
 
 BATTERY = [
@@ -119,6 +120,39 @@ def test_select_cuts_the_carrier_to_its_first_cap_elements(succ_tower):
     first = Enumeration(carrier.items[:3], False)
     assert cut == succ_tower.select(first, 3, 50, 100, succ_tower)
     assert whole.exhaustive and not cut.exhaustive and len(cut) < len(whole)
+
+
+def test_negative_counts_are_value_errors(succ_tower):
+    # a negative count is refused, never read as a slice from the end
+    carrier = succ_tower.enumerate(4, 50)
+    with pytest.raises(ValueError, match="cannot cut a listing to -1 items"):
+        succ_tower.sample(-1)
+    with pytest.raises(ValueError, match="cannot cut a listing to -1 items"):
+        succ_tower.select(carrier, -1, 50, 100, succ_tower)
+    # the carrier is sorted, so the selector's refusal of a negative k is
+    # passed on as it is, not as a system defect
+    with pytest.raises(ValueError, match="cannot select -1 items") as raised:
+        succ_tower.select(carrier, 12, 5, -1, succ_tower)
+    assert not isinstance(raised.value, SystemDefectError)
+
+
+@pytest.mark.parametrize("selector", ["successor", "constant:2", "sum(successor,successor)"])
+def test_sample_is_the_cut_of_the_walk(selector):
+    # the flag is kept when the walk fits the budget and cleared otherwise;
+    # successor and constant:2 have exhaustive walks that fit, while the
+    # walk of sum(successor,successor) outgrows the budget from 2 on
+    tower = Tower(parse_selector(selector))
+    for budget in range(8):
+        walk = tower.enumerate(LIMIT_STAGES, budget)
+        sample = tower.sample(budget)
+        assert sample.items == walk.items[:budget], budget
+        assert sample.exhaustive == (walk.exhaustive and len(walk) <= budget), budget
+
+
+def test_equal_bodies_of_distinct_terms_are_a_system_defect(succ_tower):
+    body = CodedElement((), TOP)
+    with pytest.raises(SystemDefectError, match="two distinct interned terms have equal bodies"):
+        succ_tower.compare(ThetaTerm(body, 1), ThetaTerm(body, 1))
 
 
 def _chain(tower, bottom, token, height):

@@ -1,6 +1,5 @@
 """The collapse-term order over one stage: lengths, comparison, iteration."""
 
-import heapq
 from functools import cmp_to_key, partial
 from itertools import combinations, islice, product
 
@@ -15,7 +14,6 @@ from bhfix.dilator import (
     compare_merged,
     first_token_monotone,
     full_support_tokens,
-    least,
     least_coded,
 )
 from bhfix.finite_orders import EQ, GT, LT
@@ -24,7 +22,7 @@ from bhfix.standard_dilators import TOP, OmegaPowerDilator, SuccessorDilator
 from bhfix.syntax import format_term, parse_bh
 from bhfix.systems import System
 from bhfix.verify import check_dilator_laws, run_suite
-from test_verify import _TREES, coded_elements
+from test_verify import _TREES, coded_elements, sorted_cut
 
 # the default battery of scripts/run_checks.py
 SELECTORS = [
@@ -301,8 +299,8 @@ def _sorted_then_cut(tower, n, budget, refs):
         exhaustive &= tokens.exhaustive
         for subset in combinations(sample, k):
             terms.extend(system.collapse(CodedElement(subset, tok)) for tok in tokens)
-    least = heapq.nsmallest(budget, terms, key=cmp_to_key(system.compare))
-    ref = refs[n, budget] = tuple(least), exhaustive and len(terms) <= budget
+    cut = sorted_cut(Enumeration(tuple(terms), exhaustive), budget, system.compare)
+    ref = refs[n, budget] = cut.items, cut.exhaustive
     return ref
 
 
@@ -326,7 +324,7 @@ def _coded_sample_reference(tower, n, budget, refs):
     items, exhaustive = _sorted_then_cut(tower, n, min(budget, BASE_SAMPLE_CAP), refs)
     coded = coded_elements(tower.dilator, Enumeration(items, exhaustive), budget)
     order = partial(compare_coded, tower.dilator, tower.stage(n).carrier_compare)
-    return least(coded, budget, order)
+    return sorted_cut(coded, budget, order)
 
 
 def _assert_full_generation_cut(tower, stages, budgets):
@@ -364,7 +362,7 @@ def _full_generation(dilator, table, carrier_sample, budget, k, cmp, value, orde
     """``least_coded`` without pruning or token table: every value, cut to
     the least k."""
     coded = coded_elements(dilator, carrier_sample, budget)
-    return least(Enumeration(tuple(map(value, coded)), coded.exhaustive), k, order)
+    return sorted_cut(Enumeration(tuple(map(value, coded)), coded.exhaustive), k, order)
 
 
 def test_every_least_token_of_the_grammar_passes_the_monotonicity_gate():

@@ -1,7 +1,7 @@
 """The check harness itself: reports, determinism, failure detection."""
 
 import re
-from functools import partial
+from functools import cmp_to_key, partial
 from itertools import combinations
 
 import pytest
@@ -13,11 +13,11 @@ from bhfix.dilator import (
     Enumeration,
     compare_coded,
     full_support_tokens,
-    least,
     least_coded,
 )
 from bhfix.errors import WitnessLawError
 from bhfix.finite_orders import EQ
+from bhfix.interpret import OmegaSuccessorWitness
 from bhfix.limits import BASE_SAMPLE_CAP, LIMIT_STAGES, Tower, birth_stage
 from bhfix.standard_dilators import (
     ConstantDilator,
@@ -134,6 +134,13 @@ def coded_elements(dilator, carrier_sample, budget):
     return Enumeration(tuple(out), exhaustive)
 
 
+def sorted_cut(items, k, cmp):
+    """The least ``k`` of a listing under cmp, by sorting all of it: the
+    reference cut of full generation, exhaustive when nothing is cut."""
+    ordered = sorted(items, key=cmp_to_key(cmp))
+    return Enumeration(tuple(ordered[:k]), items.exhaustive and len(ordered) <= k)
+
+
 @pytest.mark.parametrize("selector", _TREES)
 def test_pruned_selection_is_the_cut_of_full_generation(selector):
     tower = Tower(parse_selector(selector))
@@ -144,10 +151,10 @@ def test_pruned_selection_is_the_cut_of_full_generation(selector):
             base = tower.listing(n - 1, min(budget, BASE_SAMPLE_CAP))
             coded = coded_elements(tower.dilator, base, budget)
             terms = Enumeration(tuple(map(tower.collapse, coded)), coded.exhaustive)
-            assert listed == least(terms, budget, cmp), (n, budget)
+            assert listed == sorted_cut(terms, budget, cmp), (n, budget)
             sample = tower.select(base, BASE_SAMPLE_CAP, budget, budget, tower)
             order = partial(compare_coded, tower.dilator, cmp)
-            assert sample == least(coded, budget, order), (n, budget)
+            assert sample == sorted_cut(coded, budget, order), (n, budget)
 
 
 def _is_identity(f):
@@ -332,7 +339,7 @@ class _ReversedLimit:
         return -self.tower.compare(a, b)
 
     def sample(self, budget):
-        return least(self.tower.enumerate(LIMIT_STAGES, budget), budget, self.compare)
+        return sorted_cut(self.tower.enumerate(LIMIT_STAGES, budget), budget, self.compare)
 
 
 def test_failure_lines_use_term_grammar():
@@ -522,6 +529,22 @@ def test_fixed_point_catches_a_stage_dependent_lift(dilator, instances, exhausti
     report = check_fixed_point(_StageTwoMoved(dilator()), 10)
     assert (report.instances, report.exhaustive) == (instances, exhaustive)
     assert report.failures[0] == first, report.format()
+
+
+def test_negative_carrier_cap_is_a_value_error():
+    # a negative cap is refused, never read as a slice from the end
+    tower = Tower(SuccessorDilator())
+    with pytest.raises(ValueError, match="cannot cut a listing to -1 items"):
+        check_fixed_point(tower, 12, carrier_cap=-1)
+    with pytest.raises(ValueError, match="cannot cut a listing to -1 items"):
+        check_witness(tower, tower, 12, carrier_cap=-1)
+
+
+def test_witness_of_another_dilator_fails_on_its_first_collapse():
+    report = check_witness(OmegaSuccessorWitness(), Tower(OmegaPowerDilator()), 12)
+    assert (report.passed, report.instances, report.exhaustive) == (False, 1, False)
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("collapse undefined on a sampled element: ")
 
 
 def test_limit_order_catches_a_stage_dependent_lift():

@@ -3,7 +3,7 @@
 
     python3 scripts/cli_snapshot.py [CHECKOUT] > snapshot.jsonl
 
-Runs ``bhfix.cli.main`` in-process on a fixed list of 2110 requests: every
+Runs ``bhfix.cli.main`` in-process on a fixed list of 2136 requests: every
 request of the three perfbench workloads at seeds 401 and 7, ``enumerate``
 on 9 selectors x stages 0-6 x 9 budgets, ``verify --suite all`` on 7
 selectors x budgets 0-7, with and without ``--break-naturality``, a

@@ -333,8 +333,16 @@ MUTANTS = [
         "level-pattern-reads-whitespace",
         "src/bhfix/syntax.py",
         "tests/test_syntax.py",
-        '_LEVEL = re.compile(r"th\\(([^;()\\[\\]\\s]+)',
-        '_LEVEL = re.compile(r"th\\(([^;()\\[\\]]+)',
+        r'plain = r"[^;()\[\]\s]*"',
+        r'plain = r"[^;()\[\]]*"',
+        "killed",
+    ),
+    (
+        "level-brackets-untyped",
+        "src/bhfix/syntax.py",
+        "tests/test_syntax.py",
+        r'rf"{plain}(?:(?:\({inner}\)|\[{inner}\]){plain})*"',
+        r'rf"{plain}(?:[(\[]{inner}[)\]]{plain})*"',
         "killed",
     ),
     (
@@ -367,6 +375,22 @@ MUTANTS = [
         "tests/test_acceptance.py",
         "return bisect_right(ps, pt[-1]) if pt else 0",
         "return len(ps)",
+        "killed",
+    ),
+    (
+        "omega-repeat-tested-by-ends",
+        "src/bhfix/standard_dilators.py",
+        "tests/test_standard_dilators.py",
+        "if tok and tok.count(tok[0]) == len(tok):",
+        "if tok and tok[0] == tok[-1]:",
+        "killed",
+    ),
+    (
+        "omega-repeat-one-short",
+        "src/bhfix/standard_dilators.py",
+        "tests/test_standard_dilators.py",
+        "return (f.images[tok[0]],) * len(tok)",
+        "return (f.images[tok[0]],) * (len(tok) - 1)",
         "killed",
     ),
     (

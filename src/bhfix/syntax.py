@@ -15,19 +15,22 @@ scan, which keeps a stack of the open terms and emits one event per term
 as it closes (support count, token text); then one build replays the
 events on a stack of values, parsing each distinct token once.  The scan
 reads a level, ``th(``, its token and the ``;`` or the run of ``)`` after
-it, by one pattern match when the token holds no bracket or whitespace;
-it finds the end of any other token by walking its brackets.  A run of
-levels that repeat such a level's text, as ``th(v0;`` does along a
-successor chain, is read in one loop that keeps the stage-0 index exact,
-and the build puts a one-support term in place of its support on the
-value stack.  The build checks each level as
-:meth:`~bhfix.limits.Tower.collapse` would, so the element read is the
-tower's own collapse of it.  Of several faults the first in this order is
-reported: (1) the head: ``@``, the stage, its ``MAX_STAGE`` bound, ``:``;
-(2) the syntax of the whole term; (3) the type checks in the order a
-recursive reader meets them: a support list at stage 0 at its ``;``, and
-after a term's supports its token's parse, full support and the strict
-increase of the supports; (4) trailing input.
+it, by one pattern match when the token holds no whitespace or ``;`` and
+its brackets pair up by type, nested at most three deep: every token of a
+dilator with at most two combinators on any path from its root to a
+builtin (``v0``, ``w[1,0]``, ``R(w[0])``, ``P(R(w[1,0]),w[0])``).  It
+finds the end of any other token by walking its brackets, the reference
+for whitespace, deeper nesting and every error.  A run of levels that
+repeat such a level's text, as ``th(v0;`` does along a successor chain,
+is read in one loop that keeps the stage-0 index exact, and the build
+puts a one-support term in place of its support on the value stack.  The
+build checks each level as :meth:`~bhfix.limits.Tower.collapse` would, so
+the element read is the tower's own collapse of it.  Of several faults
+the first in this order is reported: (1) the head: ``@``, the stage, its
+``MAX_STAGE`` bound, ``:``; (2) the syntax of the whole term; (3) the type
+checks in the order a recursive reader meets them: a support list at
+stage 0 at its ``;``, and after a term's supports its token's parse, full
+support and the strict increase of the supports; (4) trailing input.
 """
 
 from __future__ import annotations
@@ -43,9 +46,24 @@ from .systems import System, ThetaTerm
 # is rejected up front.
 MAX_STAGE = 10_000
 
-# "th(", a token with no bracket or whitespace, and the ';' or the run of
-# ')' after it: the bracket walk of ``_scan`` reads the same token there.
-_LEVEL = re.compile(r"th\(([^;()\[\]\s]+)(;|\)+)")
+
+def _token_pattern(depth: int) -> str:
+    """A token with no whitespace or ';' whose brackets pair up by type,
+    nested at most ``depth`` deep, as one regex unrolled level by level:
+    plain characters, then groups each followed by plain characters.  A
+    group starts with its bracket, so the text splits one way only and a
+    failed match backtracks in linear time."""
+    plain = r"[^;()\[\]\s]*"
+    if not depth:
+        return plain
+    inner = _token_pattern(depth - 1)
+    return rf"{plain}(?:(?:\({inner}\)|\[{inner}\]){plain})*"
+
+
+# "th(", a nonempty token with brackets nested at most three deep (``w[..]``,
+# ``R(w[..])``, ``P(R(w[..]),w[..])``), and the ';' or the run of ')' after
+# it: the bracket walk of ``_scan`` reads the same token there.
+_LEVEL = re.compile(rf"th\((?![;)])({_token_pattern(3)})(;|\)+)")
 
 # The characters that can end a token or change its bracket depth.
 _TOKEN_STOP = re.compile(r"[;()\[\]]")

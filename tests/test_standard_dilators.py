@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bhfix.cli import parse_selector
 from bhfix.dilator import Enumeration, full_support_tokens
 from bhfix.errors import TermSyntaxError, TermTypeError
-from bhfix.finite_orders import EQ, GT, LT
+from bhfix.finite_orders import EQ, GT, LT, all_embeddings
 from bhfix.standard_dilators import (
     TOP,
     ConstantDilator,
@@ -282,6 +282,50 @@ def test_omega_token_round_trip(entries):
 )
 def test_token_round_trip(dilator, n, tok):
     assert dilator.parse_token(n, dilator.format_token(n, tok)) == tok
+
+
+def _entrywise(f, tok):
+    return tuple(f.images[i] for i in tok)
+
+
+@pytest.mark.parametrize("budget", [12, 40, 100])
+def test_omega_maps_and_reads_every_sampled_token_entry_by_entry(budget):
+    # every arity-1 token repeats one entry, and so does each of its images
+    for n in range(7):
+        tokens = omega.sample_at(n, budget).items
+        embeddings = all_embeddings(n, n + 2)
+        for tok in tokens:
+            assert omega.parse_token(n, omega.format_token(n, tok)) == tok
+            for f in embeddings:
+                assert omega.map_token(f, tok) == _entrywise(f, tok), (f, tok)
+
+
+@pytest.mark.parametrize("tok", [(0, 1, 0), (1, 0, 1), (2, 2), (0, 2, 2, 0), ()])
+def test_seq_maps_tokens_that_are_not_descending_entry_by_entry(tok):
+    # seq inherits omega's map_token: a token whose ends agree need not
+    # repeat one entry
+    for f in all_embeddings(3, 5):
+        assert _Sequences().map_token(f, tok) == _entrywise(f, tok), (f, tok)
+
+
+@pytest.mark.parametrize(
+    "n, text, error, message",
+    [
+        (3, "w[01]", TermSyntaxError, "an entry of w[...] has a leading zero: '01'"),
+        (3, "w[1,01,1]", TermSyntaxError, "an entry of w[...] has a leading zero: '01'"),
+        (3, "w[0,x]", TermSyntaxError, "an entry of w[...] must be a natural number, got 'x'"),
+        (3, "w[x,x]", TermSyntaxError, "an entry of w[...] must be a natural number, got 'x'"),
+        (3, "w[2,2,,2]", TermSyntaxError, "an entry of w[...] must be a natural number, got ''"),
+        (3, "w[0,3]", TermTypeError, "w[0,3] has an entry not below 3"),
+        (3, "w[3,3]", TermTypeError, "w[3,3] has an entry not below 3"),
+        (3, "w[0,1]", TermTypeError, "w[0,1] is not weakly descending"),
+        (2, "w[1,1,0,0,1]", TermTypeError, "w[1,1,0,0,1] is not weakly descending"),
+    ],
+)
+def test_omega_token_messages(n, text, error, message):
+    with pytest.raises(error) as info:
+        omega.parse_token(n, text)
+    assert str(info.value) == message
 
 
 def test_token_parse_errors():

@@ -4,8 +4,10 @@ import re
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bhfix import errors
+from bhfix import errors, syntax
 from bhfix.cli import parse_selector
 from bhfix.errors import TermSyntaxError, TermTypeError
 from bhfix.limits import Tower, birth_stage
@@ -15,7 +17,7 @@ from bhfix.standard_dilators import (
     SuccessorDilator,
     SumDilator,
 )
-from bhfix.syntax import _scan, format_bh, format_term, parse_bh
+from bhfix.syntax import _LEVEL, _scan, format_bh, format_term, parse_bh
 from bhfix.systems import System
 from grammar_corpus import ERROR_CORPUS, SPACES, spread_whitespace
 from test_limits import BATTERY
@@ -84,15 +86,19 @@ def test_deep_round_trip_at_default_recursion_limit(height):
 
 
 def _levelwise_scan(text, n):
-    """``_scan``'s events and stage-0 index for a term whose tokens hold no
-    bracket, read one level at a time by a plain recursion."""
+    """``_scan``'s events and stage-0 index for a term, read one level at a
+    time by a plain recursion: a token ends at the first ';' or ')' outside
+    its own brackets."""
     text = "".join(text.split())
     events, stage0, pos = [], None, 0
 
     def read(depth):
         nonlocal pos, stage0
         assert text.startswith("th(", pos)
-        end = re.compile(r"[;)]").search(text, pos).start()
+        end, nesting = pos + 3, 0
+        while nesting or text[end] not in ";)":
+            nesting += (text[end] in "([") - (text[end] in ")]")
+            end += 1
         token, pos, k = text[pos + 3 : end], end, 0
         if text[pos] == ";":
             if stage0 is None and depth == n:
@@ -126,6 +132,71 @@ def test_scan_reads_runs_of_levels_as_one_level_at_a_time(height, pattern):
             text = spread_whitespace(f"@{n}:{term}", ws) if ws else f"@{n}:{term}"
             events, stage0, end = _scan(text, text.index(":") + 1, n)
             assert ((events, stage0), end) == (expected, len(text)), (text, n)
+
+
+@pytest.mark.parametrize("selector", _TREES)
+def test_scan_reads_listed_terms_as_one_level_at_a_time(selector):
+    # every token of these selectors is nested at most three deep, so the
+    # level pattern reads each level
+    tower = Tower(parse_selector(selector))
+    terms = {format_term(tower.dilator, e) for n in range(1, 4) for e in tower.listing(n, 12)}
+    for term in sorted(terms):
+        for n in range(4):
+            text = f"@{n}:{term}"
+            events, stage0, end = _scan(text, text.index(":") + 1, n)
+            assert ((events, stage0), end) == (_levelwise_scan(term, n), len(text)), (text, n)
+            assert all(_LEVEL.match(f"th({token})") for _, token in events), text
+
+
+# (token, whether the level pattern reads it): brackets nested three deep
+# and paired by type take one match; four deep, or paired across types,
+# the bracket walk reads them
+_NESTED_TOKENS = [
+    ("P(R(w[1,0]),w[0])", True),
+    ("L(P(top,w[0,0]))", True),
+    ("[([x])]a(b),c0", True),
+    ("L(P(top,R(w[0,0])))", False),
+    ("[[[[0]]]]", False),
+    ("R(w[0)]", False),
+    ("R(w(0])", False),
+]
+
+
+@pytest.mark.parametrize("token, one_match", _NESTED_TOKENS)
+def test_scan_reads_nested_tokens_as_one_level_at_a_time(token, one_match):
+    assert bool(_LEVEL.match(f"th({token})")) == one_match
+    assert bool(_LEVEL.match(f"th({token};")) == one_match
+    term = f"th({token};th({token}),th({token};th(v0;th({token}))))"
+    for n in range(4):
+        expected = _levelwise_scan(term, n)
+        for ws in [""] + SPACES:
+            text = spread_whitespace(f"@{n}:{term}", ws) if ws else f"@{n}:{term}"
+            events, stage0, end = _scan(text, text.index(":") + 1, n)
+            assert ((events, stage0), end) == (expected, len(text)), (text, n)
+
+
+def _scan_outcome(text, n):
+    try:
+        return _scan(text, 0, n)
+    except TermSyntaxError as e:
+        return str(e)
+
+
+_PIECES = ["th(", ";", ")", "(", "[", "]", ",", " ", "w", "0", "v", "R(", "P(", "top", "th"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=30), st.integers(0, 3))
+def test_scan_reads_any_text_as_the_bracket_walk_alone(pieces, n):
+    # the same events, stage-0 index and end, or the same error message,
+    # as when no level is read by the pattern
+    text = "th(" + "".join(pieces)
+    expected = _scan_outcome(text, n)
+    saved = syntax._LEVEL
+    syntax._LEVEL = re.compile("(?!)")  # matches nowhere
+    try:
+        assert _scan_outcome(text, n) == expected
+    finally:
+        syntax._LEVEL = saved
 
 
 @pytest.mark.parametrize(
